@@ -302,6 +302,19 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 _GEOMETRIC_CHECK_TAIL = 1e-13
 
+#: Length of the beta-power ``--check`` direct sums, and the most terms a
+#: geometric one may take before ``--check`` gives up with exit 2.
+_CHECK_TERMS = 1_000_000
+
+
+def _check_terms(needed: int) -> int:
+    if needed > _CHECK_TERMS:
+        raise ValidationError(
+            f"--check direct sum needs at least {needed} terms, "
+            f"above the cap of {_CHECK_TERMS}; drop --check"
+        )
+    return needed
+
 
 def _geometric_direct_igf(p: float, u: float, t: float) -> float:
     """Truncated direct sum with the geometric tail below _GEOMETRIC_CHECK_TAIL."""
@@ -309,7 +322,7 @@ def _geometric_direct_igf(p: float, u: float, t: float) -> float:
     q = 1.0 - p
     # tail after T terms is q**s * p**(T*s) / (1 - p**s)
     bound = math.log(_GEOMETRIC_CHECK_TAIL * (1.0 - p**s)) - s * math.log(q)
-    trunc = max(1, math.ceil(bound / (s * math.log(p))) + 1)
+    trunc = _check_terms(max(1, math.ceil(bound / (s * math.log(p))) + 1))
     return math.fsum((q * p**i) ** s for i in range(trunc))
 
 
@@ -317,7 +330,7 @@ def _geometric_direct_entropy(p: float, u: float) -> float:
     q = 1.0 - p
     trunc = 64
     while (trunc * abs(math.log(p)) + 60.0) * p**trunc > 1e-15:
-        trunc *= 2
+        trunc = _check_terms(2 * trunc)
     return -math.fsum(
         u * (q * p**i) * math.log(q * p**i) for i in range(trunc)
     )
@@ -328,7 +341,7 @@ def _beta_power_direct_igf(beta: float, u: float, t: float) -> float:
 
     s = 1.0 - u * (1.0 - t)
     z = closed_forms.zeta(beta)
-    n = np.arange(1, closed_forms.ZETA_SERIES_TERMS + 1, dtype=np.float64)
+    n = np.arange(1, _CHECK_TERMS + 1, dtype=np.float64)
     return float(np.sum((n ** (-beta) / z) ** s))
 
 
@@ -336,7 +349,7 @@ def _beta_power_direct_entropy(beta: float, u: float) -> float:
     import numpy as np
 
     z = closed_forms.zeta(beta)
-    n = np.arange(1, closed_forms.ZETA_SERIES_TERMS + 1, dtype=np.float64)
+    n = np.arange(1, _CHECK_TERMS + 1, dtype=np.float64)
     probs = n ** (-beta) / z
     return float(-np.sum(u * probs * np.log(probs)))
 

@@ -77,6 +77,18 @@ class ProbabilityDistribution:
             raise ValidationError(f"kind must be a Kind, got {self.kind!r}")
         if len(probs) == 0:
             raise EmptyInput("probability vector must not be empty")
+        try:
+            total = math.fsum(probs)
+        except (ValueError, OverflowError):  # inf + -inf; a finite sum overflowing
+            total = math.nan
+        if not math.isfinite(total):
+            # a non-finite entry gets here, and so do finite entries so large
+            # that their sum overflows; the range checks below report those
+            for i, p in enumerate(probs):
+                if not math.isfinite(p):
+                    raise ValidationError(
+                        f"probability entry {i} is {p!r}, not a finite number"
+                    )
         # min/max instead of a per-element loop: vectors can hold 1e6 entries.
         if not (min(probs) >= 0.0):
             raise NegativeProbability(
@@ -86,9 +98,7 @@ class ProbabilityDistribution:
             raise ProbabilityAboveOne(
                 f"probabilities must be <= 1, largest entry is {max(probs)!r}"
             )
-        total = math.fsum(probs)
         if self.kind is Kind.COMPLETE:
-            # NaN entries fail this comparison too and end up here.
             if not (abs(total - 1.0) <= COMPLETENESS_TOL):
                 raise SumNotOne(
                     f"complete distribution must sum to 1 within "
@@ -300,14 +310,9 @@ def realize_family(
     beta = family.beta
     assert beta is not None
     z = zeta(beta)
-    if t <= 4096:
-        probs = tuple(i ** (-beta) / z for i in range(1, t + 1))
-    else:
-        import numpy as np
-
-        arr = np.arange(1, t + 1, dtype=np.float64) ** (-beta) / z
-        probs = tuple(arr.tolist())
-    return ProbabilityDistribution(probs, Kind.GENERALIZED)
+    return ProbabilityDistribution(
+        tuple(i ** (-beta) / z for i in range(1, t + 1)), Kind.GENERALIZED
+    )
 
 
 _SCHEME_KEYS = {"probabilities", "utilities", "kind", "labels"}

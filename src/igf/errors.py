@@ -22,7 +22,7 @@ class EmptyInput(ValidationError):
 
 
 class NegativeProbability(ValidationError):
-    """A probability entry was negative (or not a number)."""
+    """A probability entry was negative."""
 
 
 class ProbabilityAboveOne(ValidationError):

@@ -7,9 +7,15 @@ behind them were frozen from the direct-summation oracles.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import igf
 from igf import ScalingIdentityReport, make_scheme, scheme_from_dict
 from igf.cli import main
 
@@ -129,6 +135,21 @@ class TestEval:
         )
         assert code == 2
         assert "two columns" in err
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_probability_is_one_error_in_csv_and_json(self, capsys, tmp_path, position):
+        probs = ["0.25", "0.5", "0.25"]
+        probs[position] = "nan"
+        csv_path = tmp_path / "scheme.csv"
+        csv_path.write_text("".join(f"{p},1\n" for p in probs))
+        json_path = tmp_path / "scheme.json"
+        json_path.write_text('{"probabilities": [' + ", ".join(probs).replace("nan", "NaN") + "]}")
+        for path, fmt in ((csv_path, "csv"), (json_path, "json")):
+            code, _, err = run(
+                capsys, "eval", "--input", str(path), "--format", fmt, "--t", "2"
+            )
+            assert code == 2
+            assert f"entry {position} is nan, not a finite number" in err
 
 
 class TestEntropy:
@@ -453,6 +474,17 @@ class TestClosedForm:
         assert code == 0
         assert float(out.splitlines()[2].split(": ")[1]) <= 1e-10
 
+    @pytest.mark.parametrize("query", [["--t", "2"], ["--entropy"]])
+    def test_check_near_p_one_stops_at_the_cap(self, capsys, query):
+        # p = 1 - 1e-9 would need a 4.3e9-term direct sum
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "closed-form", "geometric", "--p", "0.999999999", *query, "--check"
+        )
+        assert time.monotonic() - start < 5.0
+        assert (code, out) == (2, "")
+        assert "cap of 1000000" in err
+
 
 class TestEscort:
     def test_transform_report(self, capsys, eight_two):
@@ -571,3 +603,22 @@ class TestNormalize:
             "utilities": [1.0, 2.0],
             "kind": "complete",
         }
+
+
+def test_closed_form_and_curve_never_import_numpy(tmp_path):
+    # numpy (and the threads its BLAS starts) stays off every CLI path
+    # except the beta-power --check direct sums
+    script = (
+        "import sys\n"
+        "from igf.cli import main\n"
+        "assert main(['closed-form', 'beta-power', '--beta', '2.3', '--t', '1.7']) == 0\n"
+        "assert main(['curve', '--family', 'beta-power', '--beta', '2.3',\n"
+        f"             '--truncation', '10000', '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(igf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

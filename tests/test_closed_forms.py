@@ -8,6 +8,7 @@ with analytic tail bounds.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,13 @@ ZETA_PRIME_2 = -0.9375482543158438
 ZETA_PRIME_4 = -0.06891126589612538
 BETA_POWER_ENTROPY_2_1 = 1.6376222886598110
 
+# a fixed grid from beta near 1 to where zeta is 1 in float64, plus
+# log-spaced draws of beta - 1 over [1e-3, 30]
+_rng = random.Random(2015)
+MPMATH_BETAS = [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 6.0, 20.0, 60.0] + [
+    1.0 + 10.0 ** _rng.uniform(-3.0, 1.5) for _ in range(40)
+]
+
 
 class TestZeta:
     def test_analytically_forced_values(self):
@@ -66,10 +74,16 @@ class TestZeta:
             lo, hi = oracles.zeta_bracket(beta)
             assert lo - 1e-9 <= zeta(beta) <= hi + 1e-9
 
-    @pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -2.0, float("nan")])
+    @pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -2.0, float("nan"), float("inf")])
     def test_divergent_arguments_rejected(self, bad):
         with pytest.raises(InvalidParameter):
             zeta(bad)
+
+    @pytest.mark.parametrize("beta", [60.0, 1e3, 1e20])
+    def test_huge_arguments_stay_finite(self, beta):
+        # 1 + 2**-60 already rounds to 1; the corrections must not turn the
+        # underflowed powers into inf * 0 = nan
+        assert zeta(beta) == 1.0
 
 
 class TestZetaDerivative:
@@ -87,10 +101,37 @@ class TestZetaDerivative:
         fd = oracles.central_diff(zeta, beta, 1, 1e-5)
         assert zeta_derivative(beta) == pytest.approx(fd, rel=1e-6)
 
-    @pytest.mark.parametrize("bad", [1.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [1.0, -1.0, float("nan"), float("inf")])
     def test_divergent_arguments_rejected(self, bad):
         with pytest.raises(InvalidParameter):
             zeta_derivative(bad)
+
+    @pytest.mark.parametrize("beta", [60.0, 1e3, 1e20])
+    def test_huge_arguments_stay_finite(self, beta):
+        # the leading terms -ln(n) * n**-beta are the whole value here
+        expected = -math.fsum(math.log(n) * float(n) ** -beta for n in range(2, 12))
+        value = zeta_derivative(beta)
+        assert math.isfinite(value) and value <= 0.0
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestZetaAgainstMpmath:
+    """The README budgets: zeta within 1e-12 absolute for beta >= 1.001,
+    zeta' within 1e-10 absolute for beta >= 1.01."""
+
+    @pytest.mark.parametrize("beta", MPMATH_BETAS)
+    def test_zeta_budget(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.zeta(beta))
+        assert abs(zeta(beta) - ref) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [b for b in MPMATH_BETAS if b >= 1.01])
+    def test_derivative_budget(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.zeta(beta, derivative=1))
+        assert abs(zeta_derivative(beta) - ref) <= 1e-10
 
 
 class TestUniform:

@@ -86,6 +86,28 @@ class TestProbabilityDistribution:
         with pytest.raises(ValidationError):
             make_complete([float("nan"), 0.5])
 
+    @pytest.mark.parametrize("make", [make_complete, make_generalized])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_entry_is_one_error_wherever_it_sits(self, make, bad, position):
+        probs = [0.25, 0.5, 0.25]
+        probs[position] = bad
+        with pytest.raises(ValidationError, match=f"entry {position} .* not a finite") as excinfo:
+            make(probs)
+        assert excinfo.type is ValidationError
+
+    def test_opposite_infinities_do_not_escape_as_plain_value_error(self):
+        # math.fsum([inf, -inf]) raises a bare ValueError
+        with pytest.raises(ValidationError, match="not a finite") as excinfo:
+            make_generalized([float("inf"), -float("inf")])
+        assert excinfo.type is ValidationError
+
+    def test_overflowing_sum_still_reports_the_range(self):
+        with pytest.raises(ProbabilityAboveOne):
+            make_generalized([1e308, 1e308])
+        with pytest.raises(NegativeProbability):
+            make_generalized([-1e308, -1e308])
+
     def test_non_numeric_entries_rejected(self):
         with pytest.raises(ValidationError):
             make_complete(["0.5", "0.5"])
