@@ -9,7 +9,6 @@ verifiable scaling identity.  A CLI front end lives in :mod:`igf.cli`.
 """
 
 from .closed_forms import (
-    ConstantUtilityConfig,
     ZETA_SERIES_TERMS,
     beta_power_entropy,
     beta_power_igf,
@@ -61,10 +60,7 @@ from .escort import (
     verify_scaling_identity,
 )
 from .generating_functions import (
-    DEFAULT_FD_STEP,
-    EvaluationPoint,
     LogBase,
-    finite_difference_derivative,
     golomb_igf,
     hooda_bhaker_igf,
     self_information_moment,
@@ -80,12 +76,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZeroProbabilities",
     "COMPLETENESS_TOL",
-    "ConstantUtilityConfig",
-    "DEFAULT_FD_STEP",
     "DomainError",
     "EmptyInput",
     "EscortPair",
-    "EvaluationPoint",
     "FamilyKind",
     "IGFError",
     "InvalidParameter",
@@ -110,7 +103,6 @@ __all__ = [
     "beta_power_igf",
     "constant_utility_scheme",
     "escort_transform",
-    "finite_difference_derivative",
     "generalized_igf",
     "geometric_entropy",
     "geometric_igf",

@@ -29,7 +29,7 @@ from .distributions import (
     scheme_from_dict,
     scheme_to_dict,
 )
-from .errors import DomainError, InvalidParameter, ValidationError
+from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real
 from .escort import escort_transform, unnormalized_power_igf, verify_scaling_identity
 from .generating_functions import (
     LogBase,
@@ -77,10 +77,9 @@ class CurveRequest:
     extended: bool = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 2:
-            raise InvalidParameter(f"steps must be an integer >= 2, got {self.steps!r}")
-        t_min, t_max = float(self.t_min), float(self.t_max)
-        if math.isnan(t_min) or math.isnan(t_max) or not t_min < t_max:
+        check_int(self.steps, "steps", 2)
+        t_min, t_max = check_real(self.t_min, "t_min"), check_real(self.t_max, "t_max")
+        if not t_min < t_max:
             raise InvalidParameter(f"need t_min < t_max, got {t_min!r} and {t_max!r}")
         if not self.extended and t_min < 1.0:
             raise DomainError(
@@ -316,24 +315,20 @@ def _check_terms(needed: int) -> int:
     return needed
 
 
-def _geometric_direct_igf(p: float, u: float, t: float) -> float:
-    """Truncated direct sum with the geometric tail below _GEOMETRIC_CHECK_TAIL."""
+def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
+    """Terms the geometric ``--check`` sums: enough that the omitted tail of
+    the IGF (``t`` given) is below _GEOMETRIC_CHECK_TAIL, or that of the
+    entropy (``t`` None) below 1e-15."""
+    if t is None:
+        trunc = 64
+        while (trunc * abs(math.log(p)) + 60.0) * p**trunc > 1e-15:
+            trunc = _check_terms(2 * trunc)
+        return trunc
     s = 1.0 - u * (1.0 - t)
     q = 1.0 - p
     # tail after T terms is q**s * p**(T*s) / (1 - p**s)
     bound = math.log(_GEOMETRIC_CHECK_TAIL * (1.0 - p**s)) - s * math.log(q)
-    trunc = _check_terms(max(1, math.ceil(bound / (s * math.log(p))) + 1))
-    return math.fsum((q * p**i) ** s for i in range(trunc))
-
-
-def _geometric_direct_entropy(p: float, u: float) -> float:
-    q = 1.0 - p
-    trunc = 64
-    while (trunc * abs(math.log(p)) + 60.0) * p**trunc > 1e-15:
-        trunc = _check_terms(2 * trunc)
-    return -math.fsum(
-        u * (q * p**i) * math.log(q * p**i) for i in range(trunc)
-    )
+    return _check_terms(max(1, math.ceil(bound / (s * math.log(p))) + 1))
 
 
 def _beta_power_direct_igf(beta: float, u: float, t: float) -> float:
@@ -365,33 +360,26 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
             f"t = {args.t} is below the default domain t >= 1; pass --extended-t"
         )
 
-    name = args.family
-    if args.entropy:
-        if name == "uniform":
-            value = closed_forms.uniform_entropy(args.n, args.u)
-            direct = None if not args.check else weighted_entropy(
-                constant_utility_scheme(realize_family(family), args.u)
-            )
-        elif name == "geometric":
-            value = closed_forms.geometric_entropy(args.p, args.u)
-            direct = None if not args.check else _geometric_direct_entropy(args.p, args.u)
-        else:
-            value = closed_forms.beta_power_entropy(args.beta, args.u)
-            direct = None if not args.check else _beta_power_direct_entropy(args.beta, args.u)
-    else:
-        if name == "uniform":
-            value = closed_forms.uniform_igf(args.n, args.u, args.t)
-            direct = None if not args.check else weighted_igf(
-                constant_utility_scheme(realize_family(family), args.u),
-                args.t,
-                extended=args.extended_t,
-            )
-        elif name == "geometric":
-            value = closed_forms.geometric_igf(args.p, args.u, args.t)
-            direct = None if not args.check else _geometric_direct_igf(args.p, args.u, args.t)
-        else:
-            value = closed_forms.beta_power_igf(args.beta, args.u, args.t)
-            direct = None if not args.check else _beta_power_direct_igf(args.beta, args.u, args.t)
+    igf_of, entropy_of, param = {
+        "uniform": (closed_forms.uniform_igf, closed_forms.uniform_entropy, args.n),
+        "geometric": (closed_forms.geometric_igf, closed_forms.geometric_entropy, args.p),
+        "beta-power": (closed_forms.beta_power_igf, closed_forms.beta_power_entropy, args.beta),
+    }[args.family]
+    value = entropy_of(param, args.u) if args.entropy else igf_of(param, args.u, args.t)
+    if args.check and args.family == "beta-power":
+        direct = (
+            _beta_power_direct_entropy(args.beta, args.u) if args.entropy
+            else _beta_power_direct_igf(args.beta, args.u, args.t)
+        )
+    elif args.check:
+        trunc = None if args.family == "uniform" else _geometric_check_truncation(
+            args.p, args.u, None if args.entropy else args.t
+        )
+        scheme = constant_utility_scheme(realize_family(family, trunc), args.u)
+        direct = (
+            weighted_entropy(scheme) if args.entropy
+            else weighted_igf(scheme, args.t, extended=args.extended_t)
+        )
 
     if not args.check:
         print(_fmt(value, args.digits))

@@ -16,11 +16,10 @@ error budget is explicit and pinned by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, check_int, check_open, check_real
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -41,39 +40,8 @@ _EM_COEFFS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class ConstantUtilityConfig:
-    """A single utility value applied uniformly to all outcomes."""
-
-    u: float
-
-    def __post_init__(self) -> None:
-        if isinstance(self.u, bool) or not isinstance(self.u, (int, float)):
-            raise InvalidParameter(f"utility must be a number, got {self.u!r}")
-        if not (0.0 < self.u < math.inf):
-            raise InvalidParameter(f"utility must be positive and finite, got {self.u!r}")
-        object.__setattr__(self, "u", float(self.u))
-
-
-def _check_u(u: float) -> float:
-    return ConstantUtilityConfig(u).u
-
-
-def _check_t(t: float) -> float:
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or math.isnan(t):
-        raise InvalidParameter(f"t must be a real number, got {t!r}")
-    return float(t)
-
-
 def _exponent(u: float, t: float) -> float:
     return 1.0 - u * (1.0 - t)
-
-
-def _check_zeta_arg(beta: float, name: str) -> float:
-    beta = float(beta)
-    if not 1.0 < beta < math.inf:
-        raise InvalidParameter(f"{name} requires 1 < beta < inf, got {beta!r}")
-    return beta
 
 
 def _em_corrections(beta: float) -> Iterator[tuple[float, float]]:
@@ -109,7 +77,7 @@ def zeta(beta: float) -> float:
     beta >= 1.001 (the remainder is negligible; what is left is float
     rounding of a value that grows like 1/(beta-1)).
     """
-    beta = _check_zeta_arg(beta, "zeta")
+    beta = check_open(beta, "zeta argument beta", 1)
     big = float(ZETA_SERIES_TERMS)
     parts = [float(n) ** -beta for n in range(1, ZETA_SERIES_TERMS + 1)]
     parts.append(big ** (1.0 - beta) / (beta - 1.0))
@@ -127,7 +95,7 @@ def zeta_derivative(beta: float) -> float:
     correction picks up a factor ln N - sum_{j<2k-1} 1/(beta+j).  Absolute
     error is below 1e-10 for beta >= 1.01.
     """
-    beta = _check_zeta_arg(beta, "zeta_derivative")
+    beta = check_open(beta, "zeta_derivative argument beta", 1)
     big = float(ZETA_SERIES_TERMS)
     log_big = math.log(big)
     parts = [math.log(n) * float(n) ** -beta for n in range(2, ZETA_SERIES_TERMS + 1)]
@@ -137,31 +105,19 @@ def zeta_derivative(beta: float) -> float:
     return -math.fsum(parts)
 
 
-def _check_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"n must be an integer >= 1, got {n!r}")
-    return n
-
-
 def uniform_igf(n: int, u: float, t: float) -> float:
     """Weighted IGF of the uniform distribution on n outcomes: n**(u*(1-t))."""
-    n = _check_n(n)
-    u = _check_u(u)
-    t = _check_t(t)
+    n = check_int(n, "n", 1)
+    u = check_open(u, "utility u", 0)
+    t = check_real(t, "t")
     return float(n) ** (u * (1.0 - t))
 
 
 def uniform_entropy(n: int, u: float) -> float:
     """Weighted entropy of the uniform distribution: u * ln(n)."""
-    n = _check_n(n)
-    u = _check_u(u)
+    n = check_int(n, "n", 1)
+    u = check_open(u, "utility u", 0)
     return u * math.log(n)
-
-
-def _check_geometric_p(p: float) -> float:
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not (0.0 < p < 1.0):
-        raise InvalidParameter(f"geometric ratio must satisfy 0 < p < 1, got {p!r}")
-    return float(p)
 
 
 def geometric_igf(p: float, u: float, t: float) -> float:
@@ -171,9 +127,9 @@ def geometric_igf(p: float, u: float, t: float) -> float:
     s = 1 - u * (1 - t); convergence needs s > 0, which holds automatically
     for t >= 1.
     """
-    p = _check_geometric_p(p)
-    u = _check_u(u)
-    t = _check_t(t)
+    p = check_open(p, "geometric ratio p", 0, 1)
+    u = check_open(u, "utility u", 0)
+    t = check_real(t, "t")
     s = _exponent(u, t)
     if s <= 0.0:
         raise DomainError(
@@ -185,16 +141,10 @@ def geometric_igf(p: float, u: float, t: float) -> float:
 
 def geometric_entropy(p: float, u: float) -> float:
     """Weighted entropy of the geometric family: -u * (p ln p + q ln q) / q."""
-    p = _check_geometric_p(p)
-    u = _check_u(u)
+    p = check_open(p, "geometric ratio p", 0, 1)
+    u = check_open(u, "utility u", 0)
     q = 1.0 - p
     return -u * (p * math.log(p) + q * math.log(q)) / q
-
-
-def _check_beta(beta: float) -> float:
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not (beta > 1.0) or math.isinf(beta):
-        raise InvalidParameter(f"power-law exponent must satisfy beta > 1, got {beta!r}")
-    return float(beta)
 
 
 def beta_power_igf(beta: float, u: float, t: float) -> float:
@@ -203,9 +153,9 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
     Equals zeta(beta * s) / zeta(beta) ** s with s = 1 - u * (1 - t); the
     transformed series converges only while beta * s > 1.
     """
-    beta = _check_beta(beta)
-    u = _check_u(u)
-    t = _check_t(t)
+    beta = check_open(beta, "power-law exponent beta", 1)
+    u = check_open(u, "utility u", 0)
+    t = check_real(t, "t")
     s = _exponent(u, t)
     if beta * s <= 1.0:
         raise DomainError(
@@ -220,7 +170,7 @@ def beta_power_entropy(beta: float, u: float) -> float:
     u * (ln zeta(beta) - beta * zeta'(beta) / zeta(beta)); the derivative
     term is the mean of beta * ln(i) under the family.
     """
-    beta = _check_beta(beta)
-    u = _check_u(u)
+    beta = check_open(beta, "power-law exponent beta", 1)
+    u = check_open(u, "utility u", 0)
     z = zeta(beta)
     return u * (math.log(z) - beta * zeta_derivative(beta) / z)

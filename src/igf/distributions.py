@@ -30,6 +30,8 @@ from .errors import (
     SumNotOne,
     TruncationRequired,
     ValidationError,
+    check_int,
+    check_open,
 )
 
 #: Absolute tolerance on |sum(p) - 1| for complete distributions, and the
@@ -45,12 +47,15 @@ class Kind(Enum):
 
 
 def _as_float_tuple(values: Iterable[object], what: str) -> tuple[float, ...]:
-    out = []
-    for x in values:
+    # a tuple of plain floats comes back as the same object after one C-level
+    # pass over the entry types, so validating it again costs no copy
+    out = tuple(values)
+    if set(map(type, out)) <= {float}:
+        return out
+    for x in out:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValidationError(f"{what} entries must be numbers, got {x!r}")
-        out.append(float(x))
-    return tuple(out)
+    return tuple(map(float, out))
 
 
 @dataclass(frozen=True)
@@ -183,12 +188,12 @@ class UtilityInformationScheme:
 
 def make_complete(probs: Sequence[float]) -> ProbabilityDistribution:
     """Build a complete distribution (entries must sum to 1)."""
-    return ProbabilityDistribution(tuple(probs), Kind.COMPLETE)
+    return ProbabilityDistribution(probs, Kind.COMPLETE)
 
 
 def make_generalized(probs: Sequence[float]) -> ProbabilityDistribution:
     """Build a generalized distribution (entries may sum to less than 1)."""
-    return ProbabilityDistribution(tuple(probs), Kind.GENERALIZED)
+    return ProbabilityDistribution(probs, Kind.GENERALIZED)
 
 
 def make_scheme(
@@ -199,13 +204,13 @@ def make_scheme(
     labels: Sequence[str] | None = None,
 ) -> UtilityInformationScheme:
     """Build a scheme from parallel probability and utility vectors."""
-    if len(tuple(probs)) != len(tuple(utils)):
-        raise LengthMismatch(
-            f"{len(tuple(probs))} probabilities but {len(tuple(utils))} utilities"
-        )
+    probs = _as_float_tuple(probs, "probability")
+    utils = _as_float_tuple(utils, "utility")
+    if len(probs) != len(utils):
+        raise LengthMismatch(f"{len(probs)} probabilities but {len(utils)} utilities")
     dist = make_generalized(probs) if generalized else make_complete(probs)
     return UtilityInformationScheme(
-        dist, UtilityDistribution(tuple(utils)),
+        dist, UtilityDistribution(utils),
         labels=None if labels is None else tuple(labels),
     )
 
@@ -240,19 +245,13 @@ class ParametricFamily:
 
     def __post_init__(self) -> None:
         if self.kind is FamilyKind.UNIFORM:
-            n = self.n
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise InvalidParameter(f"uniform family needs integer n >= 1, got {n!r}")
+            check_int(self.n, "uniform family n", 1)
         elif self.kind is FamilyKind.GEOMETRIC:
-            p = self.p
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not (0.0 < float(p) < 1.0):
-                raise InvalidParameter(f"geometric family needs 0 < p < 1, got {p!r}")
-            object.__setattr__(self, "p", float(p))
+            object.__setattr__(self, "p", check_open(self.p, "geometric family p", 0, 1))
         elif self.kind is FamilyKind.BETA_POWER:
-            b = self.beta
-            if not isinstance(b, (int, float)) or isinstance(b, bool) or not (float(b) > 1.0) or math.isinf(float(b)):
-                raise InvalidParameter(f"power-law family needs beta > 1, got {b!r}")
-            object.__setattr__(self, "beta", float(b))
+            object.__setattr__(
+                self, "beta", check_open(self.beta, "power-law family beta", 1)
+            )
         else:
             raise InvalidParameter(f"unknown family kind {self.kind!r}")
 
@@ -274,9 +273,7 @@ def _check_truncation(truncation: int | None) -> int:
         raise TruncationRequired(
             "this family has infinite support; pass a truncation length"
         )
-    if isinstance(truncation, bool) or not isinstance(truncation, int) or truncation < 1:
-        raise InvalidParameter(f"truncation must be an integer >= 1, got {truncation!r}")
-    return truncation
+    return check_int(truncation, "truncation", 1)
 
 
 def realize_family(

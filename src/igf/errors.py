@@ -4,9 +4,14 @@ Two families matter to callers: :class:`ValidationError` covers malformed
 inputs (bad vectors, bad parameters, bad files) and :class:`DomainError`
 covers evaluation points outside a function's mathematical domain.  The CLI
 maps the first family to exit code 2 and the second to exit code 3.
+
+The checkers at the end validate scalar parameters, one per kind of
+parameter, and raise :class:`InvalidParameter`.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class IGFError(Exception):
@@ -59,3 +64,28 @@ class AllZeroProbabilities(ValidationError):
 
 class DomainError(IGFError, ValueError):
     """The evaluation point lies outside the function's valid domain."""
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_real(value: object, name: str) -> float:
+    """``value`` as a float: any real number but NaN (both infinities pass)."""
+    if not _is_number(value) or math.isnan(value):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_int(value: object, name: str, lo: int) -> int:
+    """``value`` itself, an integer (not a bool) at least ``lo``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise InvalidParameter(f"{name} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
+def check_open(value: object, name: str, lo: float, hi: float = math.inf) -> float:
+    """``value`` as a float, a real number strictly between ``lo`` and ``hi``."""
+    if not _is_number(value) or not lo < value < hi:
+        raise InvalidParameter(f"{name} must lie in ({lo}, {hi}), got {value!r}")
+    return float(value)

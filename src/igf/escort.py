@@ -23,24 +23,13 @@ from .distributions import (
     ProbabilityDistribution,
     UtilityDistribution,
     UtilityInformationScheme,
+    constant_utility_scheme,
 )
-from .errors import AllZeroProbabilities, DomainError, InvalidParameter, ValidationError
-from .generating_functions import _checked_t, _pow, weighted_igf
+from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open
+from .generating_functions import _checked_t, _power_sum, weighted_igf
 
 #: Relative tolerance for declaring the scaling identity verified.
 SCALING_IDENTITY_RTOL = 1e-10
-
-
-def _check_beta(beta: float) -> float:
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not (0.0 < beta < math.inf):
-        raise InvalidParameter(f"escort power must be positive and finite, got {beta!r}")
-    return float(beta)
-
-
-def _check_u(u: float) -> float:
-    if isinstance(u, bool) or not isinstance(u, (int, float)) or not (0.0 < u < math.inf):
-        raise InvalidParameter(f"constant utility must be positive and finite, got {u!r}")
-    return float(u)
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     Works for generalized inputs as well; the only failure mode is a vector
     whose entries are all zero after powering.
     """
-    beta = _check_beta(beta)
+    beta = check_open(beta, "escort power beta", 0)
     powered = [p**beta for p in dist.probs]
     mass = math.fsum(powered)
     if mass == 0.0:
@@ -111,22 +100,11 @@ def unnormalized_power_igf(
     Constant utility only; s = 1 - u * (1 - t) as usual.  Zero entries
     contribute nothing as long as their exponent stays positive.
     """
-    u = _check_u(u)
-    beta = _check_beta(beta)
+    u = check_open(u, "constant utility u", 0)
+    beta = check_open(beta, "escort power beta", 0)
     t = _checked_t(t, extended)
     s = 1.0 - u * (1.0 - t)
-
-    def terms():
-        for p in dist.probs:
-            if p == 0.0:
-                if s <= 0.0:
-                    raise DomainError(
-                        f"zero probability with exponent beta * s = {beta * s} <= 0"
-                    )
-                continue
-            yield _pow(p, beta * s)
-
-    return math.fsum(terms())
+    return _power_sum(dist.probs, (beta * s,) * len(dist))
 
 
 @dataclass(frozen=True)
@@ -154,12 +132,16 @@ def verify_scaling_identity(
     declared in agreement when |lhs - rhs| <= SCALING_IDENTITY_RTOL *
     max(1, |lhs|).
     """
-    u = _check_u(u)
+    u = check_open(u, "constant utility u", 0)
     lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
-    util = UtilityDistribution((u,) * len(dist))
     pair = escort_transform(dist, beta)
+    escort_scheme = constant_utility_scheme(pair.normalized, u)
     s = 1.0 - u * (1.0 - _checked_t(t, extended))
-    rhs = generalized_igf(dist, util, beta, t, extended=extended) * _pow(pair.mass, s)
+    try:
+        scale = pair.mass**s
+    except OverflowError:
+        raise DomainError(f"escort mass {pair.mass!r} ** {s!r} overflows") from None
+    rhs = weighted_igf(escort_scheme, t, extended=extended) * scale
     abs_diff = abs(lhs - rhs)
     passed = abs_diff <= SCALING_IDENTITY_RTOL * max(1.0, abs(lhs))
     return ScalingIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff, passed=passed)

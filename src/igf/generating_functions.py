@@ -22,11 +22,13 @@ allows any t for which every term is defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import mul
+from typing import Sequence
 
 from .distributions import ProbabilityDistribution, UtilityInformationScheme
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, check_int, check_real
 
 
 class LogBase(Enum):
@@ -36,44 +38,65 @@ class LogBase(Enum):
     TWO = "2"
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
-    """A point (t, r) at which generating functions are evaluated.
-
-    ``t`` is the function argument (default domain t >= 1) and ``r`` the
-    derivative order, a non-negative integer.
-    """
-
-    t: float
-    r: int = 0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.t, bool) or not isinstance(self.t, (int, float)):
-            raise InvalidParameter(f"t must be a real number, got {self.t!r}")
-        if math.isnan(self.t):
-            raise InvalidParameter("t must not be NaN")
-        object.__setattr__(self, "t", float(self.t))
-        if isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 0:
-            raise InvalidParameter(f"r must be a non-negative integer, got {self.r!r}")
-
-
 def _checked_t(t: float, extended: bool) -> float:
-    point = EvaluationPoint(t)
-    if not extended and point.t < 1.0:
+    t = check_real(t, "t")
+    if not extended and t < 1.0:
         raise DomainError(
-            f"t = {point.t} is below the default domain t >= 1; "
+            f"t = {t} is below the default domain t >= 1; "
             f"pass extended=True to evaluate there"
         )
-    return point.t
+    return t
 
 
-def _pow(base: float, exp: float) -> float:
-    # Python raises OverflowError for finite operands with huge results,
-    # which only extended-domain evaluations can trigger.
+def _power_sum(
+    probs: Sequence[float],
+    exps: Sequence[float],
+    weights: Sequence[float] | None = None,
+    r: int = 0,
+) -> float:
+    """math.fsum of c_i * p_i ** e_i: the generating functions, their
+    derivatives and the moments are all this sum.
+
+    ``c_i`` is ``w_i`` for r = 0 and ``(w_i * ln p_i) ** r`` for r >= 1,
+    with ``w_i = 1`` when no weights are given.  A zero probability adds
+    nothing while its exponent is positive (and is left out of the r >= 1
+    sums, where ln 0 is undefined); under an exponent <= 0 it raises
+    DomainError.  Only exponents that reach 0 or below need that scan, which
+    the default domain t >= 1 never does.  A term or sum too large for a
+    float raises DomainError too.
+    """
+    if min(exps) <= 0.0:
+        for i, (p, e) in enumerate(zip(probs, exps)):
+            if p == 0.0 and e <= 0.0:
+                raise DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
+    ws = repeat(1.0) if weights is None else weights
+    if r:
+        terms = (
+            (w * math.log(p)) ** r * p**e for p, e, w in zip(probs, exps, ws) if p
+        )
+    elif weights is None:
+        terms = map(pow, probs, exps)
+    else:
+        terms = map(mul, weights, map(pow, probs, exps))
     try:
-        return base**exp
+        return math.fsum(terms)
     except OverflowError:
-        raise DomainError(f"term {base!r} ** {exp!r} overflows") from None
+        # Python raises OverflowError for finite operands with huge results,
+        # which only extended-domain evaluations and extreme utilities reach
+        for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
+            try:
+                p**e
+                if r and p:
+                    (w * math.log(p)) ** r
+            except OverflowError:
+                raise DomainError(
+                    f"term {i} overflows: probability {p!r}, exponent {e!r}"
+                ) from None
+        raise DomainError("the sum of the terms overflows") from None
+
+
+def _weighted_exponents(scheme: UtilityInformationScheme, t: float) -> list[float]:
+    return [1.0 - u * (1.0 - t) for u in scheme.util.utils]
 
 
 def weighted_igf(
@@ -86,19 +109,7 @@ def weighted_igf(
     Non-increasing and convex in t on the default domain.
     """
     t = _checked_t(t, extended)
-
-    def terms():
-        for p, u in zip(scheme.dist.probs, scheme.util.utils):
-            e = 1.0 - u * (1.0 - t)
-            if p == 0.0:
-                if e <= 0.0:
-                    raise DomainError(
-                        f"zero probability with exponent {e} <= 0 at t = {t}"
-                    )
-                continue
-            yield _pow(p, e)
-
-    return math.fsum(terms())
+    return _power_sum(scheme.dist.probs, _weighted_exponents(scheme, t))
 
 
 def golomb_igf(
@@ -106,16 +117,7 @@ def golomb_igf(
 ) -> float:
     """Evaluate the unweighted generating function sum_i p_i ** t."""
     t = _checked_t(t, extended)
-
-    def terms():
-        for p in dist.probs:
-            if p == 0.0:
-                if t <= 0.0:
-                    raise DomainError(f"zero probability with exponent t = {t} <= 0")
-                continue
-            yield _pow(p, t)
-
-    return math.fsum(terms())
+    return _power_sum(dist.probs, (t,) * len(dist))
 
 
 def hooda_bhaker_igf(
@@ -123,16 +125,7 @@ def hooda_bhaker_igf(
 ) -> float:
     """Evaluate the utility-premultiplied form sum_i u_i * p_i ** t."""
     t = _checked_t(t, extended)
-
-    def terms():
-        for p, u in zip(scheme.dist.probs, scheme.util.utils):
-            if p == 0.0:
-                if t <= 0.0:
-                    raise DomainError(f"zero probability with exponent t = {t} <= 0")
-                continue
-            yield u * _pow(p, t)
-
-    return math.fsum(terms())
+    return _power_sum(scheme.dist.probs, (t,) * len(scheme), scheme.util.utils)
 
 
 def weighted_igf_derivative(
@@ -145,22 +138,11 @@ def weighted_igf_derivative(
     self-information moment; in particular minus the first derivative at
     t = 1 is the weighted entropy.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise InvalidParameter(f"derivative order r must be a positive integer, got {r!r}")
+    r = check_int(r, "derivative order r", 1)
     t = _checked_t(t, extended)
-
-    def terms():
-        for p, u in zip(scheme.dist.probs, scheme.util.utils):
-            e = 1.0 - u * (1.0 - t)
-            if p == 0.0:
-                if e <= 0.0:
-                    raise DomainError(
-                        f"zero probability with exponent {e} <= 0 at t = {t}"
-                    )
-                continue
-            yield (u * math.log(p)) ** r * _pow(p, e)
-
-    return math.fsum(terms())
+    return _power_sum(
+        scheme.dist.probs, _weighted_exponents(scheme, t), scheme.util.utils, r
+    )
 
 
 def shannon_entropy(
@@ -183,9 +165,19 @@ def weighted_entropy(
     return h / math.log(2.0) if base is LogBase.TWO else h
 
 
-def _check_moment_order(r: int) -> None:
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise InvalidParameter(f"moment order r must be a non-negative integer, got {r!r}")
+def _moment(probs: Sequence[float], weights: Sequence[float] | None, r: int) -> float:
+    """sum_i p_i * (-w_i * ln p_i) ** r, with w_i = 1 when no weights are given.
+
+    For r >= 1 this is (-1) ** r times the kernel sum with every exponent 1,
+    the r-th t-derivative at t = 1, and it is exact: CPython raises a
+    negative float to an integer power as the power of its magnitude,
+    negated when r is odd, and fsum rounds -x as it rounds x.  ``0.0 - s``
+    rather than ``-s`` keeps a sum of zero terms at +0.0.
+    """
+    if r == 0:
+        return math.fsum(probs)
+    s = _power_sum(probs, (1.0,) * len(probs), weights, r)
+    return 0.0 - s if r % 2 else s
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
@@ -194,10 +186,7 @@ def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
     Non-negative for every r; r = 0 returns the total mass and r = 1 the
     Shannon entropy.
     """
-    _check_moment_order(r)
-    if r == 0:
-        return math.fsum(dist.probs)
-    return math.fsum(p * (-math.log(p)) ** r for p in dist.probs if p > 0.0)
+    return _moment(dist.probs, None, check_int(r, "moment order r", 0))
 
 
 def weighted_self_information_moment(
@@ -208,71 +197,4 @@ def weighted_self_information_moment(
     Non-negative for every r (the signed variant is ``(-1) ** r`` times
     this); r = 1 recovers the weighted entropy.
     """
-    _check_moment_order(r)
-    if r == 0:
-        return math.fsum(scheme.dist.probs)
-    return math.fsum(
-        (-(u * math.log(p))) ** r * p
-        for p, u in zip(scheme.dist.probs, scheme.util.utils)
-        if p > 0.0
-    )
-
-
-# Second-order central stencils, as (offset, coefficient) pairs; the raw
-# combination still needs dividing by h**r.
-_CENTRAL_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
-
-#: Default step sizes balancing truncation against cancellation error.
-DEFAULT_FD_STEP = {1: 1e-5, 2: 1e-3, 3: 1e-3, 4: 1e-3}
-
-
-def finite_difference_derivative(
-    scheme: UtilityInformationScheme,
-    t: float,
-    r: int,
-    h: float | None = None,
-    *,
-    extended: bool = False,
-    richardson: bool = False,
-) -> float:
-    """Central-difference estimate of the r-th t-derivative of the weighted IGF.
-
-    Supports r in 1..4 with O(h**2) truncation error; ``richardson=True``
-    applies one extrapolation step, combining estimates at h and h/2 into an
-    O(h**4) one.  The stencil reaches ``t +- 2h`` for r >= 3, so keep
-    ``t - r*h`` inside the valid domain or evaluate with ``extended=True``.
-    Exists as an independent cross-check of
-    :func:`weighted_igf_derivative`, not as a replacement.
-    """
-    if r not in _CENTRAL_STENCILS:
-        raise InvalidParameter(f"finite differences support r in 1..4, got {r!r}")
-    if h is None:
-        h = DEFAULT_FD_STEP[r]
-    if isinstance(h, bool) or not isinstance(h, (int, float)) or not (0.0 < h < math.inf):
-        raise InvalidParameter(f"step h must be a positive finite number, got {h!r}")
-    t = _checked_t(t, extended)
-    stencil = _CENTRAL_STENCILS[r]
-
-    def estimate(step: float) -> float:
-        reach = min(k for k, _ in stencil) * step
-        if not extended and t + reach < 1.0:
-            raise DomainError(
-                f"stencil point t = {t + reach} falls below the default domain; "
-                f"evaluate at t >= {1.0 - reach} or pass extended=True"
-            )
-        raw = math.fsum(
-            c * weighted_igf(scheme, t + k * step, extended=extended)
-            for k, c in stencil
-        )
-        return raw / step**r
-
-    if not richardson:
-        return estimate(float(h))
-    coarse = estimate(float(h))
-    fine = estimate(float(h) / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return _moment(scheme.dist.probs, scheme.util.utils, check_int(r, "moment order r", 0))

@@ -7,6 +7,7 @@ behind them were frozen from the direct-summation oracles.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -193,6 +194,17 @@ class TestMoments:
         code, out, _ = run(capsys, "moments", "--input", str(path), "--r-max", "1")
         assert code == 0
         assert out.splitlines()[0] == "0\t0.5"
+
+    def test_overflowing_term_is_exit_3(self, capsys, tmp_path):
+        # (-u * ln p) ** 2 = (1e305 * 690.8) ** 2 does not fit in a float
+        path = tmp_path / "huge_u.json"
+        path.write_text(
+            json.dumps({"probabilities": [1e-300, 1.0], "utilities": [1e305, 1.0]})
+        )
+        code, out, err = run(capsys, "moments", "--input", str(path), "--r-max", "2")
+        assert code == 3
+        assert out.splitlines()[0] == "0\t1"
+        assert "term 0 overflows" in err
 
     @pytest.mark.parametrize("bad", ["0", "9", "-1"])
     def test_r_max_outside_declared_range_is_exit_2(self, capsys, half_half, bad):
@@ -484,6 +496,20 @@ class TestClosedForm:
         assert time.monotonic() - start < 5.0
         assert (code, out) == (2, "")
         assert "cap of 1000000" in err
+
+    @pytest.mark.parametrize("p", ["1e-200", "1e-10"])
+    def test_check_survives_underflowing_terms(self, capsys, p):
+        # q * p**i underflows to 0 after a few terms; those add nothing
+        code, out, _ = run(
+            capsys, "closed-form", "geometric", "--p", p, "--u", "1", "--entropy",
+            "--check", "--digits", "17",
+        )
+        assert code == 0
+        closed, direct, _ = out.splitlines()
+        assert direct.startswith("direct: ")
+        value = float(direct.split(": ")[1])
+        assert math.isfinite(value)
+        assert value == pytest.approx(float(closed.split(": ")[1]), rel=1e-14)
 
 
 class TestEscort:

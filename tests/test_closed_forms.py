@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from igf import (
-    ConstantUtilityConfig,
     DomainError,
     InvalidParameter,
     beta_power_entropy,
@@ -139,6 +138,7 @@ class TestUniform:
         assert uniform_igf(4, 2.0, 2.0) == 0.0625
         assert uniform_igf(1, 3.0, 7.0) == 1.0
         assert uniform_igf(4, 2.0, 1.0) == 1.0
+        assert uniform_igf(4, 2, 2) == 0.0625  # integer u and t are real numbers too
 
     def test_entropy_values(self):
         assert uniform_entropy(4, 2.0) == pytest.approx(4.0 * LN2, abs=1e-15)
@@ -153,7 +153,7 @@ class TestUniform:
         with pytest.raises(InvalidParameter):
             uniform_entropy(bad_n, 1.0)
 
-    @pytest.mark.parametrize("bad_u", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad_u", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
     def test_rejects_bad_utilities(self, bad_u):
         with pytest.raises(InvalidParameter):
             uniform_igf(4, bad_u, 2.0)
@@ -332,14 +332,3 @@ class TestEntropyHomogeneity:
         assert uniform_entropy(17, k * u) == k * uniform_entropy(17, u)
         assert geometric_entropy(0.3, k * u) == k * geometric_entropy(0.3, u)
         assert beta_power_entropy(2.5, k * u) == k * beta_power_entropy(2.5, u)
-
-
-class TestConstantUtilityConfig:
-    def test_accepts_positive_reals(self):
-        assert ConstantUtilityConfig(2).u == 2.0
-        assert ConstantUtilityConfig(0.25).u == 0.25
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
-    def test_rejects_everything_else(self, bad):
-        with pytest.raises(InvalidParameter):
-            ConstantUtilityConfig(bad)

@@ -197,7 +197,7 @@ class TestUnnormalizedPowerIGF:
             pytest.approx(expected, rel=1e-15)
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf"), True])
     def test_bad_constant_utility_rejected(self, bad):
         with pytest.raises(InvalidParameter):
             unnormalized_power_igf(make_complete([0.5, 0.5]), bad, 2.0, 2.0)

@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 import oracles
 from igf import (
     DomainError,
-    EvaluationPoint,
     InvalidParameter,
     LogBase,
-    finite_difference_derivative,
     golomb_igf,
     hooda_bhaker_igf,
     make_complete,
@@ -28,6 +26,7 @@ from igf import (
     make_scheme,
     self_information_moment,
     shannon_entropy,
+    unnormalized_power_igf,
     weighted_entropy,
     weighted_igf,
     weighted_igf_derivative,
@@ -81,6 +80,8 @@ class TestPointValues:
         assert self_information_moment(dist, 1) == pytest.approx(LN2, abs=1e-15)
         assert self_information_moment(dist, 2) == pytest.approx(LN2**2, abs=1e-15)
         assert self_information_moment(make_complete([1.0]), 3) == 0.0
+        # a sum of zero terms is +0.0 for odd r too, so the CLI never prints -0
+        assert math.copysign(1.0, self_information_moment(make_complete([1.0]), 3)) == 1.0
         assert weighted_self_information_moment(half_half, 1) == pytest.approx(
             1.5 * LN2, abs=1e-15
         )
@@ -171,61 +172,50 @@ class TestDerivativeLinks:
 
 
 class TestFiniteDifferences:
+    """The analytic derivative against central differences of weighted_igf."""
+
     def test_example_r1_agreement(self, half_half):
-        fd = finite_difference_derivative(half_half, 2.0, 1, 1e-5)
+        fd = oracles.central_diff(lambda t: weighted_igf(half_half, t), 2.0, 1, 1e-5)
         exact = weighted_igf_derivative(half_half, 2.0, 1)
         assert fd == pytest.approx(exact, rel=1e-8)
 
     def test_degenerate_scheme_has_zero_derivative(self):
         scheme = make_scheme([1.0], [1.0])
-        assert abs(finite_difference_derivative(scheme, 2.0, 1, 1e-4)) <= 1e-10
+        assert weighted_igf_derivative(scheme, 2.0, 1) == 0.0
+        fd = oracles.central_diff(lambda t: weighted_igf(scheme, t), 2.0, 1, 1e-4)
+        assert abs(fd) <= 1e-10
 
     def test_example_r2_agreement(self):
         scheme = make_scheme([0.5, 0.5], [1.0, 1.0])
-        fd = finite_difference_derivative(scheme, 2.0, 2, 1e-3)
+        fd = oracles.central_diff(lambda t: weighted_igf(scheme, t), 2.0, 2, 1e-3)
         exact = sum(math.log(p) ** 2 * p**2.0 for p in (0.5, 0.5))
+        assert weighted_igf_derivative(scheme, 2.0, 2) == pytest.approx(exact, rel=1e-15)
         assert fd == pytest.approx(exact, rel=1e-5)
 
     def test_oracle_agreement_over_random_population(self):
         rng = np.random.default_rng(12)
+        step = {1: 1e-5, 2: 1e-3, 3: 1e-3}
         rtol = {1: 1e-6, 2: 1e-4, 3: 1e-4}
         for _ in range(60):
             probs, utils = oracles.floored_scheme(rng)
             scheme = make_scheme(probs, utils)
             t = rng.uniform(1.0, 3.0)
             for r in (1, 2, 3):
-                fd = finite_difference_derivative(scheme, t, r, extended=True)
+                fd = oracles.central_diff(
+                    lambda x: weighted_igf(scheme, x, extended=True), t, r, step[r]
+                )
                 exact = weighted_igf_derivative(scheme, t, r)
                 assert fd == pytest.approx(exact, rel=rtol[r]), (probs, utils, t, r)
 
     def test_richardson_step_tightens_r1(self, half_half):
         exact = weighted_igf_derivative(half_half, 2.0, 1)
-        plain = finite_difference_derivative(half_half, 2.0, 1, 1e-3)
-        refined = finite_difference_derivative(half_half, 2.0, 1, 1e-3, richardson=True)
+
+        def curve(t):
+            return weighted_igf(half_half, t)
+
+        plain = oracles.central_diff(curve, 2.0, 1, 1e-3)
+        refined = oracles.central_diff(curve, 2.0, 1, 1e-3, richardson=True)
         assert abs(refined - exact) < abs(plain - exact)
-
-    def test_default_steps_apply_per_order(self, half_half):
-        # same call with the documented default step, spelled explicitly
-        assert finite_difference_derivative(
-            half_half, 2.0, 1
-        ) == finite_difference_derivative(half_half, 2.0, 1, 1e-5)
-        assert finite_difference_derivative(
-            half_half, 2.0, 4
-        ) == finite_difference_derivative(half_half, 2.0, 4, 1e-3)
-
-    def test_stencil_below_domain_raises(self, half_half):
-        with pytest.raises(DomainError):
-            finite_difference_derivative(half_half, 1.0, 2, 1e-3)
-        # same point is fine once the domain is extended
-        finite_difference_derivative(half_half, 1.0, 2, 1e-3, extended=True)
-
-    def test_parameter_validation(self, half_half):
-        with pytest.raises(InvalidParameter):
-            finite_difference_derivative(half_half, 2.0, 5)
-        with pytest.raises(InvalidParameter):
-            finite_difference_derivative(half_half, 2.0, 0)
-        with pytest.raises(InvalidParameter):
-            finite_difference_derivative(half_half, 2.0, 1, h=-1e-5)
 
 
 class TestShape:
@@ -303,38 +293,150 @@ class TestDomainRules:
         with pytest.raises(DomainError):
             golomb_igf(scheme.dist, -2.0, extended=True)
 
-    def test_nan_t_rejected(self, half_half):
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            weighted_igf,
+            lambda scheme, t: golomb_igf(scheme.dist, t),
+            hooda_bhaker_igf,
+            lambda scheme, t: weighted_igf_derivative(scheme, t, 2),
+        ],
+    )
+    @pytest.mark.parametrize("bad_t", [float("nan"), True, "2"])
+    def test_nan_t_rejected(self, half_half, evaluate, bad_t):
         with pytest.raises(InvalidParameter):
-            weighted_igf(half_half, float("nan"))
+            evaluate(half_half, bad_t)
+
+    def test_infinite_t_is_a_real_number(self, half_half):
+        assert weighted_igf(half_half, float("inf")) == 0.0
+        assert golomb_igf(half_half.dist, float("-inf"), extended=True) == float("inf")
 
 
-class TestEvaluationPoint:
-    def test_valid_points(self):
-        point = EvaluationPoint(2.0, 3)
-        assert (point.t, point.r) == (2.0, 3)
-        assert EvaluationPoint(1.0).r == 0
+def _defined_fsum(probs, exps, term):
+    """math.fsum of term(i) over the positive entries, or None where the sum
+    is undefined: a zero probability under an exponent <= 0, or a term or
+    total too large for a float."""
+    if any(p == 0.0 and e <= 0.0 for p, e in zip(probs, exps)):
+        return None
+    try:
+        return math.fsum(term(i) for i, p in enumerate(probs) if p > 0.0)
+    except OverflowError:
+        return None
 
-    def test_invalid_points(self):
-        with pytest.raises(InvalidParameter):
-            EvaluationPoint(float("nan"))
-        with pytest.raises(InvalidParameter):
-            EvaluationPoint(1.0, -1)
-        with pytest.raises(InvalidParameter):
-            EvaluationPoint(1.0, 1.5)  # type: ignore[arg-type]
+
+def _assert_defined_fsum(evaluate, probs, exps, term):
+    expected = _defined_fsum(probs, exps, term)
+    if expected is None:
+        with pytest.raises(DomainError):
+            evaluate()
+    else:
+        assert evaluate() == expected
+
+
+# entries up to 1/16 keep 13 of them a valid generalized distribution
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(1e-300, 1.0 / 16.0),
+)
+
+
+@st.composite
+def _sparse_schemes(draw):
+    """Generalized schemes with zeros and subnormal entries; the last entry
+    keeps the total mass positive."""
+    probs = draw(st.lists(_ENTRY, min_size=0, max_size=12))
+    probs.append(draw(st.floats(0.01, 1.0 / 16.0)))
+    utils = [draw(st.floats(0.1, 8.0)) for _ in probs]
+    return probs, utils
+
+
+class TestPowerSumKernel:
+    """Every measure built on the shared power-sum kernel equals, exactly,
+    the fsum of its defining per-term expression, and raises DomainError
+    where that expression is undefined."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_schemes(), st.floats(-4.0, 8.0), st.integers(1, 3))
+    def test_t_measures(self, case, t, r):
+        probs, utils = case
+        scheme = make_scheme(probs, utils, generalized=True)
+        w_exps = [1.0 - u * (1.0 - t) for u in utils]
+        t_exps = [t] * len(probs)
+        _assert_defined_fsum(
+            lambda: weighted_igf(scheme, t, extended=True),
+            probs, w_exps, lambda i: probs[i] ** w_exps[i],
+        )
+        _assert_defined_fsum(
+            lambda: golomb_igf(scheme.dist, t, extended=True),
+            probs, t_exps, lambda i: probs[i] ** t,
+        )
+        _assert_defined_fsum(
+            lambda: hooda_bhaker_igf(scheme, t, extended=True),
+            probs, t_exps, lambda i: utils[i] * probs[i] ** t,
+        )
+        _assert_defined_fsum(
+            lambda: weighted_igf_derivative(scheme, t, r, extended=True),
+            probs, w_exps,
+            lambda i: (utils[i] * math.log(probs[i])) ** r * probs[i] ** w_exps[i],
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sparse_schemes(), st.floats(0.1, 4.0), st.floats(0.2, 4.0), st.floats(-4.0, 8.0))
+    def test_unnormalized_power_igf(self, case, u, beta, t):
+        probs, _ = case
+        dist = make_generalized(probs)
+        e = beta * (1.0 - u * (1.0 - t))
+        _assert_defined_fsum(
+            lambda: unnormalized_power_igf(dist, u, beta, t, extended=True),
+            probs, [e] * len(probs), lambda i: probs[i] ** e,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sparse_schemes(), st.integers(1, 6))
+    def test_moments(self, case, r):
+        probs, utils = case
+        scheme = make_scheme(probs, utils, generalized=True)
+        assert self_information_moment(scheme.dist, r) == math.fsum(
+            p * (-math.log(p)) ** r for p in probs if p > 0.0
+        )
+        assert weighted_self_information_moment(scheme, r) == math.fsum(
+            (-(u * math.log(p))) ** r * p for p, u in zip(probs, utils) if p > 0.0
+        )
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda s, t: weighted_igf(s, t, extended=True),
+            lambda s, t: golomb_igf(s.dist, t, extended=True),
+            lambda s, t: hooda_bhaker_igf(s, t, extended=True),
+            lambda s, t: weighted_igf_derivative(s, t, 1, extended=True),
+            lambda s, t: unnormalized_power_igf(s.dist, 1.0, 0.5, t, extended=True),
+        ],
+    )
+    def test_zero_probability_under_exponent_zero(self, evaluate):
+        # unit utilities put every exponent at 0 when t = 0, where 0.0 ** 0.0
+        # would silently count the zero entry as 1
+        scheme = make_scheme([0.0, 0.5, 0.5], [1.0, 1.0, 1.0])
+        with pytest.raises(DomainError, match="entry 0"):
+            evaluate(scheme, 0.0)
+        assert math.isfinite(evaluate(scheme, 1e-9))
 
 
 class TestMomentValidation:
-    def test_moment_order_must_be_non_negative_integer(self):
-        dist = make_complete([0.5, 0.5])
-        with pytest.raises(InvalidParameter):
-            self_information_moment(dist, -1)
-        with pytest.raises(InvalidParameter):
-            self_information_moment(dist, 1.5)  # type: ignore[arg-type]
-
-    def test_derivative_order_must_be_positive(self):
+    @pytest.mark.parametrize("bad_r", [-1, 1.5, True])
+    def test_moment_order_must_be_non_negative_integer(self, bad_r):
         scheme = make_scheme([0.5, 0.5], [1.0, 1.0])
         with pytest.raises(InvalidParameter):
-            weighted_igf_derivative(scheme, 2.0, 0)
+            self_information_moment(scheme.dist, bad_r)
+        with pytest.raises(InvalidParameter):
+            weighted_self_information_moment(scheme, bad_r)
+
+    @pytest.mark.parametrize("bad_r", [0, -1, 1.5, True])
+    def test_derivative_order_must_be_positive(self, bad_r):
+        scheme = make_scheme([0.5, 0.5], [1.0, 1.0])
+        with pytest.raises(InvalidParameter):
+            weighted_igf_derivative(scheme, 2.0, bad_r)
 
     def test_moment_zero_returns_mass_for_generalized(self):
         scheme = make_scheme([0.25, 0.25], [1.0, 2.0], generalized=True)
