@@ -17,6 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
+from operator import mul
 from typing import Sequence
 
 from . import closed_forms
@@ -30,9 +32,20 @@ from .distributions import (
     scheme_to_dict,
 )
 from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real
-from .escort import escort_transform, unnormalized_power_igf, verify_scaling_identity
+from .escort import (
+    EscortPair,
+    ScalingIdentityReport,
+    _scaling_report,
+    escort_transform,
+    unnormalized_power_igf,
+)
 from .generating_functions import (
     LogBase,
+    _check_zero_powers,
+    _checked_t,
+    _overflow_error,
+    _power_sum,
+    _weighted_exponents,
     golomb_igf,
     hooda_bhaker_igf,
     weighted_entropy,
@@ -102,22 +115,80 @@ class CurveSample:
     values: tuple[float, ...]
 
 
+def _curve_values(
+    scheme: UtilityInformationScheme,
+    ts: Sequence[float],
+    measures: Sequence[Measure],
+    extended: bool,
+) -> list[tuple[float, ...]]:
+    """The values of ``measures`` at every t of ``ts``, one tuple per t.
+
+    Each value equals (``==``) that of the pointwise :func:`weighted_igf`,
+    :func:`golomb_igf` or :func:`hooda_bhaker_igf` call, and the first
+    (t, measure) at which one of those raises raises the same error here.
+    A value that is not finite raises DomainError once its row is complete.
+    What the pointwise calls would repeat is done once:
+
+    * Zero probabilities are dropped once per curve when t and every
+      weighted exponent stay positive along the grid: then a zero adds
+      exactly 0.0 to an fsum and no term can overflow, so no error names an
+      entry index.
+    * Per t, each distinct pass ``p_i ** e`` is computed once.  Golomb and
+      Hooda-Bhaker raise to ``e = t``; the weighted IGF under a constant
+      utility ``u0`` raises to ``e = 1 - u0 * (1 - t)``.  Under other
+      utilities the weighted IGF is one plain :func:`_power_sum`.
+    * Per t, each distinct sum is computed once, keyed by (exponent,
+      weight): at u0 = 1 all three measures are one fsum, because
+      ``1.0 * x == x`` and ``1 - 1 * (1 - t) == t`` on the usual grids.
+    """
+    probs, utils = scheme.dist.probs, scheme.util.utils
+    t_low = min(ts)
+    # every exponent grows with t, and below t = 1 the weighted one shrinks
+    # as u grows, so t_low and the largest utility give the smallest ones
+    if t_low > 0.0 and 1.0 - max(utils) * (1.0 - t_low) > 0.0:
+        nonzero = [p != 0.0 for p in probs]
+        probs, utils = list(compress(probs, nonzero)), list(compress(utils, nonzero))
+    u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
+    rows = []
+    for t in ts:
+        t = _checked_t(t, extended)
+        passes: dict[float, list[float]] = {}
+        sums: dict[tuple[float, float | None], float] = {}
+        row = []
+        for m in measures:
+            if m is not Measure.WEIGHTED:
+                e, w = t, (1.0 if m is Measure.GOLOMB else u0)
+            elif u0 is not None:
+                e, w = 1.0 - u0 * (1.0 - t), 1.0
+            else:
+                row.append(_power_sum(probs, _weighted_exponents(utils, t)))
+                continue
+            if (e, w) not in sums:
+                try:
+                    if e not in passes:
+                        if e <= 0.0:
+                            _check_zero_powers(probs, repeat(e))
+                        passes[e] = list(map(pow, probs, repeat(e)))
+                    pows = passes[e]
+                    sums[e, w] = math.fsum(pows if w == 1.0 else map(mul, utils, pows))
+                except OverflowError:
+                    raise _overflow_error(probs, repeat(e)) from None
+            row.append(sums[e, w])
+        for v in row:
+            if not math.isfinite(v):
+                raise DomainError(f"non-finite curve value at t = {t}")
+        rows.append(tuple(row))
+    return rows
+
+
 def evaluate_curve(request: CurveRequest) -> list[CurveSample]:
     """Evaluate every requested measure on the equally spaced t grid."""
     step = (request.t_max - request.t_min) / (request.steps - 1)
-    samples = []
-    for k in range(request.steps):
-        # pin the endpoint so the grid covers [t_min, t_max] exactly
-        t = request.t_max if k == request.steps - 1 else request.t_min + k * step
-        values = tuple(
-            _evaluate_measure(m, request.scheme, t, request.extended)
-            for m in request.measures
-        )
-        for v in values:
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite curve value at t = {t}")
-        samples.append(CurveSample(t=t, values=values))
-    return samples
+    # pin the endpoint so the grid covers [t_min, t_max] exactly
+    ts = [request.t_min + k * step for k in range(request.steps - 1)]
+    ts.append(request.t_max)
+    rows = _curve_values(request.scheme, ts, request.measures, request.extended)
+    return [CurveSample(t=t, values=values) for t, values in zip(ts, rows)]
 
 
 def render_curve_csv(request: CurveRequest) -> str:
@@ -325,6 +396,8 @@ def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
             trunc = _check_terms(2 * trunc)
         return trunc
     s = 1.0 - u * (1.0 - t)
+    if s == math.inf:
+        return 1  # every term is p_i ** inf = 0
     q = 1.0 - p
     # tail after T terms is q**s * p**(T*s) / (1 - p**s)
     bound = math.log(_GEOMETRIC_CHECK_TAIL * (1.0 - p**s)) - s * math.log(q)
@@ -390,6 +463,22 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     return 0
 
 
+def verify_scaling_identity(
+    dist: ProbabilityDistribution,
+    u: float,
+    beta: float,
+    t: float,
+    extended: bool,
+    pair: EscortPair,
+    escort_igf: float,
+) -> ScalingIdentityReport:
+    """:func:`igf.escort.verify_scaling_identity` for the escort command,
+    which already holds ``pair``, the escort of ``dist`` under ``beta``, and
+    ``escort_igf``, its weighted IGF at (u, t): neither is built again."""
+    lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
+    return _scaling_report(lhs, pair, escort_igf, u, t)
+
+
 def _cmd_escort(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.input, args.format)
     dist: ProbabilityDistribution = scheme.dist
@@ -405,7 +494,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     if not args.verify_identity:
         return 0
     report = verify_scaling_identity(
-        dist, args.u, args.beta, args.t, extended=args.extended_t
+        dist, args.u, args.beta, args.t, args.extended_t, pair, value
     )
     print(f"lhs: {_fmt(report.lhs, args.digits)}")
     print(f"rhs: {_fmt(report.rhs, args.digits)}")

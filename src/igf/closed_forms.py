@@ -151,7 +151,9 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
     """Weighted IGF of the power-law family p_i = i**-beta / zeta(beta).
 
     Equals zeta(beta * s) / zeta(beta) ** s with s = 1 - u * (1 - t); the
-    transformed series converges only while beta * s > 1.
+    transformed series converges only while beta * s > 1.  At s = inf the
+    value is the limit 0: zeta(beta * s) tends to 1 and zeta(beta) ** s to
+    inf.
     """
     beta = check_open(beta, "power-law exponent beta", 1)
     u = check_open(u, "utility u", 0)
@@ -161,6 +163,8 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
         raise DomainError(
             f"power-law series diverges: beta * s = {beta * s} must exceed 1"
         )
+    if s == math.inf:
+        return 0.0
     return zeta(beta * s) / zeta(beta) ** s
 
 

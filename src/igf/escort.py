@@ -136,12 +136,21 @@ def verify_scaling_identity(
     lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
     pair = escort_transform(dist, beta)
     escort_scheme = constant_utility_scheme(pair.normalized, u)
-    s = 1.0 - u * (1.0 - _checked_t(t, extended))
+    escort_igf = weighted_igf(escort_scheme, t, extended=extended)
+    return _scaling_report(lhs, pair, escort_igf, u, t)
+
+
+def _scaling_report(
+    lhs: float, pair: EscortPair, escort_igf: float, u: float, t: float
+) -> ScalingIdentityReport:
+    """The report for a ``lhs`` and an escort IGF already evaluated at (u, t),
+    so that a caller holding the escort need not build it again."""
+    s = 1.0 - u * (1.0 - t)
     try:
         scale = pair.mass**s
     except OverflowError:
         raise DomainError(f"escort mass {pair.mass!r} ** {s!r} overflows") from None
-    rhs = weighted_igf(escort_scheme, t, extended=extended) * scale
+    rhs = escort_igf * scale
     abs_diff = abs(lhs - rhs)
     passed = abs_diff <= SCALING_IDENTITY_RTOL * max(1.0, abs(lhs))
     return ScalingIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff, passed=passed)

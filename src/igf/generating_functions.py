@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from itertools import repeat
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .distributions import ProbabilityDistribution, UtilityInformationScheme
 from .errors import DomainError, check_int, check_real
@@ -66,11 +66,9 @@ def _power_sum(
     float raises DomainError too.
     """
     if min(exps) <= 0.0:
-        for i, (p, e) in enumerate(zip(probs, exps)):
-            if p == 0.0 and e <= 0.0:
-                raise DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
-    ws = repeat(1.0) if weights is None else weights
+        _check_zero_powers(probs, exps)
     if r:
+        ws = repeat(1.0) if weights is None else weights
         terms = (
             (w * math.log(p)) ** r * p**e for p, e, w in zip(probs, exps, ws) if p
         )
@@ -81,22 +79,38 @@ def _power_sum(
     try:
         return math.fsum(terms)
     except OverflowError:
-        # Python raises OverflowError for finite operands with huge results,
-        # which only extended-domain evaluations and extreme utilities reach
-        for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
-            try:
-                p**e
-                if r and p:
-                    (w * math.log(p)) ** r
-            except OverflowError:
-                raise DomainError(
-                    f"term {i} overflows: probability {p!r}, exponent {e!r}"
-                ) from None
-        raise DomainError("the sum of the terms overflows") from None
+        raise _overflow_error(probs, exps, weights, r) from None
 
 
-def _weighted_exponents(scheme: UtilityInformationScheme, t: float) -> list[float]:
-    return [1.0 - u * (1.0 - t) for u in scheme.util.utils]
+def _check_zero_powers(probs: Sequence[float], exps: Iterable[float]) -> None:
+    for i, (p, e) in enumerate(zip(probs, exps)):
+        if p == 0.0 and e <= 0.0:
+            raise DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
+
+
+def _overflow_error(
+    probs: Sequence[float],
+    exps: Iterable[float],
+    weights: Sequence[float] | None = None,
+    r: int = 0,
+) -> DomainError:
+    """The DomainError for an OverflowError in a :func:`_power_sum`: it names
+    the first term that overflows, or else the sum."""
+    # Python raises OverflowError for finite operands with huge results,
+    # which only extended-domain evaluations and extreme utilities reach
+    ws = repeat(1.0) if weights is None else weights
+    for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
+        try:
+            p**e
+            if r and p:
+                (w * math.log(p)) ** r
+        except OverflowError:
+            return DomainError(f"term {i} overflows: probability {p!r}, exponent {e!r}")
+    return DomainError("the sum of the terms overflows")
+
+
+def _weighted_exponents(utils: Sequence[float], t: float) -> list[float]:
+    return [1.0 - u * (1.0 - t) for u in utils]
 
 
 def weighted_igf(
@@ -109,7 +123,7 @@ def weighted_igf(
     Non-increasing and convex in t on the default domain.
     """
     t = _checked_t(t, extended)
-    return _power_sum(scheme.dist.probs, _weighted_exponents(scheme, t))
+    return _power_sum(scheme.dist.probs, _weighted_exponents(scheme.util.utils, t))
 
 
 def golomb_igf(
@@ -141,7 +155,7 @@ def weighted_igf_derivative(
     r = check_int(r, "derivative order r", 1)
     t = _checked_t(t, extended)
     return _power_sum(
-        scheme.dist.probs, _weighted_exponents(scheme, t), scheme.util.utils, r
+        scheme.dist.probs, _weighted_exponents(scheme.util.utils, t), scheme.util.utils, r
     )
 
 

@@ -17,8 +17,18 @@ from pathlib import Path
 import pytest
 
 import igf
-from igf import ScalingIdentityReport, make_scheme, scheme_from_dict
+from igf import (
+    ScalingIdentityReport,
+    constant_utility_scheme,
+    golomb_igf,
+    hooda_bhaker_igf,
+    make_scheme,
+    realize_family,
+    scheme_from_dict,
+    weighted_igf,
+)
 from igf.cli import main
+from igf.distributions import ParametricFamily
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -404,6 +414,44 @@ class TestCurve:
         assert "cannot write" in err
 
 
+def _pointwise_csv(scheme, t_min: float, t_max: float, steps: int) -> bytes:
+    """The all-measures curve CSV built from one scalar call per (t, measure)."""
+    step = (t_max - t_min) / (steps - 1)
+    lines = ["t,weighted,golomb,hooda_bhaker"]
+    for k in range(steps):
+        t = t_max if k == steps - 1 else t_min + k * step
+        values = (weighted_igf(scheme, t), golomb_igf(scheme.dist, t), hooda_bhaker_igf(scheme, t))
+        lines.append(",".join(map(repr, (t, *values))))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestFamilyCurvesMatchPointwise:
+    """Family curves share one element-power pass per t (and at u = 1 one
+    sum) and drop the entries that underflow to 0.0, byte for byte as the
+    pointwise calls: 1e4 terms of geometric p = 0.6 hold 8543 zeros."""
+
+    @pytest.mark.parametrize(
+        "args, family",
+        [
+            (["geometric", "--p", "0.05"], ParametricFamily.geometric(0.05)),
+            (["geometric", "--p", "0.6"], ParametricFamily.geometric(0.6)),
+            (["geometric", "--p", "0.95"], ParametricFamily.geometric(0.95)),
+            (["beta-power", "--beta", "2.1"], ParametricFamily.beta_power(2.1)),
+        ],
+    )
+    @pytest.mark.parametrize("u", ["1", "2.5"])
+    def test_curve_bytes(self, capsys, tmp_path, args, family, u):
+        out_path = tmp_path / "curve.csv"
+        code, _, _ = run(
+            capsys, "curve", "--family", *args, "--u", u,
+            "--truncation", "10000", "--t-min", "1", "--t-max", "3", "--steps", "21",
+            "--measures", "weighted,golomb,hooda_bhaker", "--out", str(out_path),
+        )
+        assert code == 0
+        scheme = constant_utility_scheme(realize_family(family, 10000), float(u))
+        assert out_path.read_bytes() == _pointwise_csv(scheme, 1.0, 3.0, 21)
+
+
 class TestClosedForm:
     def test_uniform_entropy(self, capsys):
         code, out, _ = run(
@@ -497,6 +545,17 @@ class TestClosedForm:
         assert (code, out) == (2, "")
         assert "cap of 1000000" in err
 
+    @pytest.mark.parametrize(
+        "family", [["geometric", "--p", "0.5"], ["beta-power", "--beta", "2"]]
+    )
+    def test_infinite_t_is_zero_with_and_without_check(self, capsys, family):
+        # every term p_i ** inf is 0: one term is enough for the direct sum,
+        # and the power-law closed form takes its limit instead of zeta(inf)
+        code, out, _ = run(capsys, "closed-form", *family, "--t", "inf")
+        assert (code, out) == (0, "0\n")
+        code, out, _ = run(capsys, "closed-form", *family, "--t", "inf", "--check")
+        assert (code, out) == (0, "closed_form: 0\ndirect: 0\nabs_diff: 0.000000e+00\n")
+
     @pytest.mark.parametrize("p", ["1e-200", "1e-10"])
     def test_check_survives_underflowing_terms(self, capsys, p):
         # q * p**i underflows to 0 after a few terms; those add nothing
@@ -543,6 +602,28 @@ class TestEscort:
         assert lines[3] == "lhs: 0.4112"
         assert float(lines[4].split(": ")[1]) == pytest.approx(0.4112, abs=1e-12)
         assert lines[-1] == "PASS"
+
+    def test_verify_identity_builds_the_escort_once(self, capsys, eight_two, monkeypatch):
+        # the escort and its IGF printed above feed the identity check
+        import igf.cli as cli_module
+        import igf.escort as escort_module
+
+        calls = {"escort_transform": 0, "weighted_igf": 0}
+        for name in calls:
+            real = getattr(escort_module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (cli_module, escort_module):
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(
+            capsys, "escort", "--input", eight_two, "--beta", "2", "--u", "1",
+            "--t", "2", "--verify-identity",
+        )
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
+        assert calls == {"escort_transform": 1, "weighted_igf": 1}
 
     def test_verify_identity_needs_t(self, capsys, eight_two):
         code, _, err = run(

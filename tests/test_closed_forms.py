@@ -215,6 +215,13 @@ class TestBetaPower:
         direct = oracles.beta_power_igf_direct(3.0, 2.0, 1.5, ZETA_3)
         assert beta_power_igf(3.0, 2.0, 1.5) == pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("beta, u", [(2.0, 1.0), (1.01, 0.5), (7.5, 3.0)])
+    def test_infinite_t_is_the_limit_zero(self, beta, u):
+        # zeta(beta * s) -> 1 while zeta(beta) ** s -> inf, as for the
+        # geometric closed form and the weighted IGF at t = inf
+        assert beta_power_igf(beta, u, math.inf) == 0.0
+        assert geometric_igf(0.5, u, math.inf) == 0.0
+
     def test_divergent_transformed_series_raises(self):
         # beta=1.5, u=2, t=0.8 gives s = 0.6 and beta*s = 0.9
         with pytest.raises(DomainError):

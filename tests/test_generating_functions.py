@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from igf import (
     DomainError,
+    IGFError,
     InvalidParameter,
     LogBase,
     golomb_igf,
@@ -32,6 +33,7 @@ from igf import (
     weighted_igf_derivative,
     weighted_self_information_moment,
 )
+from igf.cli import CurveRequest, Measure, evaluate_curve
 
 LN2 = 0.6931471805599453
 
@@ -421,6 +423,91 @@ class TestPowerSumKernel:
         with pytest.raises(DomainError, match="entry 0"):
             evaluate(scheme, 0.0)
         assert math.isfinite(evaluate(scheme, 1e-9))
+
+
+_MEASURE_SETS = [
+    tuple(m for j, m in enumerate(Measure) if mask >> j & 1) for mask in range(1, 8)
+]
+
+
+def _pointwise_curve(scheme, t_min, t_max, steps, measures, extended):
+    """The curve as one scalar call per (t, measure): the reference that the
+    shared-pass grid evaluation must equal, errors included."""
+    evaluate = {
+        Measure.WEIGHTED: lambda t: weighted_igf(scheme, t, extended=extended),
+        Measure.GOLOMB: lambda t: golomb_igf(scheme.dist, t, extended=extended),
+        Measure.HOODA_BHAKER: lambda t: hooda_bhaker_igf(scheme, t, extended=extended),
+    }
+    step = (t_max - t_min) / (steps - 1)
+    rows = []
+    for k in range(steps):
+        t = t_max if k == steps - 1 else t_min + k * step
+        values = tuple(evaluate[m](t) for m in measures)
+        for v in values:
+            if not math.isfinite(v):
+                raise DomainError(f"non-finite curve value at t = {t}")
+        rows.append((t, values))
+    return rows
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except IGFError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _curve_cases(draw):
+    """Sparse schemes under unit, constant or varied utilities, the seven
+    measure subsets, and grids reaching below t = 1 and below t = 0."""
+    probs, utils = draw(_sparse_schemes())
+    kind = draw(st.sampled_from(["varied", "unit", "constant"]))
+    if kind == "unit":
+        utils = [1.0] * len(probs)
+    elif kind == "constant":
+        utils = [draw(st.floats(0.1, 8.0))] * len(probs)
+    t_min = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-4.0, 6.0)))
+    t_max = t_min + draw(st.one_of(st.just(2.0), st.floats(1e-3, 10.0)))
+    return (
+        make_scheme(probs, utils, generalized=True),
+        t_min,
+        t_max,
+        draw(st.integers(2, 12)),
+        draw(st.sampled_from(_MEASURE_SETS)),
+        t_min < 1.0 or draw(st.booleans()),
+    )
+
+
+class TestCurveGrid:
+    """A curve shares element-power passes and sums across its measures and
+    drops zero probabilities once, yet every value equals the pointwise
+    call's and every failure is the pointwise loop's first failure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_curve_cases())
+    def test_equals_pointwise_calls(self, case):
+        scheme, t_min, t_max, steps, measures, extended = case
+        request = CurveRequest(scheme, t_min, t_max, steps, measures, extended)
+        got = _outcome(lambda: [(s.t, s.values) for s in evaluate_curve(request)])
+        assert got == _outcome(lambda: _pointwise_curve(*case))
+
+    @pytest.mark.parametrize(
+        "utils, measure, message",
+        [
+            ([1e308, 1e308], Measure.HOODA_BHAKER, "non-finite curve value at t = -2.0"),
+            ([3e307, 3e307], Measure.HOODA_BHAKER, "the sum of the terms overflows"),
+            ([1e3, 1.0], Measure.WEIGHTED, "term 0 overflows"),
+        ],
+    )
+    def test_overflow_matches_pointwise(self, utils, measure, message):
+        # at t = -2: u * 0.5 ** -2 is inf, or two finite terms sum past the
+        # float range, or the weighted exponent 1 - 1e3 * 3 overflows a power
+        case = (make_scheme([0.5, 0.5], utils), -2.0, 2.0, 5, (measure,), True)
+        request = CurveRequest(*case)
+        got = _outcome(lambda: evaluate_curve(request))
+        assert got == _outcome(lambda: _pointwise_curve(*case))
+        assert got[0] is DomainError and got[1].startswith(message)
 
 
 class TestMomentValidation:
