@@ -43,6 +43,7 @@ from .generating_functions import (
     LogBase,
     _check_zero_powers,
     _checked_t,
+    _moments,
     _overflow_error,
     _power_sum,
     _weighted_exponents,
@@ -50,7 +51,6 @@ from .generating_functions import (
     hooda_bhaker_igf,
     weighted_entropy,
     weighted_igf,
-    weighted_self_information_moment,
 )
 
 DEFAULT_DIGITS = 12
@@ -92,8 +92,16 @@ class CurveRequest:
     def __post_init__(self) -> None:
         check_int(self.steps, "steps", 2)
         t_min, t_max = check_real(self.t_min, "t_min"), check_real(self.t_max, "t_max")
+        for name, value in (("t_min", t_min), ("t_max", t_max)):
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value!r}")
         if not t_min < t_max:
             raise InvalidParameter(f"need t_min < t_max, got {t_min!r} and {t_max!r}")
+        if t_max - t_min == math.inf:
+            # the grid step would be inf and the first point t_min + 0 * inf nan
+            raise InvalidParameter(
+                f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
+            )
         if not self.extended and t_min < 1.0:
             raise DomainError(
                 f"t_min = {t_min} is below the default domain t >= 1; "
@@ -257,8 +265,11 @@ def _fmt(value: float, digits: int) -> str:
     return format(value, f".{digits}g")
 
 
-def _render_number_17g(x: float) -> str:
-    return format(x, ".17g")
+def _render_floats(values: Sequence[float], digits: int, sep: str) -> str:
+    """``sep.join(format(x, f".{digits}g") for x in values)`` as one ``%``
+    pass: ``%`` and ``format`` share CPython's double-to-string call, so the
+    text is byte-equal, without a Python-level call per entry."""
+    return sep.join([f"%.{digits}g"] * len(values)) % tuple(values)
 
 
 def render_scheme_json(scheme: UtilityInformationScheme) -> str:
@@ -269,10 +280,8 @@ def render_scheme_json(scheme: UtilityInformationScheme) -> str:
     """
     doc = scheme_to_dict(scheme)
     parts = []
-    probs = ", ".join(_render_number_17g(p) for p in doc["probabilities"])
-    parts.append(f'  "probabilities": [{probs}]')
-    utils = ", ".join(_render_number_17g(u) for u in doc["utilities"])
-    parts.append(f'  "utilities": [{utils}]')
+    for key in ("probabilities", "utilities"):
+        parts.append(f'  "{key}": [{_render_floats(doc[key], 17, ", ")}]')
     parts.append(f'  "kind": {json.dumps(doc["kind"])}')
     if "labels" in doc:
         labels = ", ".join(json.dumps(lab) for lab in doc["labels"])
@@ -333,8 +342,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
             f"--r-max must be in 1..{MAX_MOMENT_ORDER}, got {args.r_max}"
         )
     scheme = _load_scheme(args.input, args.format)
-    for r in range(args.r_max + 1):
-        print(f"{r}\t{_fmt(weighted_self_information_moment(scheme, r), args.digits)}")
+    # each line is printed as its order is summed, so an order that
+    # overflows still leaves the lower ones on stdout
+    orders = range(args.r_max + 1)
+    for r, moment in enumerate(_moments(scheme.dist.probs, scheme.util.utils, orders)):
+        print(f"{r}\t{_fmt(moment, args.digits)}")
     return 0
 
 
@@ -485,7 +497,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     if args.verify_identity and args.t is None:
         raise ValidationError("--verify-identity needs --t")
     pair = escort_transform(dist, args.beta)
-    print("escort: " + " ".join(_fmt(p, args.digits) for p in pair.normalized.probs))
+    print("escort: " + _render_floats(pair.normalized.probs, args.digits, " "))
     print(f"mass: {_fmt(pair.mass, args.digits)}")
     if args.t is not None:
         scheme_b = constant_utility_scheme(pair.normalized, args.u)

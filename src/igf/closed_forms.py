@@ -135,8 +135,11 @@ def geometric_igf(p: float, u: float, t: float) -> float:
         raise DomainError(
             f"geometric series diverges: exponent s = {s} must be positive"
         )
+    if s == 1.0:
+        return 1.0  # the total mass, exactly as q / (1 - p) = q / q gives it
     q = 1.0 - p
-    return q**s / (1.0 - p**s)
+    # expm1 keeps the digits that 1 - p**s cancels away as p nears 1
+    return q**s / -math.expm1(s * math.log(p))
 
 
 def geometric_entropy(p: float, u: float) -> float:
@@ -153,7 +156,9 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
     Equals zeta(beta * s) / zeta(beta) ** s with s = 1 - u * (1 - t); the
     transformed series converges only while beta * s > 1.  At s = inf the
     value is the limit 0: zeta(beta * s) tends to 1 and zeta(beta) ** s to
-    inf.
+    inf.  A finite s whose ``beta * s`` overflows takes zeta(inf) = 1, and
+    where zeta(beta) ** s overflows the quotient is taken in logs, where it
+    underflows to 0.
     """
     beta = check_open(beta, "power-law exponent beta", 1)
     u = check_open(u, "utility u", 0)
@@ -165,7 +170,11 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
         )
     if s == math.inf:
         return 0.0
-    return zeta(beta * s) / zeta(beta) ** s
+    numerator = 1.0 if beta * s == math.inf else zeta(beta * s)
+    try:
+        return numerator / zeta(beta) ** s
+    except OverflowError:
+        return math.exp(math.log(numerator) - s * math.log(zeta(beta)))
 
 
 def beta_power_entropy(beta: float, u: float) -> float:

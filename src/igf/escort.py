@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 
 from .distributions import (
     Kind,
@@ -61,14 +63,14 @@ def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     whose entries are all zero after powering.
     """
     beta = check_open(beta, "escort power beta", 0)
-    powered = [p**beta for p in dist.probs]
+    powered = list(map(pow, dist.probs, repeat(beta)))
     mass = math.fsum(powered)
     if mass == 0.0:
         raise AllZeroProbabilities(
             "all probabilities are zero (or underflow to zero) after powering"
         )
     normalized = ProbabilityDistribution(
-        tuple(w / mass for w in powered), Kind.COMPLETE
+        tuple(map(truediv, powered, repeat(mass))), Kind.COMPLETE
     )
     return EscortPair(normalized=normalized, mass=mass, beta=beta)
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .distributions import ProbabilityDistribution, UtilityInformationScheme
 from .errors import DomainError, check_int, check_real
@@ -54,8 +54,8 @@ def _power_sum(
     weights: Sequence[float] | None = None,
     r: int = 0,
 ) -> float:
-    """math.fsum of c_i * p_i ** e_i: the generating functions, their
-    derivatives and the moments are all this sum.
+    """math.fsum of c_i * p_i ** e_i: the generating functions and their
+    derivatives are this sum, and the moments it at every exponent 1.
 
     ``c_i`` is ``w_i`` for r = 0 and ``(w_i * ln p_i) ** r`` for r >= 1,
     with ``w_i = 1`` when no weights are given.  A zero probability adds
@@ -179,19 +179,33 @@ def weighted_entropy(
     return h / math.log(2.0) if base is LogBase.TWO else h
 
 
-def _moment(probs: Sequence[float], weights: Sequence[float] | None, r: int) -> float:
-    """sum_i p_i * (-w_i * ln p_i) ** r, with w_i = 1 when no weights are given.
+def _moments(
+    probs: Sequence[float], weights: Sequence[float] | None, orders: Iterable[int]
+) -> Iterator[float]:
+    """sum_i p_i * (-w_i * ln p_i) ** r for each r of ``orders``, lazily,
+    with w_i = 1 when no weights are given.
 
-    For r >= 1 this is (-1) ** r times the kernel sum with every exponent 1,
-    the r-th t-derivative at t = 1, and it is exact: CPython raises a
-    negative float to an integer power as the power of its magnitude,
-    negated when r is odd, and fsum rounds -x as it rounds x.  ``0.0 - s``
-    rather than ``-s`` keeps a sum of zero terms at +0.0.
+    Zero entries are dropped and ``a_i = w_i * ln p_i`` is built once for all
+    orders.  For r >= 1 each sum is (-1) ** r times the kernel sum with every
+    exponent 1 (its terms are ``a_i ** r * p_i``, as ``p ** 1.0 == p``), and
+    exact: CPython raises a negative float to an integer power as the power
+    of its magnitude, negated when r is odd, and fsum rounds -x as it rounds
+    x.  ``0.0 - s`` rather than ``-s`` keeps a sum of zero terms at +0.0.
     """
-    if r == 0:
-        return math.fsum(probs)
-    s = _power_sum(probs, (1.0,) * len(probs), weights, r)
-    return 0.0 - s if r % 2 else s
+    nonzero: list[float] | None = None
+    for r in orders:
+        if r == 0:
+            yield math.fsum(probs)
+            continue
+        if nonzero is None:
+            nonzero = list(compress(probs, probs))
+            logs = map(math.log, nonzero)
+            a = list(logs if weights is None else map(mul, compress(weights, probs), logs))
+        try:
+            s = math.fsum(map(mul, map(pow, a, repeat(r)), nonzero))
+        except OverflowError:
+            raise _overflow_error(probs, repeat(1.0), weights, r) from None
+        yield 0.0 - s if r % 2 else s
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
@@ -200,7 +214,7 @@ def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
     Non-negative for every r; r = 0 returns the total mass and r = 1 the
     Shannon entropy.
     """
-    return _moment(dist.probs, None, check_int(r, "moment order r", 0))
+    return next(_moments(dist.probs, None, (check_int(r, "moment order r", 0),)))
 
 
 def weighted_self_information_moment(
@@ -211,4 +225,5 @@ def weighted_self_information_moment(
     Non-negative for every r (the signed variant is ``(-1) ** r`` times
     this); r = 1 recovers the weighted entropy.
     """
-    return _moment(scheme.dist.probs, scheme.util.utils, check_int(r, "moment order r", 0))
+    r = check_int(r, "moment order r", 0)
+    return next(_moments(scheme.dist.probs, scheme.util.utils, (r,)))

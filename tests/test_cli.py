@@ -14,12 +14,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import igf
 from igf import (
+    InvalidParameter,
     ScalingIdentityReport,
     constant_utility_scheme,
+    escort_transform,
     golomb_igf,
     hooda_bhaker_igf,
     make_scheme,
@@ -27,7 +30,7 @@ from igf import (
     scheme_from_dict,
     weighted_igf,
 )
-from igf.cli import main
+from igf.cli import CurveRequest, _render_floats, main, render_scheme_json
 from igf.distributions import ParametricFamily
 
 
@@ -330,6 +333,33 @@ class TestCurve:
         assert rows[2] == "1.5,0.25"
         assert rows[3] == "2.0,0.0625"
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--t-max", "inf"], "t_max must be finite, got inf"),
+            (["--t-min=-inf"], "t_min must be finite, got -inf"),
+            (["--t-min=-inf", "--t-max", "inf"], "t_min must be finite, got -inf"),
+            (
+                ["--t-min=-1e308", "--t-max", "1e308"],
+                "the span from t_min = -1e+308 to t_max = 1e+308 overflows",
+            ),
+        ],
+    )
+    def test_unbounded_grid_names_its_endpoints(self, capsys, half_half, tmp_path, bounds, message):
+        # an inf endpoint or span makes the step inf and the first t nan
+        out_path = tmp_path / "curve.csv"
+        code, _, err = run(
+            capsys, "curve", "--input", half_half, *bounds, "--extended-t",
+            "--out", str(out_path),
+        )
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out_path.exists()
+        scheme = scheme_from_dict({"probabilities": [0.5, 0.5], "utilities": [1.0, 2.0]})
+        t_min = float(bounds[0].split("=")[1]) if "=" in bounds[0] else 1.0
+        t_max = float(bounds[-1]) if "--t-max" in bounds else 3.0
+        with pytest.raises(InvalidParameter, match=message.replace("+", r"\+")):
+            CurveRequest(scheme, t_min, t_max, 5, extended=True)
+
     def test_infinite_family_needs_truncation(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -556,6 +586,19 @@ class TestClosedForm:
         code, out, _ = run(capsys, "closed-form", *family, "--t", "inf", "--check")
         assert (code, out) == (0, "closed_form: 0\ndirect: 0\nabs_diff: 0.000000e+00\n")
 
+    @pytest.mark.parametrize(
+        "beta, t, value", [("2", "1e300", "0"), ("1e300", "1e10", "1")]
+    )
+    def test_large_finite_t_with_and_without_check(self, capsys, beta, t, value):
+        # zeta(2) ** 1e300 overflows, and beta * s = 1e310 reaches zeta(inf)
+        query = ("closed-form", "beta-power", "--beta", beta, "--t", t)
+        code, out, _ = run(capsys, *query)
+        assert (code, out) == (0, value + "\n")
+        code, out, _ = run(capsys, *query, "--check")
+        assert (code, out) == (
+            0, f"closed_form: {value}\ndirect: {value}\nabs_diff: 0.000000e+00\n"
+        )
+
     @pytest.mark.parametrize("p", ["1e-200", "1e-10"])
     def test_check_survives_underflowing_terms(self, capsys, p):
         # q * p**i underflows to 0 after a few terms; those add nothing
@@ -710,6 +753,72 @@ class TestNormalize:
             "utilities": [1.0, 2.0],
             "kind": "complete",
         }
+
+
+# zeros, 1.0, the smallest subnormal, other subnormals, the smallest normal
+# and values whose 17-digit forms differ from their shortest repr
+_SPECIAL_FLOATS = [
+    0.0, 1.0, 5e-324, 1e-323, 1e-310, 2.225073858507201e-308,
+    2.2250738585072014e-308, 0.1, 1.0 / 3.0, 0.30000000000000004,
+    0.9999999999999999, 1e-300, 123456789.0, 1e22,
+]
+
+
+def _per_entry(values, digits: int, sep: str) -> str:
+    return sep.join(format(x, f".{digits}g") for x in values)
+
+
+class TestRenderingPasses:
+    """The one-pass %-format rendering is byte-equal to formatting each
+    entry on its own."""
+
+    @pytest.mark.parametrize("digits", range(1, 18))
+    def test_every_digit_count(self, digits):
+        # random bit patterns cover every exponent, both signs, subnormals
+        # and nan, which the vectors the CLI renders never hold
+        rng = np.random.default_rng(digits)
+        values = _SPECIAL_FLOATS + rng.integers(
+            0, 2**64, 20_000, dtype=np.uint64
+        ).view(np.float64).tolist()
+        for sep in (" ", ", "):
+            assert _render_floats(values, digits, sep) == _per_entry(values, digits, sep)
+
+    @pytest.mark.parametrize("digits", [12, 17])
+    def test_a_million_entries(self, digits):
+        values = _SPECIAL_FLOATS + np.random.default_rng(7).random(10**6).tolist()
+        assert _render_floats(values, digits, " ") == _per_entry(values, digits, " ")
+
+    def test_scheme_json_vectors(self):
+        probs = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 0.25]
+        utils = [1.0, 5e-324, 1e-310, 1e22, 0.30000000000000004, 7.25, 1.0]
+        scheme = make_scheme(probs, utils, generalized=True)
+        assert render_scheme_json(scheme) == (
+            "{\n"
+            f'  "probabilities": [{_per_entry(probs, 17, ", ")}],\n'
+            f'  "utilities": [{_per_entry(utils, 17, ", ")}],\n'
+            '  "kind": "generalized"\n'
+            "}\n"
+        )
+
+    @pytest.mark.parametrize("digits", range(1, 18))
+    @pytest.mark.parametrize("beta", ["0.5", "2"])
+    def test_escort_line(self, capsys, tmp_path, digits, beta):
+        # subnormal entries square to 0 under beta = 2 and stay tiny under 0.5
+        doc = {
+            "probabilities": [0.0, 5e-324, 1e-310, 0.3, 1.0 / 3.0, 0.2],
+            "utilities": [1.0] * 6,
+            "kind": "generalized",
+        }
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys, "escort", "--input", str(path), "--beta", beta, "--digits", str(digits)
+        )
+        pair = escort_transform(scheme_from_dict(doc).dist, float(beta))
+        assert code == 0
+        assert out.splitlines()[0] == "escort: " + _per_entry(
+            pair.normalized.probs, digits, " "
+        )
 
 
 def test_closed_form_and_curve_never_import_numpy(tmp_path):

@@ -172,6 +172,20 @@ class TestGeometric:
         direct = oracles.geometric_igf_direct(p, u, t)
         assert geometric_igf(p, u, t) == pytest.approx(direct, abs=1e-12, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "p, u, t",
+        [(1.0 - 1e-9, 1.0, 2.0), (1.0 - 1e-6, 1.0, 1.5), (1.0 - 1e-12, 0.5, 7.0),
+         (1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-20), (0.999, 2.0, 3.0), (0.5, 1.0, 2.0)],
+    )
+    def test_no_cancellation_near_one_against_mpmath(self, p, u, t):
+        # 1 - p**s cancels as p nears 1: it cost 5e-10 relative at p = 1 - 1e-9
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            big_p, s = mpmath.mpf(p), 1 - mpmath.mpf(u) * (1 - mpmath.mpf(t))
+            ref = (1 - big_p) ** s / (1 - big_p**s)
+            rel = abs((geometric_igf(p, u, t) - ref) / ref)
+        assert rel <= 4e-16
+
     def test_divergent_exponent_raises(self):
         # u=2, t=0.4 gives s = 1 - 2*0.6 = -0.2; u=2, t=0.5 gives s = 0
         with pytest.raises(DomainError):
@@ -221,6 +235,20 @@ class TestBetaPower:
         # geometric closed form and the weighted IGF at t = inf
         assert beta_power_igf(beta, u, math.inf) == 0.0
         assert geometric_igf(0.5, u, math.inf) == 0.0
+
+    def test_large_finite_t_takes_the_limits(self):
+        # zeta(2) ** 1e300 overflows, and so does beta * s = 1e310; the
+        # first quotient underflows to 0 and zeta(inf) is 1
+        assert beta_power_igf(2.0, 1.0, 1e300) == 0.0
+        assert beta_power_igf(1e300, 1.0, 1e10) == 1.0
+
+    def test_overflowing_normalizer_power_against_mpmath(self):
+        # zeta(2) ** 1430 is past the float range, the quotient is subnormal
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.zeta(2860) / mpmath.zeta(2) ** 1430)
+        assert 0.0 < ref < 2.2250738585072014e-308
+        assert beta_power_igf(2.0, 1.0, 1430.0) == pytest.approx(ref, rel=1e-12)
 
     def test_divergent_transformed_series_raises(self):
         # beta=1.5, u=2, t=0.8 gives s = 0.6 and beta*s = 0.9

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -34,6 +34,7 @@ from igf import (
     weighted_self_information_moment,
 )
 from igf.cli import CurveRequest, Measure, evaluate_curve
+from igf.generating_functions import _moments, _power_sum
 
 LN2 = 0.6931471805599453
 
@@ -405,6 +406,39 @@ class TestPowerSumKernel:
         assert weighted_self_information_moment(scheme, r) == math.fsum(
             (-(u * math.log(p))) ** r * p for p, u in zip(probs, utils) if p > 0.0
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _sparse_schemes(),
+        st.sampled_from([None, 1.0, 1e100, 1e152, 1e305]),
+        st.lists(st.integers(0, 8), min_size=1, max_size=9),
+    )
+    # a point mass sums odd orders to zero, which must stay +0.0
+    @example(case=([0.0, 1.0], [2.0, 3.0]), scale=None, orders=[0, 1, 2, 3])
+    @example(case=([1.0], [3.0]), scale=1.0, orders=[5, 1])
+    def test_moments_share_one_log_pass(self, case, scale, orders):
+        # every order of the one-pass moments equals (repr: sign of zero
+        # included) the per-order kernel call; an order whose (u ln p) ** r
+        # overflows raises the kernel's error and ends the iteration there
+        probs, utils = case
+        weights = None if scale is None else [u * scale for u in utils]
+
+        def per_order(r):
+            if r == 0:
+                return math.fsum(probs)
+            s = _power_sum(probs, (1.0,) * len(probs), weights, r)
+            return 0.0 - s if r % 2 else s
+
+        def collect(values):
+            got = []
+            try:
+                for v in values:
+                    got.append(repr(v))
+            except DomainError as exc:
+                got.append(str(exc))
+            return got
+
+        assert collect(_moments(probs, weights, orders)) == collect(map(per_order, orders))
 
     @pytest.mark.parametrize(
         "evaluate",
