@@ -416,24 +416,6 @@ def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
     return _check_terms(max(1, math.ceil(bound / (s * math.log(p))) + 1))
 
 
-def _beta_power_direct_igf(beta: float, u: float, t: float) -> float:
-    import numpy as np
-
-    s = 1.0 - u * (1.0 - t)
-    z = closed_forms.zeta(beta)
-    n = np.arange(1, _CHECK_TERMS + 1, dtype=np.float64)
-    return float(np.sum((n ** (-beta) / z) ** s))
-
-
-def _beta_power_direct_entropy(beta: float, u: float) -> float:
-    import numpy as np
-
-    z = closed_forms.zeta(beta)
-    n = np.arange(1, _CHECK_TERMS + 1, dtype=np.float64)
-    probs = n ** (-beta) / z
-    return float(-np.sum(u * probs * np.log(probs)))
-
-
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     if args.entropy and args.t is not None:
@@ -451,15 +433,12 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
         "beta-power": (closed_forms.beta_power_igf, closed_forms.beta_power_entropy, args.beta),
     }[args.family]
     value = entropy_of(param, args.u) if args.entropy else igf_of(param, args.u, args.t)
-    if args.check and args.family == "beta-power":
-        direct = (
-            _beta_power_direct_entropy(args.beta, args.u) if args.entropy
-            else _beta_power_direct_igf(args.beta, args.u, args.t)
-        )
-    elif args.check:
-        trunc = None if args.family == "uniform" else _geometric_check_truncation(
-            args.p, args.u, None if args.entropy else args.t
-        )
+    if args.check:
+        trunc = _CHECK_TERMS  # the uniform family is finite and ignores it
+        if args.family == "geometric":
+            trunc = _geometric_check_truncation(
+                args.p, args.u, None if args.entropy else args.t
+            )
         scheme = constant_utility_scheme(realize_family(family, trunc), args.u)
         direct = (
             weighted_entropy(scheme) if args.entropy
@@ -521,24 +500,27 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="scheme file to read")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="input file format (default json)",
-    )
-    parser.add_argument(
-        "--base", choices=("e", "2"), default="e",
-        help="logarithm base for entropy output (default e)",
-    )
-    parser.add_argument(
-        "--extended-t", action="store_true",
-        help="allow t below 1 wherever every term stays defined",
-    )
-    parser.add_argument(
-        "--digits", type=_check_digits, default=DEFAULT_DIGITS,
-        help=f"significant digits to print (1..{MAX_DIGITS}, default {DEFAULT_DIGITS})",
-    )
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the shared ``flags`` that a subcommand's handler reads, so
+    argparse refuses every other one with exit 2."""
+    options = {
+        "--input": dict(help="scheme file to read"),
+        "--format": dict(
+            choices=("json", "csv"), default="json", help="input file format (default json)"
+        ),
+        "--base": dict(
+            choices=("e", "2"), default="e", help="logarithm base for entropy output (default e)"
+        ),
+        "--extended-t": dict(
+            action="store_true", help="allow t below 1 wherever every term stays defined"
+        ),
+        "--digits": dict(
+            type=_check_digits, default=DEFAULT_DIGITS,
+            help=f"significant digits to print (1..{MAX_DIGITS}, default {DEFAULT_DIGITS})",
+        ),
+    }
+    for flag in flags:
+        parser.add_argument(flag, **options[flag])
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
@@ -556,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one generating function at one t")
-    _add_common(p_eval)
+    _add_shared(p_eval, "--input", "--format", "--extended-t", "--digits")
     p_eval.add_argument(
         "--measure", choices=[m.value for m in _MEASURE_ORDER], default="weighted"
     )
@@ -564,18 +546,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_entropy = sub.add_parser("entropy", help="weighted entropy of a scheme")
-    _add_common(p_entropy)
+    _add_shared(p_entropy, "--input", "--format", "--base", "--digits")
     p_entropy.set_defaults(handler=_cmd_entropy)
 
     p_moments = sub.add_parser("moments", help="weighted self-information moments")
-    _add_common(p_moments)
+    _add_shared(p_moments, "--input", "--format", "--digits")
     p_moments.add_argument("--r-max", type=int, required=True)
     p_moments.set_defaults(handler=_cmd_moments)
 
     p_curve = sub.add_parser("curve", help="sample measures over a t grid into CSV")
-    _add_common(p_curve)
+    _add_shared(p_curve, "--input", "--format", "--extended-t")
     p_curve.add_argument("--family", choices=("uniform", "geometric", "beta-power"))
-    _add_family_flags_curve(p_curve)
+    _add_family_flags(p_curve)
+    p_curve.add_argument(
+        "--truncation", type=int,
+        help="number of leading outcomes for infinite-support families",
+    )
     p_curve.add_argument("--t-min", type=float, default=1.0)
     p_curve.add_argument("--t-max", type=float, default=3.0)
     p_curve.add_argument("--steps", type=int, default=101)
@@ -587,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(handler=_cmd_curve)
 
     p_cf = sub.add_parser("closed-form", help="closed-form family values")
-    _add_common(p_cf)
+    _add_shared(p_cf, "--extended-t", "--digits")
     p_cf.add_argument("family", choices=("uniform", "geometric", "beta-power"))
     _add_family_flags(p_cf)
     p_cf.add_argument("--t", type=float)
@@ -599,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.set_defaults(handler=_cmd_closed_form)
 
     p_escort = sub.add_parser("escort", help="escort transform and scaling identity")
-    _add_common(p_escort)
+    _add_shared(p_escort, "--input", "--format", "--extended-t", "--digits")
     p_escort.add_argument("--beta", type=float, required=True)
     p_escort.add_argument("--u", type=float, default=1.0)
     p_escort.add_argument("--t", type=float)
@@ -607,18 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_escort.set_defaults(handler=_cmd_escort)
 
     p_norm = sub.add_parser("normalize", help="re-emit a scheme in canonical JSON")
-    _add_common(p_norm)
+    _add_shared(p_norm, "--input", "--format")
     p_norm.set_defaults(handler=_cmd_normalize)
 
     return parser
-
-
-def _add_family_flags_curve(parser: argparse.ArgumentParser) -> None:
-    _add_family_flags(parser)
-    parser.add_argument(
-        "--truncation", type=int,
-        help="number of leading outcomes for infinite-support families",
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -99,7 +99,9 @@ def zeta_derivative(beta: float) -> float:
     big = float(ZETA_SERIES_TERMS)
     log_big = math.log(big)
     parts = [math.log(n) * float(n) ** -beta for n in range(2, ZETA_SERIES_TERMS + 1)]
-    parts.append(big ** (1.0 - beta) * (log_big / (beta - 1.0) + 1.0 / (beta - 1.0) ** 2))
+    tail = big ** (1.0 - beta)
+    if tail:  # once the power underflows, (beta - 1) ** 2 may overflow
+        parts.append(tail * (log_big / (beta - 1.0) + 1.0 / (beta - 1.0) ** 2))
     parts.append(-0.5 * log_big * big**-beta)
     parts.extend(term * (log_big - harmonic) for term, harmonic in _em_corrections(beta))
     return -math.fsum(parts)

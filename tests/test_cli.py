@@ -30,7 +30,7 @@ from igf import (
     scheme_from_dict,
     weighted_igf,
 )
-from igf.cli import CurveRequest, _render_floats, main, render_scheme_json
+from igf.cli import CurveRequest, _render_floats, build_parser, main, render_scheme_json
 from igf.distributions import ParametricFamily
 
 
@@ -599,6 +599,32 @@ class TestClosedForm:
             0, f"closed_form: {value}\ndirect: {value}\nabs_diff: 0.000000e+00\n"
         )
 
+    def test_beta_power_check_entropy_skips_zero_terms(self, capsys):
+        # p_i = i**-400 / zeta(400) is 0 from i = 8 on, where 0 * log 0
+        # would make the direct sum nan
+        code, out, err = run(
+            capsys, "closed-form", "beta-power", "--beta", "400", "--entropy",
+            "--check", "--digits", "16",
+        )
+        assert (code, out, err) == (
+            0,
+            "closed_form: 1.073710466894818e-118\n"
+            "direct: 1.073710466894818e-118\n"
+            "abs_diff: 0.000000e+00\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("beta", ["1e153", "1e300"])
+    def test_huge_beta_entropy_with_and_without_check(self, capsys, beta):
+        # (beta - 1) ** 2 in the zeta' tail overflows from about 1.34e154
+        query = ("closed-form", "beta-power", "--beta", beta, "--entropy")
+        code, out, _ = run(capsys, *query)
+        assert (code, out) == (0, "0\n")
+        code, out, _ = run(capsys, *query, "--check")
+        closed, direct, diff = out.splitlines()
+        assert (code, closed, diff) == (0, "closed_form: 0", "abs_diff: 0.000000e+00")
+        assert float(direct.split(": ")[1]) == 0.0
+
     @pytest.mark.parametrize("p", ["1e-200", "1e-10"])
     def test_check_survives_underflowing_terms(self, capsys, p):
         # q * p**i underflows to 0 after a few terms; those add nothing
@@ -821,16 +847,81 @@ class TestRenderingPasses:
         )
 
 
-def test_closed_form_and_curve_never_import_numpy(tmp_path):
-    # numpy (and the threads its BLAS starts) stays off every CLI path
-    # except the beta-power --check direct sums
+#: The shared flags each subcommand reads, and so declares.
+SHARED_FLAGS = {
+    "eval": ("--input", "--format", "--extended-t", "--digits"),
+    "entropy": ("--input", "--format", "--base", "--digits"),
+    "moments": ("--input", "--format", "--digits"),
+    "curve": ("--input", "--format", "--extended-t"),
+    "closed-form": ("--extended-t", "--digits"),
+    "escort": ("--input", "--format", "--extended-t", "--digits"),
+    "normalize": ("--input", "--format"),
+}
+FLAG_ARGS = {
+    "--input": ["nope.json"],
+    "--format": ["csv"],
+    "--base": ["2"],
+    "--extended-t": [],
+    "--digits": ["3"],
+}
+#: The least each subcommand needs besides its shared flags.
+REQUIRED_ARGS = {
+    "eval": ["--t", "2"],
+    "entropy": [],
+    "moments": ["--r-max", "2"],
+    "curve": ["--out", "c.csv"],
+    "closed-form": ["uniform", "--n", "4", "--t", "2"],
+    "escort": ["--beta", "2"],
+    "normalize": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, kept in SHARED_FLAGS.items() for f in FLAG_ARGS if f in kept],
+)
+def test_subcommand_declares_the_flags_it_reads(command, flag):
+    args = build_parser().parse_args([command, *REQUIRED_ARGS[command], flag, *FLAG_ARGS[flag]])
+    assert getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, kept in SHARED_FLAGS.items() for f in FLAG_ARGS if f not in kept],
+)
+def test_flag_a_subcommand_ignores_is_a_usage_error(capsys, command, flag):
+    # e.g. moments --base 2 printed nats, normalize --digits 3 printed 17
+    # digits and closed-form --input nope.json exited 0
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *REQUIRED_ARGS[command], flag, *FLAG_ARGS[flag]])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_closed_form_and_curve_never_import_numpy(tmp_path, half_half):
+    # the runtime is the standard library alone: with numpy blocked, every
+    # subcommand still runs, the beta-power --check direct sums included
+    out = str(tmp_path / "c.csv")
+    argvs = [
+        ["eval", "--input", half_half, "--t", "2"],
+        ["entropy", "--input", half_half, "--base", "2"],
+        ["moments", "--input", half_half, "--r-max", "4"],
+        ["curve", "--input", half_half, "--measures", "weighted,golomb", "--out", out],
+        ["curve", "--family", "beta-power", "--beta", "2.3", "--truncation", "10000",
+         "--out", out],
+        ["closed-form", "beta-power", "--beta", "2.3", "--t", "1.7"],
+        ["closed-form", "beta-power", "--beta", "2", "--t", "2", "--check"],
+        ["closed-form", "beta-power", "--beta", "2", "--entropy", "--check"],
+        ["closed-form", "geometric", "--p", "0.5", "--entropy", "--check"],
+        ["escort", "--input", half_half, "--beta", "2", "--t", "2", "--verify-identity"],
+        ["normalize", "--input", half_half],
+    ]
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None\n"
         "from igf.cli import main\n"
-        "assert main(['closed-form', 'beta-power', '--beta', '2.3', '--t', '1.7']) == 0\n"
-        "assert main(['curve', '--family', 'beta-power', '--beta', '2.3',\n"
-        f"             '--truncation', '10000', '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
     )
     src = str(Path(igf.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -113,6 +113,13 @@ class TestZetaDerivative:
         assert math.isfinite(value) and value <= 0.0
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("beta", [1e153, 1.35e154, 1e300])
+    def test_past_the_overflow_of_the_tail_square(self, beta):
+        # (beta - 1) ** 2 in the integral tail overflows from about 1.34e154,
+        # long after the tail power 16 ** (1 - beta) has underflowed to 0
+        assert zeta_derivative(beta) == 0.0
+        assert beta_power_entropy(beta, 1.0) == 0.0
+
 
 class TestZetaAgainstMpmath:
     """The README budgets: zeta within 1e-12 absolute for beta >= 1.001,
