@@ -102,25 +102,13 @@ class CurveRequest:
             raise InvalidParameter(
                 f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
             )
-        if not self.extended and t_min < 1.0:
-            raise DomainError(
-                f"t_min = {t_min} is below the default domain t >= 1; "
-                f"use the extended flag to sample there"
-            )
+        _checked_t(t_min, self.extended)
         object.__setattr__(self, "t_min", t_min)
         object.__setattr__(self, "t_max", t_max)
         measures = tuple(m for m in _MEASURE_ORDER if m in set(self.measures))
         if not measures:
             raise InvalidParameter("at least one measure is required")
         object.__setattr__(self, "measures", measures)
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """One grid point with values ordered like the request's measures."""
-
-    t: float
-    values: tuple[float, ...]
 
 
 def _curve_values(
@@ -189,14 +177,15 @@ def _curve_values(
     return rows
 
 
-def evaluate_curve(request: CurveRequest) -> list[CurveSample]:
-    """Evaluate every requested measure on the equally spaced t grid."""
+def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
+    """Every requested measure on the equally spaced t grid, as (t, values)
+    pairs with values ordered like the request's measures."""
     step = (request.t_max - request.t_min) / (request.steps - 1)
     # pin the endpoint so the grid covers [t_min, t_max] exactly
     ts = [request.t_min + k * step for k in range(request.steps - 1)]
     ts.append(request.t_max)
     rows = _curve_values(request.scheme, ts, request.measures, request.extended)
-    return [CurveSample(t=t, values=values) for t, values in zip(ts, rows)]
+    return list(zip(ts, rows))
 
 
 def render_curve_csv(request: CurveRequest) -> str:
@@ -206,8 +195,8 @@ def render_curve_csv(request: CurveRequest) -> str:
     with a bare newline, so identical requests produce byte-identical output.
     """
     lines = ["t," + ",".join(m.value for m in request.measures)]
-    for sample in evaluate_curve(request):
-        lines.append(repr(sample.t) + "," + ",".join(repr(v) for v in sample.values))
+    for t, values in evaluate_curve(request):
+        lines.append(repr(t) + "," + ",".join(repr(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -326,6 +315,8 @@ def _base_from_args(args: argparse.Namespace) -> LogBase:
 def _cmd_eval(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.input, args.format)
     value = _evaluate_measure(Measure(args.measure), scheme, args.t, args.extended_t)
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite {args.measure} value at t = {args.t}")
     print(_fmt(value, args.digits))
     return 0
 
@@ -422,10 +413,8 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
         raise ValidationError("give either --t or --entropy, not both")
     if not args.entropy and args.t is None:
         raise ValidationError("closed-form needs --t for an IGF value or --entropy")
-    if args.t is not None and args.t < 1.0 and not args.extended_t:
-        raise DomainError(
-            f"t = {args.t} is below the default domain t >= 1; pass --extended-t"
-        )
+    if args.t is not None:
+        _checked_t(args.t, args.extended_t)
 
     igf_of, entropy_of, param = {
         "uniform": (closed_forms.uniform_igf, closed_forms.uniform_entropy, args.n),

@@ -14,7 +14,7 @@ truncation length so that nothing silently approximates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -48,7 +48,7 @@ class Kind(Enum):
 
 def _as_float_tuple(values: Iterable[object], what: str) -> tuple[float, ...]:
     # a tuple of plain floats comes back as the same object after one C-level
-    # pass over the entry types, so validating it again costs no copy
+    # pass over the entry types
     out = tuple(values)
     if set(map(type, out)) <= {float}:
         return out
@@ -74,6 +74,8 @@ class ProbabilityDistribution:
 
     probs: tuple[float, ...]
     kind: Kind
+    #: Exactly rounded sum of the entries, as validated.
+    total: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         probs = _as_float_tuple(self.probs, "probability")
@@ -119,14 +121,10 @@ class ProbabilityDistribution:
                 raise AllZeroProbabilities(
                     "generalized distribution must have positive total mass"
                 )
+        object.__setattr__(self, "total", total)
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    @property
-    def total(self) -> float:
-        """Exactly rounded sum of the probability entries."""
-        return math.fsum(self.probs)
 
 
 @dataclass(frozen=True)
@@ -140,11 +138,14 @@ class UtilityDistribution:
         object.__setattr__(self, "utils", utils)
         if len(utils) == 0:
             raise EmptyInput("utility vector must not be empty")
-        for u in utils:
-            if not (0.0 < u < math.inf):
-                raise NonPositiveUtility(
-                    f"utilities must be positive finite numbers, got {u!r}"
-                )
+        # a NaN or an infinity makes the float sum non-finite, so only a bad
+        # entry, or valid ones whose sum overflows, reach the loop
+        if not (min(utils) > 0.0 and sum(utils) < math.inf):
+            for u in utils:
+                if not (0.0 < u < math.inf):
+                    raise NonPositiveUtility(
+                        f"utilities must be positive finite numbers, got {u!r}"
+                    )
 
     def __len__(self) -> int:
         return len(self.utils)
@@ -204,8 +205,6 @@ def make_scheme(
     labels: Sequence[str] | None = None,
 ) -> UtilityInformationScheme:
     """Build a scheme from parallel probability and utility vectors."""
-    probs = _as_float_tuple(probs, "probability")
-    utils = _as_float_tuple(utils, "utility")
     if len(probs) != len(utils):
         raise LengthMismatch(f"{len(probs)} probabilities but {len(utils)} utilities")
     dist = make_generalized(probs) if generalized else make_complete(probs)

@@ -49,7 +49,7 @@ class EscortPair:
     def __post_init__(self) -> None:
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValidationError(f"escort mass must be positive, got {self.mass!r}")
-        total = math.fsum(self.normalized.probs)
+        total = self.normalized.total
         if not (abs(total - 1.0) <= 1e-12):
             raise ValidationError(
                 f"escort distribution must sum to 1 within 1e-12, got {total!r}"

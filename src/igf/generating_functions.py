@@ -42,8 +42,8 @@ def _checked_t(t: float, extended: bool) -> float:
     t = check_real(t, "t")
     if not extended and t < 1.0:
         raise DomainError(
-            f"t = {t} is below the default domain t >= 1; "
-            f"pass extended=True to evaluate there"
+            f"t = {t} is below the default domain t >= 1; pass extended=True "
+            f"(--extended-t on the command line) to evaluate there"
         )
     return t
 
@@ -62,8 +62,8 @@ def _power_sum(
     nothing while its exponent is positive (and is left out of the r >= 1
     sums, where ln 0 is undefined); under an exponent <= 0 it raises
     DomainError.  Only exponents that reach 0 or below need that scan, which
-    the default domain t >= 1 never does.  A term or sum too large for a
-    float raises DomainError too.
+    no t >= 1 gives.  A power or sum too large for a float raises DomainError
+    too; a weight times a finite power may still overflow to +-inf.
     """
     if min(exps) <= 0.0:
         _check_zero_powers(probs, exps)
@@ -120,7 +120,7 @@ def weighted_igf(
 
     Equals the total probability mass at t = 1 (so exactly 1 for complete
     schemes) and reduces to :func:`golomb_igf` when every utility is 1.
-    Non-increasing and convex in t on the default domain.
+    Non-increasing and convex in t for t >= 1.
     """
     t = _checked_t(t, extended)
     return _power_sum(scheme.dist.probs, _weighted_exponents(scheme.util.utils, t))
@@ -163,7 +163,8 @@ def shannon_entropy(
     dist: ProbabilityDistribution, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Entropy -sum_i p_i * log(p_i), in nats or bits."""
-    h = -math.fsum(p * math.log(p) for p in dist.probs if p > 0.0)
+    # 0.0 - s, not -s: a point mass has entropy +0.0
+    h = 0.0 - math.fsum(p * math.log(p) for p in dist.probs if p > 0.0)
     return h / math.log(2.0) if base is LogBase.TWO else h
 
 
@@ -171,7 +172,7 @@ def weighted_entropy(
     scheme: UtilityInformationScheme, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Utility-weighted entropy -sum_i u_i * p_i * log(p_i)."""
-    h = -math.fsum(
+    h = 0.0 - math.fsum(
         u * p * math.log(p)
         for p, u in zip(scheme.dist.probs, scheme.util.utils)
         if p > 0.0

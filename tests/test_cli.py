@@ -90,6 +90,18 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_non_finite_value_is_exit_3(self, capsys, tmp_path):
+        # 1e308 * 0.5 ** -2 overflows to inf without an OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"probabilities": [0.5, 0.5], "utilities": [1e308, 1]}))
+        code, out, err = run(
+            capsys, "eval", "--input", str(path), "--measure", "hooda_bhaker",
+            "--t", "-2", "--extended-t",
+        )
+        assert (code, out, err) == (
+            3, "", "error: non-finite hooda_bhaker value at t = -2.0\n"
+        )
+
     def test_extended_t_opens_the_domain(self, capsys, half_half):
         code, out, _ = run(
             capsys, "eval", "--input", half_half, "--t", "0.5", "--extended-t"
@@ -172,6 +184,12 @@ class TestEntropy:
         assert (code, out) == (0, "0.69314718056\n")
         code, out, _ = run(capsys, "entropy", "--input", half_half)
         assert (code, out) == (0, "1.03972077084\n")
+
+    def test_point_mass_prints_positive_zero(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"probabilities": [1.0]}))
+        code, out, _ = run(capsys, "entropy", "--input", str(path))
+        assert (code, out) == (0, "0\n")
 
     def test_base_two(self, capsys, unit, half_half):
         code, out, _ = run(capsys, "entropy", "--input", unit, "--base", "2")
@@ -599,6 +617,10 @@ class TestClosedForm:
             0, f"closed_form: {value}\ndirect: {value}\nabs_diff: 0.000000e+00\n"
         )
 
+    def test_point_mass_check_entropy_prints_positive_zero(self, capsys):
+        code, out, _ = run(capsys, "closed-form", "uniform", "--n", "1", "--entropy", "--check")
+        assert (code, out) == (0, "closed_form: 0\ndirect: 0\nabs_diff: 0.000000e+00\n")
+
     def test_beta_power_check_entropy_skips_zero_terms(self, capsys):
         # p_i = i**-400 / zeta(400) is 0 from i = 8 on, where 0 * log 0
         # would make the direct sum nan
@@ -622,8 +644,9 @@ class TestClosedForm:
         assert (code, out) == (0, "0\n")
         code, out, _ = run(capsys, *query, "--check")
         closed, direct, diff = out.splitlines()
-        assert (code, closed, diff) == (0, "closed_form: 0", "abs_diff: 0.000000e+00")
-        assert float(direct.split(": ")[1]) == 0.0
+        assert (code, closed, direct, diff) == (
+            0, "closed_form: 0", "direct: 0", "abs_diff: 0.000000e+00"
+        )
 
     @pytest.mark.parametrize("p", ["1e-200", "1e-10"])
     def test_check_survives_underflowing_terms(self, capsys, p):
@@ -896,6 +919,29 @@ def test_flag_a_subcommand_ignores_is_a_usage_error(capsys, command, flag):
         main([command, *REQUIRED_ARGS[command], flag, *FLAG_ARGS[flag]])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--t", "0.5"],
+        ["curve", "--t-min", "0.5"],
+        ["closed-form", "uniform", "--n", "2", "--t", "0.5"],
+    ],
+)
+def test_t_domain_message_is_one_for_every_command(capsys, half_half, tmp_path, command):
+    source = {
+        "eval": ["--input", half_half],
+        "curve": ["--input", half_half, "--out", str(tmp_path / "c.csv")],
+    }
+    code, out, err = run(capsys, *command, *source.get(command[0], []))
+    assert (code, out, err) == (
+        3,
+        "",
+        "error: t = 0.5 is below the default domain t >= 1; pass extended=True "
+        "(--extended-t on the command line) to evaluate there\n",
+    )
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_closed_form_and_curve_never_import_numpy(tmp_path, half_half):

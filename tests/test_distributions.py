@@ -117,6 +117,17 @@ class TestProbabilityDistribution:
         again = ProbabilityDistribution(dist.probs, dist.kind)
         assert again == dist
 
+    def test_total_is_the_validated_sum_outside_eq_hash_and_repr(self):
+        probs = [0.1] * 10
+        dist = make_complete(probs)
+        assert dist.total == math.fsum(probs) == 1.0
+        twin = make_complete(probs)
+        object.__setattr__(twin, "total", 0.5)
+        assert twin == dist and hash(twin) == hash(dist)
+        assert repr(dist) == (
+            f"ProbabilityDistribution(probs={dist.probs!r}, kind={Kind.COMPLETE!r})"
+        )
+
     def test_immutable_after_construction(self):
         dist = make_complete([0.5, 0.5])
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -139,6 +150,28 @@ class TestUtilityDistribution:
         with pytest.raises(NonPositiveUtility):
             UtilityDistribution((1.0, bad))
 
+    @pytest.mark.parametrize(
+        "utils, first_bad",
+        [
+            ((-1.0, 1.0, 2.0), "-1.0"),
+            ((1.0, 2.0, 0.0), "0.0"),
+            ((float("nan"), 1.0, -2.0), "nan"),
+            ((1.0, float("nan"), -2.0), "nan"),
+            ((1.0, float("inf")), "inf"),
+            ((float("-inf"), 1.0), "-inf"),
+            ((1.0, 1e308, float("inf"), -1.0), "inf"),
+        ],
+    )
+    def test_message_names_the_first_bad_entry(self, utils, first_bad):
+        with pytest.raises(NonPositiveUtility) as info:
+            UtilityDistribution(utils)
+        assert str(info.value) == (
+            f"utilities must be positive finite numbers, got {first_bad}"
+        )
+
+    def test_valid_entries_whose_sum_overflows_are_accepted(self):
+        assert UtilityDistribution((1e308, 1e308)).utils == (1e308, 1e308)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             UtilityDistribution(())
@@ -148,6 +181,12 @@ class TestScheme:
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatch):
             make_scheme([0.5, 0.5], [1.0])
+
+    def test_length_mismatch_comes_before_the_entry_checks(self):
+        with pytest.raises(LengthMismatch):
+            make_scheme(["0.5", "0.5"], [1.0])
+        with pytest.raises(LengthMismatch):
+            make_scheme([0.5, 0.5], ["1"])
 
     def test_labels_carried_and_checked(self):
         scheme = make_scheme([0.5, 0.5], [1.0, 2.0], labels=["a", "b"])

@@ -76,6 +76,10 @@ class TestPointValues:
         assert shannon_entropy(make_complete([1.0])) == 0.0
         assert weighted_entropy(half_half) == pytest.approx(1.5 * LN2, abs=1e-15)
         assert weighted_entropy(make_scheme([1.0], [5.0])) == 0.0
+        # a point mass has entropy +0.0, not -0.0
+        point = make_scheme([0.0, 1.0], [1.0, 5.0])
+        for h in (shannon_entropy(point.dist), weighted_entropy(point, LogBase.TWO)):
+            assert math.copysign(1.0, h) == 1.0
 
     def test_moments(self, half_half):
         dist = make_complete([0.5, 0.5])
@@ -272,6 +276,21 @@ class TestDomainRules:
             hooda_bhaker_igf(half_half, 0.0)
         with pytest.raises(DomainError):
             weighted_igf_derivative(half_half, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "below",
+        [
+            lambda s: golomb_igf(s.dist, 0.5),
+            lambda s: unnormalized_power_igf(s.dist, 1.0, 2.0, 0.5),
+        ],
+    )
+    def test_one_message_names_both_ways_to_extend(self, half_half, below):
+        with pytest.raises(DomainError) as info:
+            below(half_half)
+        assert str(info.value) == (
+            "t = 0.5 is below the default domain t >= 1; pass extended=True "
+            "(--extended-t on the command line) to evaluate there"
+        )
 
     def test_extended_evaluation_matches_direct_sum(self, half_half):
         assert weighted_igf(half_half, 0.5, extended=True) == pytest.approx(
@@ -523,7 +542,7 @@ class TestCurveGrid:
     def test_equals_pointwise_calls(self, case):
         scheme, t_min, t_max, steps, measures, extended = case
         request = CurveRequest(scheme, t_min, t_max, steps, measures, extended)
-        got = _outcome(lambda: [(s.t, s.values) for s in evaluate_curve(request)])
+        got = _outcome(lambda: evaluate_curve(request))
         assert got == _outcome(lambda: _pointwise_curve(*case))
 
     @pytest.mark.parametrize(
