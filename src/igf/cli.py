@@ -17,8 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
-from operator import mul
+from itertools import compress
 from typing import Sequence
 
 from . import closed_forms
@@ -41,10 +40,9 @@ from .escort import (
 )
 from .generating_functions import (
     LogBase,
-    _check_zero_powers,
     _checked_t,
+    _exponent,
     _moments,
-    _overflow_error,
     _power_sum,
     _weighted_exponents,
     golomb_igf,
@@ -129,51 +127,41 @@ def _curve_values(
       weighted exponent stay positive along the grid: then a zero adds
       exactly 0.0 to an fsum and no term can overflow, so no error names an
       entry index.
-    * Per t, each distinct pass ``p_i ** e`` is computed once.  Golomb and
-      Hooda-Bhaker raise to ``e = t``; the weighted IGF under a constant
-      utility ``u0`` raises to ``e = 1 - u0 * (1 - t)``.  Under other
-      utilities the weighted IGF is one plain :func:`_power_sum`.
-    * Per t, each distinct sum is computed once, keyed by (exponent,
-      weight): at u0 = 1 all three measures are one fsum, because
-      ``1.0 * x == x`` and ``1 - 1 * (1 - t) == t`` on the usual grids.
+    * Per t, the measures that share an exponent share one
+      :func:`_power_sum` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
+      weighted IGF raises to ``1 - u0 * (1 - t)`` under a constant utility
+      ``u0`` and to the per-entry exponents (keyed ``None``) otherwise.
+    * Per pass, each distinct weight vector is summed once: at u0 = 1 all
+      three measures are one fsum, because ``1.0 * x == x`` and
+      ``1 - 1 * (1 - t) == t`` on the usual grids.
     """
     probs, utils = scheme.dist.probs, scheme.util.utils
     t_low = min(ts)
     # every exponent grows with t, and below t = 1 the weighted one shrinks
     # as u grows, so t_low and the largest utility give the smallest ones
-    if t_low > 0.0 and 1.0 - max(utils) * (1.0 - t_low) > 0.0:
+    if t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
         nonzero = [p != 0.0 for p in probs]
         probs, utils = list(compress(probs, nonzero)), list(compress(utils, nonzero))
     u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
+    hooda = None if u0 == 1.0 else utils  # None: unit weights
     rows = []
     for t in ts:
         t = _checked_t(t, extended)
-        passes: dict[float, list[float]] = {}
-        sums: dict[tuple[float, float | None], float] = {}
-        row = []
+        passes: dict[float | None, dict[bool, Sequence[float] | None]] = {}
+        keys = []
         for m in measures:
-            if m is not Measure.WEIGHTED:
-                e, w = t, (1.0 if m is Measure.GOLOMB else u0)
-            elif u0 is not None:
-                e, w = 1.0 - u0 * (1.0 - t), 1.0
-            else:
-                row.append(_power_sum(probs, _weighted_exponents(utils, t)))
-                continue
-            if (e, w) not in sums:
-                try:
-                    if e not in passes:
-                        if e <= 0.0:
-                            _check_zero_powers(probs, repeat(e))
-                        passes[e] = list(map(pow, probs, repeat(e)))
-                    pows = passes[e]
-                    sums[e, w] = math.fsum(pows if w == 1.0 else map(mul, utils, pows))
-                except OverflowError:
-                    raise _overflow_error(probs, repeat(e)) from None
-            row.append(sums[e, w])
-        for v in row:
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite curve value at t = {t}")
-        rows.append(tuple(row))
+            e = t if m is not Measure.WEIGHTED else None if u0 is None else _exponent(u0, t)
+            w = hooda if m is Measure.HOODA_BHAKER else None
+            passes.setdefault(e, {})[w is None] = w
+            keys.append((e, w is None))
+        sums = {}
+        for e, ws in passes.items():
+            exps = _weighted_exponents(utils, t) if e is None else e
+            sums[e] = dict(zip(ws, _power_sum(probs, exps, list(ws.values()))))
+        row = tuple(sums[e][unit] for e, unit in keys)
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"non-finite curve value at t = {t}")
+        rows.append(row)
     return rows
 
 
@@ -345,10 +333,13 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
     if args.input is not None and args.family is not None:
         raise ValidationError("give either --input or --family, not both")
     if args.input is not None:
+        for flag in ("--n", "--p", "--beta", "--u", "--truncation"):
+            if getattr(args, flag[2:]) is not None:
+                raise ValidationError(f"{flag} needs --family, not --input")
         return _load_scheme(args.input, args.format)
     if args.family is not None:
         dist = realize_family(_family_from_args(args), args.truncation)
-        return constant_utility_scheme(dist, args.u)
+        return constant_utility_scheme(dist, 1.0 if args.u is None else args.u)
     raise ValidationError("curve needs a scheme: pass --input or --family")
 
 
@@ -398,7 +389,7 @@ def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
         while (trunc * abs(math.log(p)) + 60.0) * p**trunc > 1e-15:
             trunc = _check_terms(2 * trunc)
         return trunc
-    s = 1.0 - u * (1.0 - t)
+    s = _exponent(u, t)
     if s == math.inf:
         return 1  # every term is p_i ** inf = 0
     q = 1.0 - p
@@ -464,18 +455,26 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     dist: ProbabilityDistribution = scheme.dist
     if args.verify_identity and args.t is None:
         raise ValidationError("--verify-identity needs --t")
+    if args.u is not None and args.t is None:
+        raise ValidationError("--u needs --t")
+    u = 1.0 if args.u is None else args.u
+    # every value is computed before the first line is printed, so a
+    # failing command leaves stdout empty
     pair = escort_transform(dist, args.beta)
+    if args.t is not None:
+        value = weighted_igf(
+            constant_utility_scheme(pair.normalized, u), args.t, extended=args.extended_t
+        )
+    if args.verify_identity:
+        report = verify_scaling_identity(
+            dist, u, args.beta, args.t, args.extended_t, pair, value
+        )
     print("escort: " + _render_floats(pair.normalized.probs, args.digits, " "))
     print(f"mass: {_fmt(pair.mass, args.digits)}")
     if args.t is not None:
-        scheme_b = constant_utility_scheme(pair.normalized, args.u)
-        value = weighted_igf(scheme_b, args.t, extended=args.extended_t)
         print(f"generalized_igf: {_fmt(value, args.digits)}")
     if not args.verify_identity:
         return 0
-    report = verify_scaling_identity(
-        dist, args.u, args.beta, args.t, args.extended_t, pair, value
-    )
     print(f"lhs: {_fmt(report.lhs, args.digits)}")
     print(f"rhs: {_fmt(report.rhs, args.digits)}")
     print(f"abs_diff: {format(report.abs_diff, '.6e')}")
@@ -516,7 +515,6 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="outcome count for the uniform family")
     parser.add_argument("--p", type=float, help="ratio for the geometric family")
     parser.add_argument("--beta", type=float, help="exponent for the beta-power family")
-    parser.add_argument("--u", type=float, default=1.0, help="constant utility (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_curve, "--input", "--format", "--extended-t")
     p_curve.add_argument("--family", choices=("uniform", "geometric", "beta-power"))
     _add_family_flags(p_curve)
+    p_curve.add_argument("--u", type=float, help="constant utility of --family (default 1)")
     p_curve.add_argument(
         "--truncation", type=int,
         help="number of leading outcomes for infinite-support families",
@@ -565,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p_cf, "--extended-t", "--digits")
     p_cf.add_argument("family", choices=("uniform", "geometric", "beta-power"))
     _add_family_flags(p_cf)
+    p_cf.add_argument("--u", type=float, default=1.0, help="constant utility (default 1)")
     p_cf.add_argument("--t", type=float)
     p_cf.add_argument("--entropy", action="store_true")
     p_cf.add_argument(
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_escort = sub.add_parser("escort", help="escort transform and scaling identity")
     _add_shared(p_escort, "--input", "--format", "--extended-t", "--digits")
     p_escort.add_argument("--beta", type=float, required=True)
-    p_escort.add_argument("--u", type=float, default=1.0)
+    p_escort.add_argument("--u", type=float, help="constant utility at --t (default 1)")
     p_escort.add_argument("--t", type=float)
     p_escort.add_argument("--verify-identity", action="store_true")
     p_escort.set_defaults(handler=_cmd_escort)

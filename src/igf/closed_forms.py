@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, check_int, check_open, check_real
+from .generating_functions import _exponent
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -38,10 +39,6 @@ _EM_COEFFS = tuple(
         start=1,
     )
 )
-
-
-def _exponent(u: float, t: float) -> float:
-    return 1.0 - u * (1.0 - t)
 
 
 def _em_corrections(beta: float) -> Iterator[tuple[float, float]]:

@@ -28,7 +28,7 @@ from .distributions import (
     constant_utility_scheme,
 )
 from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open
-from .generating_functions import _checked_t, _power_sum, weighted_igf
+from .generating_functions import _checked_t, _exponent, _power_sum, weighted_igf
 
 #: Relative tolerance for declaring the scaling identity verified.
 SCALING_IDENTITY_RTOL = 1e-10
@@ -105,8 +105,7 @@ def unnormalized_power_igf(
     u = check_open(u, "constant utility u", 0)
     beta = check_open(beta, "escort power beta", 0)
     t = _checked_t(t, extended)
-    s = 1.0 - u * (1.0 - t)
-    return _power_sum(dist.probs, (beta * s,) * len(dist))
+    return _power_sum(dist.probs, beta * _exponent(u, t))[0]
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ def _scaling_report(
 ) -> ScalingIdentityReport:
     """The report for a ``lhs`` and an escort IGF already evaluated at (u, t),
     so that a caller holding the escort need not build it again."""
-    s = 1.0 - u * (1.0 - t)
+    s = _exponent(u, t)
     try:
         scale = pair.mass**s
     except OverflowError:

@@ -48,38 +48,44 @@ def _checked_t(t: float, extended: bool) -> float:
     return t
 
 
+def _exponent(u: float, t: float) -> float:
+    return 1.0 - u * (1.0 - t)
+
+
+def _weighted_exponents(utils: Sequence[float], t: float) -> list[float]:
+    # _exponent inline: a call per entry costs time at a million entries
+    return [1.0 - u * (1.0 - t) for u in utils]
+
+
 def _power_sum(
     probs: Sequence[float],
-    exps: Sequence[float],
-    weights: Sequence[float] | None = None,
-    r: int = 0,
-) -> float:
-    """math.fsum of c_i * p_i ** e_i: the generating functions and their
-    derivatives are this sum, and the moments it at every exponent 1.
+    exps: float | Sequence[float],
+    weights: Sequence[Sequence[float] | None] = (None,),
+) -> list[float]:
+    """math.fsum of w_i * p_i ** e_i for each weight vector w of ``weights``,
+    over one pass of powers: the plain kernel of every generating function.
 
-    ``c_i`` is ``w_i`` for r = 0 and ``(w_i * ln p_i) ** r`` for r >= 1,
-    with ``w_i = 1`` when no weights are given.  A zero probability adds
-    nothing while its exponent is positive (and is left out of the r >= 1
-    sums, where ln 0 is undefined); under an exponent <= 0 it raises
-    DomainError.  Only exponents that reach 0 or below need that scan, which
-    no t >= 1 gives.  A power or sum too large for a float raises DomainError
-    too; a weight times a finite power may still overflow to +-inf.
+    ``exps`` is one float exponent for every entry or one exponent per
+    entry; a ``None`` weight vector stands for w_i = 1.  A zero probability
+    adds nothing while its exponent is positive; under an exponent <= 0 it
+    raises DomainError.  Only exponents that reach 0 or below need that
+    scan, which no t >= 1 gives.  A power or sum too large for a float
+    raises DomainError too; a weight times a finite power may still
+    overflow to +-inf.
     """
-    if min(exps) <= 0.0:
-        _check_zero_powers(probs, exps)
-    if r:
-        ws = repeat(1.0) if weights is None else weights
-        terms = (
-            (w * math.log(p)) ** r * p**e for p, e, w in zip(probs, exps, ws) if p
-        )
-    elif weights is None:
-        terms = map(pow, probs, exps)
+    if isinstance(exps, float):
+        low, exps = exps, repeat(exps)
     else:
-        terms = map(mul, weights, map(pow, probs, exps))
+        low = min(exps)
+    if low <= 0.0:
+        _check_zero_powers(probs, exps)
+    pows = map(pow, probs, exps)
     try:
-        return math.fsum(terms)
+        if len(weights) > 1:
+            pows = list(pows)
+        return [math.fsum(pows if w is None else map(mul, w, pows)) for w in weights]
     except OverflowError:
-        raise _overflow_error(probs, exps, weights, r) from None
+        raise _overflow_error(probs, exps) from None
 
 
 def _check_zero_powers(probs: Sequence[float], exps: Iterable[float]) -> None:
@@ -94,8 +100,8 @@ def _overflow_error(
     weights: Sequence[float] | None = None,
     r: int = 0,
 ) -> DomainError:
-    """The DomainError for an OverflowError in a :func:`_power_sum`: it names
-    the first term that overflows, or else the sum."""
+    """The DomainError for an OverflowError in a kernel sum: it names the
+    first term that overflows, or else the sum."""
     # Python raises OverflowError for finite operands with huge results,
     # which only extended-domain evaluations and extreme utilities reach
     ws = repeat(1.0) if weights is None else weights
@@ -109,10 +115,6 @@ def _overflow_error(
     return DomainError("the sum of the terms overflows")
 
 
-def _weighted_exponents(utils: Sequence[float], t: float) -> list[float]:
-    return [1.0 - u * (1.0 - t) for u in utils]
-
-
 def weighted_igf(
     scheme: UtilityInformationScheme, t: float, *, extended: bool = False
 ) -> float:
@@ -123,23 +125,21 @@ def weighted_igf(
     Non-increasing and convex in t for t >= 1.
     """
     t = _checked_t(t, extended)
-    return _power_sum(scheme.dist.probs, _weighted_exponents(scheme.util.utils, t))
+    return _power_sum(scheme.dist.probs, _weighted_exponents(scheme.util.utils, t))[0]
 
 
 def golomb_igf(
     dist: ProbabilityDistribution, t: float, *, extended: bool = False
 ) -> float:
     """Evaluate the unweighted generating function sum_i p_i ** t."""
-    t = _checked_t(t, extended)
-    return _power_sum(dist.probs, (t,) * len(dist))
+    return _power_sum(dist.probs, _checked_t(t, extended))[0]
 
 
 def hooda_bhaker_igf(
     scheme: UtilityInformationScheme, t: float, *, extended: bool = False
 ) -> float:
     """Evaluate the utility-premultiplied form sum_i u_i * p_i ** t."""
-    t = _checked_t(t, extended)
-    return _power_sum(scheme.dist.probs, (t,) * len(scheme), scheme.util.utils)
+    return _power_sum(scheme.dist.probs, _checked_t(t, extended), (scheme.util.utils,))[0]
 
 
 def weighted_igf_derivative(
@@ -154,58 +154,67 @@ def weighted_igf_derivative(
     """
     r = check_int(r, "derivative order r", 1)
     t = _checked_t(t, extended)
-    return _power_sum(
-        scheme.dist.probs, _weighted_exponents(scheme.util.utils, t), scheme.util.utils, r
-    )
+    probs, utils = scheme.dist.probs, scheme.util.utils
+    m = next(_moments(probs, utils, (r,), _weighted_exponents(utils, t)))
+    return 0.0 - m if r % 2 else m
 
 
 def shannon_entropy(
     dist: ProbabilityDistribution, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Entropy -sum_i p_i * log(p_i), in nats or bits."""
-    # 0.0 - s, not -s: a point mass has entropy +0.0
-    h = 0.0 - math.fsum(p * math.log(p) for p in dist.probs if p > 0.0)
+    h = next(_moments(dist.probs, None, (1,)))
     return h / math.log(2.0) if base is LogBase.TWO else h
 
 
 def weighted_entropy(
     scheme: UtilityInformationScheme, base: LogBase = LogBase.NATURAL
 ) -> float:
-    """Utility-weighted entropy -sum_i u_i * p_i * log(p_i)."""
-    h = 0.0 - math.fsum(
-        u * p * math.log(p)
-        for p, u in zip(scheme.dist.probs, scheme.util.utils)
-        if p > 0.0
-    )
+    """Utility-weighted entropy -sum_i u_i * p_i * log(p_i), the first moment."""
+    h = next(_moments(scheme.dist.probs, scheme.util.utils, (1,)))
     return h / math.log(2.0) if base is LogBase.TWO else h
 
 
 def _moments(
-    probs: Sequence[float], weights: Sequence[float] | None, orders: Iterable[int]
+    probs: Sequence[float],
+    weights: Sequence[float] | None,
+    orders: Sequence[int],
+    exps: Sequence[float] | None = None,
 ) -> Iterator[float]:
-    """sum_i p_i * (-w_i * ln p_i) ** r for each r of ``orders``, lazily,
-    with w_i = 1 when no weights are given.
+    """sum_i p_i ** e_i * (-w_i * ln p_i) ** r for each r of ``orders``,
+    lazily, with w_i = 1 when no weights and e_i = 1 when no exponents are
+    given; order 0 is the total mass.  The log-weighted kernel: the
+    entropies are its first order, and the r-th derivative of
+    :func:`weighted_igf` is (-1) ** r times it at the weighted exponents.
 
-    Zero entries are dropped and ``a_i = w_i * ln p_i`` is built once for all
-    orders.  For r >= 1 each sum is (-1) ** r times the kernel sum with every
-    exponent 1 (its terms are ``a_i ** r * p_i``, as ``p ** 1.0 == p``), and
-    exact: CPython raises a negative float to an integer power as the power
-    of its magnitude, negated when r is odd, and fsum rounds -x as it rounds
-    x.  ``0.0 - s`` rather than ``-s`` keeps a sum of zero terms at +0.0.
+    Zero entries are dropped, and ``a_i = w_i * ln p_i`` and ``p_i ** e_i``
+    built, once for all orders.  Each order sums ``a_i ** r * p_i ** e_i``,
+    negated when r is odd, and exact: CPython raises a negative float to an
+    integer power as the power of its magnitude, negated when r is odd, and
+    fsum rounds -x as it rounds x.  ``0.0 - s`` rather than ``-s`` keeps a
+    sum of zero terms at +0.0.
     """
-    nonzero: list[float] | None = None
+    pows = None
     for r in orders:
         if r == 0:
             yield math.fsum(probs)
             continue
-        if nonzero is None:
-            nonzero = list(compress(probs, probs))
-            logs = map(math.log, nonzero)
-            a = list(logs if weights is None else map(mul, compress(weights, probs), logs))
         try:
-            s = math.fsum(map(mul, map(pow, a, repeat(r)), nonzero))
+            if pows is None:
+                if exps is not None and min(exps) <= 0.0:
+                    _check_zero_powers(probs, exps)
+                a = map(math.log, compress(probs, probs))
+                if weights is not None:
+                    a = map(mul, compress(weights, probs), a)
+                pows = compress(probs, probs)
+                if exps is not None:
+                    pows = map(pow, pows, compress(exps, probs))
+                if len(orders) > 1:  # one order streams both passes
+                    a, pows = list(a), list(pows)
+            # a ** 1 is a, so the first order skips the power pass
+            s = math.fsum(map(mul, a if r == 1 else map(pow, a, repeat(r)), pows))
         except OverflowError:
-            raise _overflow_error(probs, repeat(1.0), weights, r) from None
+            raise _overflow_error(probs, exps or repeat(1.0), weights, r) from None
         yield 0.0 - s if r % 2 else s
 
 

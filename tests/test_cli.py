@@ -663,6 +663,22 @@ class TestClosedForm:
         assert value == pytest.approx(float(closed.split(": ")[1]), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "4"), ("--p", "0.5"), ("--beta", "2"), ("--u", "3"), ("--truncation", "5")],
+)
+def test_curve_input_refuses_family_flags(capsys, half_half, tmp_path, flag, value):
+    # the scheme file carries its own probabilities and utilities, so these
+    # were dropped without a word
+    out_path = tmp_path / "c.csv"
+    code, out, err = run(
+        capsys, "curve", "--input", half_half, flag, value, "--out", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} needs --family")
+    assert not out_path.exists()
+
+
 class TestEscort:
     def test_transform_report(self, capsys, eight_two):
         code, out, _ = run(capsys, "escort", "--input", eight_two, "--beta", "2")
@@ -747,6 +763,25 @@ class TestEscort:
     def test_bad_beta_is_exit_2(self, capsys, eight_two):
         code, _, _ = run(capsys, "escort", "--input", eight_two, "--beta", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--beta", "2", "--t", "0.5"], 3),
+            (["--beta", "2", "--t", "2", "--u", "0"], 2),
+            (["--beta", "0.5", "--t", "1e4", "--verify-identity"], 3),
+        ],
+    )
+    def test_failure_prints_nothing(self, capsys, eight_two, argv, code):
+        # the escort and mass lines used to be printed before t, u or the
+        # escort mass ** s was found bad
+        got, out, err = run(capsys, "escort", "--input", eight_two, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ")
+
+    def test_u_needs_t(self, capsys, eight_two):
+        code, out, err = run(capsys, "escort", "--input", eight_two, "--beta", "2", "--u", "5")
+        assert (code, out, err) == (2, "", "error: --u needs --t\n")
 
 
 class TestNormalize:

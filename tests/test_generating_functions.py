@@ -34,7 +34,7 @@ from igf import (
     weighted_self_information_moment,
 )
 from igf.cli import CurveRequest, Measure, evaluate_curve
-from igf.generating_functions import _moments, _power_sum
+from igf.generating_functions import _moments
 
 LN2 = 0.6931471805599453
 
@@ -437,15 +437,28 @@ class TestPowerSumKernel:
     @example(case=([1.0], [3.0]), scale=1.0, orders=[5, 1])
     def test_moments_share_one_log_pass(self, case, scale, orders):
         # every order of the one-pass moments equals (repr: sign of zero
-        # included) the per-order kernel call; an order whose (u ln p) ** r
-        # overflows raises the kernel's error and ends the iteration there
+        # included) the fsum of its defining per-term expression; an order
+        # whose (u ln p) ** r overflows raises the error naming the first
+        # term that overflows and ends the iteration there
         probs, utils = case
         weights = None if scale is None else [u * scale for u in utils]
 
         def per_order(r):
             if r == 0:
                 return math.fsum(probs)
-            s = _power_sum(probs, (1.0,) * len(probs), weights, r)
+            terms = []
+            for i, (p, w) in enumerate(zip(probs, weights or [1.0] * len(probs))):
+                if p:
+                    try:
+                        terms.append((w * math.log(p)) ** r * p)
+                    except OverflowError:
+                        raise DomainError(
+                            f"term {i} overflows: probability {p!r}, exponent 1.0"
+                        ) from None
+            try:
+                s = math.fsum(terms)
+            except OverflowError:
+                raise DomainError("the sum of the terms overflows") from None
             return 0.0 - s if r % 2 else s
 
         def collect(values):
@@ -458,6 +471,19 @@ class TestPowerSumKernel:
             return got
 
         assert collect(_moments(probs, weights, orders)) == collect(map(per_order, orders))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_schemes())
+    def test_entropy_is_the_first_moment_exactly(self, case):
+        # one log-weighted kernel: the entropy, the first moment and minus
+        # the first derivative at t = 1 are one sum, not three that may
+        # differ in the last bit
+        probs, utils = case
+        scheme = make_scheme(probs, utils, generalized=True)
+        h = weighted_entropy(scheme)
+        assert h == weighted_self_information_moment(scheme, 1)
+        assert h == -weighted_igf_derivative(scheme, 1.0, 1)
+        assert shannon_entropy(scheme.dist) == self_information_moment(scheme.dist, 1)
 
     @pytest.mark.parametrize(
         "evaluate",
