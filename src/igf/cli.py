@@ -16,12 +16,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
-from itertools import compress
 from typing import Sequence
 
 from . import closed_forms
 from .distributions import (
+    FamilyKind,
     ParametricFamily,
     ProbabilityDistribution,
     UtilityInformationScheme,
@@ -30,7 +29,7 @@ from .distributions import (
     scheme_from_dict,
     scheme_to_dict,
 )
-from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real
+from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real, check_t
 from .escort import (
     EscortPair,
     ScalingIdentityReport,
@@ -40,30 +39,19 @@ from .escort import (
 )
 from .generating_functions import (
     LogBase,
-    _checked_t,
+    Measure,
     _exponent,
-    _moments,
-    _power_sum,
-    _weighted_exponents,
+    curve_values,
     golomb_igf,
     hooda_bhaker_igf,
     weighted_entropy,
     weighted_igf,
+    weighted_self_information_moments,
 )
 
 DEFAULT_DIGITS = 12
 MAX_DIGITS = 17
 MAX_MOMENT_ORDER = 8
-
-
-class Measure(Enum):
-    WEIGHTED = "weighted"
-    GOLOMB = "golomb"
-    HOODA_BHAKER = "hooda_bhaker"
-
-
-#: Canonical column order for curve output, independent of request order.
-_MEASURE_ORDER = (Measure.WEIGHTED, Measure.GOLOMB, Measure.HOODA_BHAKER)
 
 
 def _evaluate_measure(
@@ -100,69 +88,13 @@ class CurveRequest:
             raise InvalidParameter(
                 f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
             )
-        _checked_t(t_min, self.extended)
+        check_t(t_min, self.extended)
         object.__setattr__(self, "t_min", t_min)
         object.__setattr__(self, "t_max", t_max)
-        measures = tuple(m for m in _MEASURE_ORDER if m in set(self.measures))
+        measures = tuple(m for m in Measure if m in set(self.measures))
         if not measures:
             raise InvalidParameter("at least one measure is required")
         object.__setattr__(self, "measures", measures)
-
-
-def _curve_values(
-    scheme: UtilityInformationScheme,
-    ts: Sequence[float],
-    measures: Sequence[Measure],
-    extended: bool,
-) -> list[tuple[float, ...]]:
-    """The values of ``measures`` at every t of ``ts``, one tuple per t.
-
-    Each value equals (``==``) that of the pointwise :func:`weighted_igf`,
-    :func:`golomb_igf` or :func:`hooda_bhaker_igf` call, and the first
-    (t, measure) at which one of those raises raises the same error here.
-    A value that is not finite raises DomainError once its row is complete.
-    What the pointwise calls would repeat is done once:
-
-    * Zero probabilities are dropped once per curve when t and every
-      weighted exponent stay positive along the grid: then a zero adds
-      exactly 0.0 to an fsum and no term can overflow, so no error names an
-      entry index.
-    * Per t, the measures that share an exponent share one
-      :func:`_power_sum` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
-      weighted IGF raises to ``1 - u0 * (1 - t)`` under a constant utility
-      ``u0`` and to the per-entry exponents (keyed ``None``) otherwise.
-    * Per pass, each distinct weight vector is summed once: at u0 = 1 all
-      three measures are one fsum, because ``1.0 * x == x`` and
-      ``1 - 1 * (1 - t) == t`` on the usual grids.
-    """
-    probs, utils = scheme.dist.probs, scheme.util.utils
-    t_low = min(ts)
-    # every exponent grows with t, and below t = 1 the weighted one shrinks
-    # as u grows, so t_low and the largest utility give the smallest ones
-    if t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
-        nonzero = [p != 0.0 for p in probs]
-        probs, utils = list(compress(probs, nonzero)), list(compress(utils, nonzero))
-    u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
-    hooda = None if u0 == 1.0 else utils  # None: unit weights
-    rows = []
-    for t in ts:
-        t = _checked_t(t, extended)
-        passes: dict[float | None, dict[bool, Sequence[float] | None]] = {}
-        keys = []
-        for m in measures:
-            e = t if m is not Measure.WEIGHTED else None if u0 is None else _exponent(u0, t)
-            w = hooda if m is Measure.HOODA_BHAKER else None
-            passes.setdefault(e, {})[w is None] = w
-            keys.append((e, w is None))
-        sums = {}
-        for e, ws in passes.items():
-            exps = _weighted_exponents(utils, t) if e is None else e
-            sums[e] = dict(zip(ws, _power_sum(probs, exps, list(ws.values()))))
-        row = tuple(sums[e][unit] for e, unit in keys)
-        if not all(map(math.isfinite, row)):
-            raise DomainError(f"non-finite curve value at t = {t}")
-        rows.append(row)
-    return rows
 
 
 def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
@@ -172,7 +104,7 @@ def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]
     # pin the endpoint so the grid covers [t_min, t_max] exactly
     ts = [request.t_min + k * step for k in range(request.steps - 1)]
     ts.append(request.t_max)
-    rows = _curve_values(request.scheme, ts, request.measures, request.extended)
+    rows = curve_values(request.scheme, ts, request.measures, extended=request.extended)
     return list(zip(ts, rows))
 
 
@@ -324,7 +256,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     # each line is printed as its order is summed, so an order that
     # overflows still leaves the lower ones on stdout
     orders = range(args.r_max + 1)
-    for r, moment in enumerate(_moments(scheme.dist.probs, scheme.util.utils, orders)):
+    for r, moment in enumerate(weighted_self_information_moments(scheme, orders)):
         print(f"{r}\t{_fmt(moment, args.digits)}")
     return 0
 
@@ -338,7 +270,7 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
                 raise ValidationError(f"{flag} needs --family, not --input")
         return _load_scheme(args.input, args.format)
     if args.family is not None:
-        dist = realize_family(_family_from_args(args), args.truncation)
+        dist = _realize_family(_family_from_args(args), args.truncation)
         return constant_utility_scheme(dist, 1.0 if args.u is None else args.u)
     raise ValidationError("curve needs a scheme: pass --input or --family")
 
@@ -350,7 +282,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValidationError(
             f"--measures must name measures from "
-            f"{[m.value for m in _MEASURE_ORDER]}, got {args.measures!r}"
+            f"{[m.value for m in Measure]}, got {args.measures!r}"
         ) from None
     request = CurveRequest(
         scheme=scheme,
@@ -366,18 +298,32 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 _GEOMETRIC_CHECK_TAIL = 1e-13
 
-#: Length of the beta-power ``--check`` direct sums, and the most terms a
-#: geometric one may take before ``--check`` gives up with exit 2.
+#: Length of the beta-power ``--check`` direct sums, and the most terms any
+#: family the CLI realizes may take before it gives up with exit 2.
 _CHECK_TERMS = 1_000_000
 
 
 def _check_terms(needed: int) -> int:
     if needed > _CHECK_TERMS:
         raise ValidationError(
-            f"--check direct sum needs at least {needed} terms, "
-            f"above the cap of {_CHECK_TERMS}; drop --check"
+            f"the realized family needs at least {needed} terms, "
+            f"above the cap of {_CHECK_TERMS}"
         )
     return needed
+
+
+def _realize_family(
+    family: ParametricFamily, truncation: int | None
+) -> ProbabilityDistribution:
+    """:func:`realize_family` under the _CHECK_TERMS cap, checked before
+    anything is built; the finite uniform family takes no truncation."""
+    if family.kind is FamilyKind.UNIFORM:
+        if truncation is not None:
+            raise ValidationError("family 'uniform' does not take --truncation")
+        _check_terms(family.n)
+    elif truncation is not None:
+        _check_terms(truncation)
+    return realize_family(family, truncation)
 
 
 def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
@@ -405,7 +351,7 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     if not args.entropy and args.t is None:
         raise ValidationError("closed-form needs --t for an IGF value or --entropy")
     if args.t is not None:
-        _checked_t(args.t, args.extended_t)
+        check_t(args.t, args.extended_t)
 
     igf_of, entropy_of, param = {
         "uniform": (closed_forms.uniform_igf, closed_forms.uniform_entropy, args.n),
@@ -414,12 +360,12 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     }[args.family]
     value = entropy_of(param, args.u) if args.entropy else igf_of(param, args.u, args.t)
     if args.check:
-        trunc = _CHECK_TERMS  # the uniform family is finite and ignores it
+        trunc = None if args.family == "uniform" else _CHECK_TERMS
         if args.family == "geometric":
             trunc = _geometric_check_truncation(
                 args.p, args.u, None if args.entropy else args.t
             )
-        scheme = constant_utility_scheme(realize_family(family, trunc), args.u)
+        scheme = constant_utility_scheme(_realize_family(family, trunc), args.u)
         direct = (
             weighted_entropy(scheme) if args.entropy
             else weighted_igf(scheme, args.t, extended=args.extended_t)
@@ -527,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one generating function at one t")
     _add_shared(p_eval, "--input", "--format", "--extended-t", "--digits")
     p_eval.add_argument(
-        "--measure", choices=[m.value for m in _MEASURE_ORDER], default="weighted"
+        "--measure", choices=[m.value for m in Measure], default="weighted"
     )
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.set_defaults(handler=_cmd_eval)

@@ -6,7 +6,8 @@ covers evaluation points outside a function's mathematical domain.  The CLI
 maps the first family to exit code 2 and the second to exit code 3.
 
 The checkers at the end validate scalar parameters, one per kind of
-parameter, and raise :class:`InvalidParameter`.
+parameter, and raise :class:`InvalidParameter`; ``check_t`` raises
+:class:`DomainError` for a t below the default domain.
 """
 
 from __future__ import annotations
@@ -75,6 +76,18 @@ def check_real(value: object, name: str) -> float:
     if not _is_number(value) or math.isnan(value):
         raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def check_t(t: object, extended: bool) -> float:
+    """``t`` as a float: any real number but NaN, and at least 1 unless
+    ``extended``; below 1 it raises DomainError, not InvalidParameter."""
+    t = check_real(t, "t")
+    if not extended and t < 1.0:
+        raise DomainError(
+            f"t = {t} is below the default domain t >= 1; pass extended=True "
+            f"(--extended-t on the command line) to evaluate there"
+        )
+    return t
 
 
 def check_int(value: object, name: str, lo: int) -> int:

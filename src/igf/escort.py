@@ -27,8 +27,8 @@ from .distributions import (
     UtilityInformationScheme,
     constant_utility_scheme,
 )
-from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open
-from .generating_functions import _checked_t, _exponent, _power_sum, weighted_igf
+from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open, check_t
+from .generating_functions import _exponent, _power_sum, weighted_igf
 
 #: Relative tolerance for declaring the scaling identity verified.
 SCALING_IDENTITY_RTOL = 1e-10
@@ -104,7 +104,7 @@ def unnormalized_power_igf(
     """
     u = check_open(u, "constant utility u", 0)
     beta = check_open(beta, "escort power beta", 0)
-    t = _checked_t(t, extended)
+    t = check_t(t, extended)
     return _power_sum(dist.probs, beta * _exponent(u, t))[0]
 
 

@@ -28,7 +28,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import ProbabilityDistribution, UtilityInformationScheme
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_t
 
 
 class LogBase(Enum):
@@ -38,14 +38,13 @@ class LogBase(Enum):
     TWO = "2"
 
 
-def _checked_t(t: float, extended: bool) -> float:
-    t = check_real(t, "t")
-    if not extended and t < 1.0:
-        raise DomainError(
-            f"t = {t} is below the default domain t >= 1; pass extended=True "
-            f"(--extended-t on the command line) to evaluate there"
-        )
-    return t
+class Measure(Enum):
+    """A generating function a curve can sample.  The definition order is
+    the canonical column order of curve output."""
+
+    WEIGHTED = "weighted"
+    GOLOMB = "golomb"
+    HOODA_BHAKER = "hooda_bhaker"
 
 
 def _exponent(u: float, t: float) -> float:
@@ -124,7 +123,7 @@ def weighted_igf(
     schemes) and reduces to :func:`golomb_igf` when every utility is 1.
     Non-increasing and convex in t for t >= 1.
     """
-    t = _checked_t(t, extended)
+    t = check_t(t, extended)
     return _power_sum(scheme.dist.probs, _weighted_exponents(scheme.util.utils, t))[0]
 
 
@@ -132,14 +131,71 @@ def golomb_igf(
     dist: ProbabilityDistribution, t: float, *, extended: bool = False
 ) -> float:
     """Evaluate the unweighted generating function sum_i p_i ** t."""
-    return _power_sum(dist.probs, _checked_t(t, extended))[0]
+    return _power_sum(dist.probs, check_t(t, extended))[0]
 
 
 def hooda_bhaker_igf(
     scheme: UtilityInformationScheme, t: float, *, extended: bool = False
 ) -> float:
     """Evaluate the utility-premultiplied form sum_i u_i * p_i ** t."""
-    return _power_sum(scheme.dist.probs, _checked_t(t, extended), (scheme.util.utils,))[0]
+    return _power_sum(scheme.dist.probs, check_t(t, extended), (scheme.util.utils,))[0]
+
+
+def curve_values(
+    scheme: UtilityInformationScheme,
+    ts: Sequence[float],
+    measures: Sequence[Measure],
+    *,
+    extended: bool = False,
+) -> list[tuple[float, ...]]:
+    """The values of ``measures`` at every t of ``ts``, one tuple per t.
+
+    Each value equals (``==``) that of the pointwise :func:`weighted_igf`,
+    :func:`golomb_igf` or :func:`hooda_bhaker_igf` call, and the first
+    (t, measure) at which one of those raises raises the same error here.
+    A value that is not finite raises DomainError once its row is complete.
+    What the pointwise calls would repeat is done once:
+
+    * Zero probabilities are dropped once per curve when t and every
+      weighted exponent stay positive along the grid: then a zero adds
+      exactly 0.0 to an fsum and no term can overflow, so no error names an
+      entry index.
+    * Per t, the measures that share an exponent share one
+      :func:`_power_sum` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
+      weighted IGF raises to ``1 - u0 * (1 - t)`` under a constant utility
+      ``u0`` and to the per-entry exponents (keyed ``None``) otherwise.
+    * Per pass, each distinct weight vector is summed once: at u0 = 1 all
+      three measures are one fsum, because ``1.0 * x == x`` and
+      ``1 - 1 * (1 - t) == t`` on the usual grids.
+    """
+    probs, utils = scheme.dist.probs, scheme.util.utils
+    t_low = min(ts)
+    # every exponent grows with t, and below t = 1 the weighted one shrinks
+    # as u grows, so t_low and the largest utility give the smallest ones
+    if t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
+        nonzero = [p != 0.0 for p in probs]
+        probs, utils = list(compress(probs, nonzero)), list(compress(utils, nonzero))
+    u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
+    hooda = None if u0 == 1.0 else utils  # None: unit weights
+    rows = []
+    for t in ts:
+        t = check_t(t, extended)
+        passes: dict[float | None, dict[bool, Sequence[float] | None]] = {}
+        keys = []
+        for m in measures:
+            e = t if m is not Measure.WEIGHTED else None if u0 is None else _exponent(u0, t)
+            w = hooda if m is Measure.HOODA_BHAKER else None
+            passes.setdefault(e, {})[w is None] = w
+            keys.append((e, w is None))
+        sums = {}
+        for e, ws in passes.items():
+            exps = _weighted_exponents(utils, t) if e is None else e
+            sums[e] = dict(zip(ws, _power_sum(probs, exps, list(ws.values()))))
+        row = tuple(sums[e][unit] for e, unit in keys)
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"non-finite curve value at t = {t}")
+        rows.append(row)
+    return rows
 
 
 def weighted_igf_derivative(
@@ -153,7 +209,7 @@ def weighted_igf_derivative(
     t = 1 is the weighted entropy.
     """
     r = check_int(r, "derivative order r", 1)
-    t = _checked_t(t, extended)
+    t = check_t(t, extended)
     probs, utils = scheme.dist.probs, scheme.util.utils
     m = next(_moments(probs, utils, (r,), _weighted_exponents(utils, t)))
     return 0.0 - m if r % 2 else m
@@ -235,5 +291,17 @@ def weighted_self_information_moment(
     Non-negative for every r (the signed variant is ``(-1) ** r`` times
     this); r = 1 recovers the weighted entropy.
     """
-    r = check_int(r, "moment order r", 0)
-    return next(_moments(scheme.dist.probs, scheme.util.utils, (r,)))
+    return next(weighted_self_information_moments(scheme, (r,)))
+
+
+def weighted_self_information_moments(
+    scheme: UtilityInformationScheme, orders: Iterable[int]
+) -> Iterator[float]:
+    """:func:`weighted_self_information_moment` for each r of ``orders``,
+    lazily, every order from one log pass over the scheme.
+
+    Every order is checked before the first sum; each value is summed only
+    when it is asked for.
+    """
+    orders = [check_int(r, "moment order r", 0) for r in orders]
+    return _moments(scheme.dist.probs, scheme.util.utils, orders)

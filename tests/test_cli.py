@@ -30,6 +30,7 @@ from igf import (
     scheme_from_dict,
     weighted_igf,
 )
+from igf import cli
 from igf.cli import CurveRequest, _render_floats, build_parser, main, render_scheme_json
 from igf.distributions import ParametricFamily
 
@@ -679,6 +680,46 @@ def test_curve_input_refuses_family_flags(capsys, half_half, tmp_path, flag, val
     assert not out_path.exists()
 
 
+def test_curve_uniform_refuses_truncation(capsys, tmp_path):
+    # the uniform family is finite, so --truncation was dropped without a word
+    out_path = tmp_path / "c.csv"
+    code, out, err = run(
+        capsys, "curve", "--family", "uniform", "--n", "4", "--truncation", "5",
+        "--out", str(out_path),
+    )
+    assert (code, out, err) == (2, "", "error: family 'uniform' does not take --truncation\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "uniform", "--n", "{size}", "--t", "2", "--check"],
+        ["curve", "--family", "uniform", "--n", "{size}"],
+        ["curve", "--family", "geometric", "--p", "0.5", "--truncation", "{size}"],
+        ["curve", "--family", "beta-power", "--beta", "2", "--truncation", "{size}"],
+    ],
+)
+def test_realized_family_is_capped(capsys, tmp_path, monkeypatch, argv):
+    # a huge --n or --truncation grew a tuple until MemoryError (exit 1);
+    # the cap is checked before anything is realized
+    def refuse(*args):
+        raise AssertionError("realize_family ran above the cap")
+
+    monkeypatch.setattr(cli, "realize_family", refuse)
+    size = str(cli._CHECK_TERMS + 1)
+    out_path = tmp_path / "c.csv"
+    if argv[0] == "curve":
+        argv = [*argv, "--steps", "2", "--out", str(out_path)]
+    code, out, err = run(capsys, *(a.format(size=size) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the realized family needs at least {size} terms, "
+        f"above the cap of {cli._CHECK_TERMS}\n"
+    )
+    assert not out_path.exists()
+
+
 class TestEscort:
     def test_transform_report(self, capsys, eight_two):
         code, out, _ = run(capsys, "escort", "--input", eight_two, "--beta", "2")
@@ -1004,6 +1045,21 @@ def test_closed_form_and_curve_never_import_numpy(tmp_path, half_half):
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
     )
+    _assert_runs(script)
+
+
+def test_import_igf_leaves_the_cli_unloaded():
+    # the library's cold import is lib_small_64's set-up: the argument
+    # parser and the file formats load only with the command line
+    _assert_runs(
+        "import sys\n"
+        "import igf\n"
+        "loaded = {'igf.cli', 'argparse', 'json'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def _assert_runs(script: str) -> None:
     src = str(Path(igf.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(

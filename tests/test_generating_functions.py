@@ -20,6 +20,7 @@ from igf import (
     IGFError,
     InvalidParameter,
     LogBase,
+    curve_values,
     golomb_igf,
     hooda_bhaker_igf,
     make_complete,
@@ -32,6 +33,7 @@ from igf import (
     weighted_igf,
     weighted_igf_derivative,
     weighted_self_information_moment,
+    weighted_self_information_moments,
 )
 from igf.cli import CurveRequest, Measure, evaluate_curve
 from igf.generating_functions import _moments
@@ -485,6 +487,13 @@ class TestPowerSumKernel:
         assert h == -weighted_igf_derivative(scheme, 1.0, 1)
         assert shannon_entropy(scheme.dist) == self_information_moment(scheme.dist, 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_schemes())
+    def test_moments_iterator_equals_per_order_calls(self, case):
+        scheme = make_scheme(*case, generalized=True)
+        got = [repr(m) for m in weighted_self_information_moments(scheme, range(9))]
+        assert got == [repr(weighted_self_information_moment(scheme, r)) for r in range(9)]
+
     @pytest.mark.parametrize(
         "evaluate",
         [
@@ -588,6 +597,11 @@ class TestCurveGrid:
         assert got == _outcome(lambda: _pointwise_curve(*case))
         assert got[0] is DomainError and got[1].startswith(message)
 
+    def test_each_t_is_checked_against_the_default_domain(self):
+        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
+        with pytest.raises(DomainError, match=r"^t = 0\.5 is below the default domain"):
+            curve_values(scheme, [2.0, 0.5], [Measure.WEIGHTED])
+
 
 class TestMomentValidation:
     @pytest.mark.parametrize("bad_r", [-1, 1.5, True])
@@ -597,6 +611,9 @@ class TestMomentValidation:
             self_information_moment(scheme.dist, bad_r)
         with pytest.raises(InvalidParameter):
             weighted_self_information_moment(scheme, bad_r)
+        # raised by the call itself, so before the lazy sums take any pass
+        with pytest.raises(InvalidParameter):
+            weighted_self_information_moments(scheme, [0, 1, bad_r])
 
     @pytest.mark.parametrize("bad_r", [0, -1, 1.5, True])
     def test_derivative_order_must_be_positive(self, bad_r):
