@@ -198,24 +198,28 @@ def render_scheme_json(scheme: UtilityInformationScheme) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+#: The parameter flag and kind of each family the CLI names.  The flag
+#: names the ParametricFamily field it sets; the kind's value names the
+#: family's constructor on ParametricFamily and its closed forms
+#: ``<kind>_igf`` and ``<kind>_entropy`` in closed_forms, looked up at the
+#: call so that a wrapper set on the module sees it.
+_FAMILIES = {
+    "uniform": ("--n", FamilyKind.UNIFORM),
+    "geometric": ("--p", FamilyKind.GEOMETRIC),
+    "beta-power": ("--beta", FamilyKind.BETA_POWER),
+}
+
+
 def _family_from_args(args: argparse.Namespace) -> ParametricFamily:
     name = args.family
-    given = {
-        "--n": args.n is not None,
-        "--p": args.p is not None,
-        "--beta": args.beta is not None,
-    }
-    wanted = {"uniform": "--n", "geometric": "--p", "beta-power": "--beta"}[name]
-    for flag, present in given.items():
+    wanted, kind = _FAMILIES[name]
+    for flag, _ in _FAMILIES.values():
+        present = getattr(args, flag[2:]) is not None
         if flag == wanted and not present:
             raise ValidationError(f"family {name!r} requires {flag}")
         if flag != wanted and present:
             raise ValidationError(f"family {name!r} does not take {flag}")
-    if name == "uniform":
-        return ParametricFamily.uniform(args.n)
-    if name == "geometric":
-        return ParametricFamily.geometric(args.p)
-    return ParametricFamily.beta_power(args.beta)
+    return getattr(ParametricFamily, kind.value)(getattr(args, wanted[2:]))
 
 
 def _check_digits(value: str) -> int:
@@ -226,10 +230,6 @@ def _check_digits(value: str) -> int:
     if not 1 <= digits <= MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"digits must be in 1..{MAX_DIGITS}, got {digits}")
     return digits
-
-
-def _base_from_args(args: argparse.Namespace) -> LogBase:
-    return LogBase.TWO if args.base == "2" else LogBase.NATURAL
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -243,7 +243,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.input, args.format)
-    print(_fmt(weighted_entropy(scheme, _base_from_args(args)), args.digits))
+    print(_fmt(weighted_entropy(scheme, LogBase(args.base)), args.digits))
     return 0
 
 
@@ -336,12 +336,13 @@ def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
             trunc = _check_terms(2 * trunc)
         return trunc
     s = _exponent(u, t)
-    if s == math.inf:
-        return 1  # every term is p_i ** inf = 0
     q = 1.0 - p
+    if q**s == 0.0:
+        return 1  # the first term is the largest, so every term is 0
     # tail after T terms is q**s * p**(T*s) / (1 - p**s)
-    bound = math.log(_GEOMETRIC_CHECK_TAIL * (1.0 - p**s)) - s * math.log(q)
-    return _check_terms(max(1, math.ceil(bound / (s * math.log(p))) + 1))
+    log_p_s = s * math.log(p)
+    bound = math.log(_GEOMETRIC_CHECK_TAIL * -math.expm1(log_p_s)) - s * math.log(q)
+    return max(1, math.ceil(bound / log_p_s) + 1)
 
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
@@ -353,27 +354,24 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     if args.t is not None:
         check_t(args.t, args.extended_t)
 
-    igf_of, entropy_of, param = {
-        "uniform": (closed_forms.uniform_igf, closed_forms.uniform_entropy, args.n),
-        "geometric": (closed_forms.geometric_igf, closed_forms.geometric_entropy, args.p),
-        "beta-power": (closed_forms.beta_power_igf, closed_forms.beta_power_entropy, args.beta),
-    }[args.family]
-    value = entropy_of(param, args.u) if args.entropy else igf_of(param, args.u, args.t)
-    if args.check:
-        trunc = None if args.family == "uniform" else _CHECK_TERMS
-        if args.family == "geometric":
-            trunc = _geometric_check_truncation(
-                args.p, args.u, None if args.entropy else args.t
-            )
-        scheme = constant_utility_scheme(_realize_family(family, trunc), args.u)
-        direct = (
-            weighted_entropy(scheme) if args.entropy
-            else weighted_igf(scheme, args.t, extended=args.extended_t)
-        )
-
+    flag, kind = _FAMILIES[args.family]
+    param = getattr(args, flag[2:])
+    if args.entropy:
+        value = getattr(closed_forms, f"{kind.value}_entropy")(param, args.u)
+    else:
+        value = getattr(closed_forms, f"{kind.value}_igf")(param, args.u, args.t)
     if not args.check:
         print(_fmt(value, args.digits))
         return 0
+    if kind is FamilyKind.GEOMETRIC:
+        trunc = _geometric_check_truncation(args.p, args.u, None if args.entropy else args.t)
+    else:
+        trunc = None if kind is FamilyKind.UNIFORM else _CHECK_TERMS
+    scheme = constant_utility_scheme(_realize_family(family, trunc), args.u)
+    direct = (
+        weighted_entropy(scheme) if args.entropy
+        else weighted_igf(scheme, args.t, extended=args.extended_t)
+    )
     print(f"closed_form: {_fmt(value, args.digits)}")
     print(f"direct: {_fmt(direct, args.digits)}")
     print(f"abs_diff: {format(abs(value - direct), '.6e')}")
@@ -443,7 +441,8 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
             choices=("json", "csv"), default="json", help="input file format (default json)"
         ),
         "--base": dict(
-            choices=("e", "2"), default="e", help="logarithm base for entropy output (default e)"
+            choices=[b.value for b in LogBase], default=LogBase.NATURAL.value,
+            help="logarithm base for entropy output (default e)",
         ),
         "--extended-t": dict(
             action="store_true", help="allow t below 1 wherever every term stays defined"
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one generating function at one t")
     _add_shared(p_eval, "--input", "--format", "--extended-t", "--digits")
     p_eval.add_argument(
-        "--measure", choices=[m.value for m in Measure], default="weighted"
+        "--measure", choices=[m.value for m in Measure], default=Measure.WEIGHTED.value
     )
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.set_defaults(handler=_cmd_eval)
@@ -489,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="sample measures over a t grid into CSV")
     _add_shared(p_curve, "--input", "--format", "--extended-t")
-    p_curve.add_argument("--family", choices=("uniform", "geometric", "beta-power"))
+    p_curve.add_argument("--family", choices=_FAMILIES)
     _add_family_flags(p_curve)
     p_curve.add_argument("--u", type=float, help="constant utility of --family (default 1)")
     p_curve.add_argument(
@@ -500,15 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--t-max", type=float, default=3.0)
     p_curve.add_argument("--steps", type=int, default=101)
     p_curve.add_argument(
-        "--measures", default="weighted",
-        help="comma-separated subset of weighted,golomb,hooda_bhaker",
+        "--measures", default=Measure.WEIGHTED.value,
+        help="comma-separated subset of " + ",".join(m.value for m in Measure),
     )
     p_curve.add_argument("--out", required=True, help="CSV file to write")
     p_curve.set_defaults(handler=_cmd_curve)
 
     p_cf = sub.add_parser("closed-form", help="closed-form family values")
     _add_shared(p_cf, "--extended-t", "--digits")
-    p_cf.add_argument("family", choices=("uniform", "geometric", "beta-power"))
+    p_cf.add_argument("family", choices=_FAMILIES)
     _add_family_flags(p_cf)
     p_cf.add_argument("--u", type=float, default=1.0, help="constant utility (default 1)")
     p_cf.add_argument("--t", type=float)
@@ -539,15 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DomainError as exc:
+    except (DomainError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

@@ -105,11 +105,27 @@ def zeta_derivative(beta: float) -> float:
 
 
 def uniform_igf(n: int, u: float, t: float) -> float:
-    """Weighted IGF of the uniform distribution on n outcomes: n**(u*(1-t))."""
+    """Weighted IGF of the uniform distribution on n outcomes: n**(u*(1-t)).
+
+    Where ``float(n)`` or the power overflows, the value is taken in logs,
+    as exp(u * (1 - t) * ln n); a value too large for a float raises
+    DomainError.
+    """
     n = check_int(n, "n", 1)
     u = check_open(u, "utility u", 0)
     t = check_real(t, "t")
-    return float(n) ** (u * (1.0 - t))
+    try:
+        return float(n) ** (u * (1.0 - t))
+    except OverflowError:
+        pass
+    log_value = u * (1.0 - t) * math.log(n)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(
+            f"uniform IGF overflows: its log u * (1 - t) * ln n = {log_value} "
+            f"exceeds the float range"
+        ) from None
 
 
 def uniform_entropy(n: int, u: float) -> float:

@@ -28,7 +28,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import ProbabilityDistribution, UtilityInformationScheme
-from .errors import DomainError, check_int, check_t
+from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
 
 class LogBase(Enum):
@@ -154,6 +154,8 @@ def curve_values(
     :func:`golomb_igf` or :func:`hooda_bhaker_igf` call, and the first
     (t, measure) at which one of those raises raises the same error here.
     A value that is not finite raises DomainError once its row is complete.
+    A measure that is not a :class:`Measure` and a t that is not a real
+    number raise InvalidParameter before any sum; no t gives no rows.
     What the pointwise calls would repeat is done once:
 
     * Zero probabilities are dropped once per curve when t and every
@@ -168,13 +170,17 @@ def curve_values(
       three measures are one fsum, because ``1.0 * x == x`` and
       ``1 - 1 * (1 - t) == t`` on the usual grids.
     """
+    for m in measures:
+        if not isinstance(m, Measure):
+            raise InvalidParameter(f"unknown measure {m!r}; expected a Measure")
+    if len(ts) == 0:
+        return []
     probs, utils = scheme.dist.probs, scheme.util.utils
-    t_low = min(ts)
+    t_low = min(check_real(t, "t") for t in ts)
     # every exponent grows with t, and below t = 1 the weighted one shrinks
     # as u grows, so t_low and the largest utility give the smallest ones
     if t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
-        nonzero = [p != 0.0 for p in probs]
-        probs, utils = list(compress(probs, nonzero)), list(compress(utils, nonzero))
+        probs, utils = list(compress(probs, probs)), list(compress(utils, probs))
     u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
     hooda = None if u0 == 1.0 else utils  # None: unit weights
     rows = []

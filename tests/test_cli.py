@@ -33,6 +33,7 @@ from igf import (
 from igf import cli
 from igf.cli import CurveRequest, _render_floats, build_parser, main, render_scheme_json
 from igf.distributions import ParametricFamily
+from igf.generating_functions import LogBase
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -163,6 +164,38 @@ class TestEval:
         assert code == 2
         assert "two columns" in err
 
+    def test_csv_with_non_numeric_entries_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "scheme.csv"
+        path.write_text("p,u\n0.5,1\n0.5,two\n")
+        code, out, err = run(capsys, "normalize", "--input", str(path), "--format", "csv")
+        assert (code, out, err) == (
+            2, "", f"error: {path}: row 2 has non-numeric entries: '0.5,two'\n"
+        )
+
+    def test_non_integer_digits_is_a_usage_error(self, capsys, half_half):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", half_half, "--t", "2", "--digits", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --digits: digits must be an integer, got 'x'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([0.5, 0.5], "scheme document must be an object, got list"),
+            ({"probabilities": 1}, '"probabilities" must be an array'),
+            ({"probabilities": [1.0], "utilities": 1}, '"utilities" must be an array'),
+            ({"probabilities": [1.0], "labels": "a"}, '"labels" must be an array of strings'),
+            ({"probabilities": [0.5, 0.5], "labels": ["a", 2]}, "labels must be strings, got 2"),
+        ],
+    )
+    def test_malformed_scheme_document_is_exit_2(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "normalize", "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_nan_probability_is_one_error_in_csv_and_json(self, capsys, tmp_path, position):
         probs = ["0.25", "0.5", "0.25"]
@@ -197,6 +230,16 @@ class TestEntropy:
         assert (code, out) == (0, "1\n")
         code, out, _ = run(capsys, "entropy", "--input", half_half, "--base", "2")
         assert (code, out) == (0, "1.5\n")
+
+
+    def test_base_choices_are_the_log_bases(self, capsys, half_half):
+        for base in LogBase:
+            code, _, _ = run(capsys, "entropy", "--input", half_half, "--base", base.value)
+            assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--input", half_half, "--base", "10"])
+        assert exc.value.code == 2
+        assert "argument --base: invalid choice: '10'" in capsys.readouterr().err
 
 
 class TestMoments:
@@ -662,6 +705,71 @@ class TestClosedForm:
         value = float(direct.split(": ")[1])
         assert math.isfinite(value)
         assert value == pytest.approx(float(closed.split(": ")[1]), rel=1e-14)
+
+
+class TestClosedFormExtremes:
+    """Points that ended in a traceback (exit 1) before the closed forms
+    and the geometric --check cutoff took them in logs."""
+
+    def test_overflowing_uniform_igf_is_exit_3(self, capsys):
+        # 10 ** 400 is past the float range
+        code, out, err = run(
+            capsys, "closed-form", "uniform", "--n", "10", "--u", "100", "--t", "-3",
+            "--extended-t",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: uniform IGF overflows")
+
+    def test_uniform_n_past_the_float_range(self, capsys):
+        # float(n) overflows; n ** -1 = 1e-400 underflows like any power
+        n = "1" + "0" * 400
+        code, out, _ = run(capsys, "closed-form", "uniform", "--n", n, "--t", "2")
+        assert (code, out) == (0, "0\n")
+        code, out, _ = run(capsys, "closed-form", "uniform", "--n", n, "--entropy")
+        assert (code, out) == (0, "921.034037198\n")
+
+    def test_check_with_a_cancelling_tail_denominator_is_exit_2(self, capsys):
+        # s = 2.2e-16: 1 - p ** s rounds to 0, so its log was a domain error
+        code, out, err = run(
+            capsys, "closed-form", "geometric", "--p", "0.9", "--u", "2",
+            "--t", "0.50000000000000006", "--extended-t", "--check",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the realized family needs at least ")
+        assert err.endswith(f"terms, above the cap of {cli._CHECK_TERMS}\n")
+
+    def test_check_with_an_underflowing_first_term_sums_one_term(self, capsys):
+        # s * ln q overflows to -inf, and so did the bound on the terms
+        code, out, err = run(
+            capsys, "closed-form", "geometric", "--p", "0.9999999999999999", "--u", "0.5",
+            "--t", "1e308", "--check",
+        )
+        assert (code, out, err) == (
+            0, "closed_form: 0\ndirect: 0\nabs_diff: 0.000000e+00\n", ""
+        )
+
+    def test_no_point_of_the_sweep_ends_in_a_traceback(self, capsys):
+        families = [
+            ["uniform", "--n", "10"],
+            ["geometric", "--p", "0.9"],
+            ["geometric", "--p", "0.9999999999999999"],
+            ["beta-power", "--beta", "1.5"],
+        ]
+        ts = ["-1000", "0", "0.50000000000000006", "1", "2", "1e308", "inf"]
+        codes = {}
+        for family in families:
+            # the beta-power check realizes a million terms per run
+            checks = [[]] if family[0] == "beta-power" else [[], ["--check"]]
+            for t in ts:
+                for u in ["0.5", "2", "100"]:
+                    for check in checks:
+                        argv = [
+                            "closed-form", *family, "--u", u, "--t", t, "--extended-t", *check
+                        ]
+                        codes[" ".join(argv)] = main(argv)
+        capsys.readouterr()
+        assert len(codes) == 147
+        assert {argv: code for argv, code in codes.items() if code not in (0, 2, 3)} == {}
 
 
 @pytest.mark.parametrize(

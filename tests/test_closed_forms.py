@@ -153,6 +153,21 @@ class TestUniform:
         fair_coin = shannon_entropy(make_complete([0.5, 0.5]))
         assert uniform_entropy(2, 1.0) == pytest.approx(fair_coin, abs=1e-15)
 
+    def test_overflow_is_a_domain_error(self):
+        # 10 ** 400 is past the float range; the power raised OverflowError
+        with pytest.raises(DomainError, match=r"^uniform IGF overflows"):
+            uniform_igf(10, 100.0, -3.0)
+        with pytest.raises(DomainError, match=r"^uniform IGF overflows"):
+            uniform_igf(10**400, 1.0, 0.0)
+
+    def test_n_past_the_float_range_is_taken_in_logs(self):
+        # float(10 ** 400) raised OverflowError
+        n = 10**400
+        assert uniform_igf(n, 1.0, 1.0) == 1.0
+        assert uniform_igf(n, 0.5, 1.5) == pytest.approx(1e-200, rel=1e-13)
+        assert uniform_igf(n, 1.0, 2.0) == 0.0  # 1e-400 underflows like any power
+        assert uniform_igf(n, 1.0, math.inf) == 0.0
+
     @pytest.mark.parametrize("bad_n", [0, -3, 1.5, True])
     def test_rejects_bad_sizes(self, bad_n):
         with pytest.raises(InvalidParameter):

@@ -597,6 +597,24 @@ class TestCurveGrid:
         assert got == _outcome(lambda: _pointwise_curve(*case))
         assert got[0] is DomainError and got[1].startswith(message)
 
+    def test_measures_must_be_measures(self):
+        # the string "weighted" was summed as an exponent-t measure: the
+        # Golomb value 0.5 in place of the weighted 0.375
+        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match=r"^unknown measure 'weighted'"):
+            curve_values(scheme, [2.0], ["weighted"])
+        assert curve_values(scheme, [2.0], [Measure.WEIGHTED]) == [(0.375,)]
+
+    def test_no_t_gives_no_rows(self):
+        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
+        assert curve_values(scheme, [], [Measure.WEIGHTED]) == []
+
+    @pytest.mark.parametrize("bad_t", ["x", None, float("nan")])
+    def test_non_real_t_is_invalid(self, bad_t):
+        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match=r"^t must be a real number"):
+            curve_values(scheme, [2.0, bad_t], [Measure.WEIGHTED])
+
     def test_each_t_is_checked_against_the_default_domain(self):
         scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
         with pytest.raises(DomainError, match=r"^t = 0\.5 is below the default domain"):
