@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import closed_forms
@@ -24,6 +23,7 @@ from .distributions import (
     ParametricFamily,
     ProbabilityDistribution,
     UtilityInformationScheme,
+    _Frozen,
     constant_utility_scheme,
     realize_family,
     scheme_from_dict,
@@ -64,20 +64,29 @@ def _evaluate_measure(
     return hooda_bhaker_igf(scheme, t, extended=extended)
 
 
-@dataclass(frozen=True)
-class CurveRequest:
+class CurveRequest(_Frozen):
     """A grid-evaluation request over [t_min, t_max] with inclusive endpoints."""
+
+    __slots__ = _fields = ("scheme", "t_min", "t_max", "steps", "measures", "extended")
 
     scheme: UtilityInformationScheme
     t_min: float
     t_max: float
     steps: int
-    measures: tuple[Measure, ...] = (Measure.WEIGHTED,)
-    extended: bool = False
+    measures: tuple[Measure, ...]
+    extended: bool
 
-    def __post_init__(self) -> None:
-        check_int(self.steps, "steps", 2)
-        t_min, t_max = check_real(self.t_min, "t_min"), check_real(self.t_max, "t_max")
+    def __init__(
+        self,
+        scheme: UtilityInformationScheme,
+        t_min: float,
+        t_max: float,
+        steps: int,
+        measures: Sequence[Measure] = (Measure.WEIGHTED,),
+        extended: bool = False,
+    ) -> None:
+        check_int(steps, "steps", 2)
+        t_min, t_max = check_real(t_min, "t_min"), check_real(t_max, "t_max")
         for name, value in (("t_min", t_min), ("t_max", t_max)):
             if not math.isfinite(value):
                 raise InvalidParameter(f"{name} must be finite, got {value!r}")
@@ -88,13 +97,16 @@ class CurveRequest:
             raise InvalidParameter(
                 f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
             )
-        check_t(t_min, self.extended)
-        object.__setattr__(self, "t_min", t_min)
-        object.__setattr__(self, "t_max", t_max)
-        measures = tuple(m for m in Measure if m in set(self.measures))
+        check_t(t_min, extended)
+        measures = tuple(m for m in Measure if m in set(measures))
         if not measures:
             raise InvalidParameter("at least one measure is required")
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "t_min", t_min)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "extended", extended)
 
 
 def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:

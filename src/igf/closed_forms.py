@@ -108,24 +108,25 @@ def uniform_igf(n: int, u: float, t: float) -> float:
     """Weighted IGF of the uniform distribution on n outcomes: n**(u*(1-t)).
 
     Where ``float(n)`` or the power overflows, the value is taken in logs,
-    as exp(u * (1 - t) * ln n); a value too large for a float raises
-    DomainError.
+    as exp(u * (1 - t) * ln n).  A value too large for a float, and the
+    infinite value at t = -inf for n > 1, raise DomainError.
     """
     n = check_int(n, "n", 1)
     u = check_open(u, "utility u", 0)
     t = check_real(t, "t")
     try:
-        return float(n) ** (u * (1.0 - t))
+        value = float(n) ** (u * (1.0 - t))
     except OverflowError:
-        pass
-    log_value = u * (1.0 - t) * math.log(n)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
+        try:
+            value = math.exp(u * (1.0 - t) * math.log(n))
+        except OverflowError:
+            value = math.inf
+    if value == math.inf:  # an infinite exponent gives inf without raising
         raise DomainError(
-            f"uniform IGF overflows: its log u * (1 - t) * ln n = {log_value} "
-            f"exceeds the float range"
-        ) from None
+            f"uniform IGF overflows: its log u * (1 - t) * ln n = "
+            f"{u * (1.0 - t) * math.log(n)} exceeds the float range"
+        )
+    return value
 
 
 def uniform_entropy(n: int, u: float) -> float:

@@ -14,7 +14,6 @@ truncation length so that nothing silently approximates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -39,6 +38,49 @@ from .errors import (
 COMPLETENESS_TOL = 1e-9
 
 
+class _Frozen:
+    """Base of the immutable value types.
+
+    Equality, hash and repr run over the slots named in ``_fields``, in
+    order; ``__init__`` sets each slot once with ``object.__setattr__`` and
+    any later assignment or deletion raises ``FrozenInstanceError``.
+    ``__reduce__`` rebuilds through ``__init__``, so copies and pickles are
+    validated again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # dataclasses (and the inspect module it loads) only on this error path
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), self._values())
+
+
 class Kind(Enum):
     """Whether a probability vector must sum to 1 or may sum to less."""
 
@@ -58,8 +100,7 @@ def _as_float_tuple(values: Iterable[object], what: str) -> tuple[float, ...]:
     return tuple(map(float, out))
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
+class ProbabilityDistribution(_Frozen):
     """An immutable probability vector with its completeness kind.
 
     Parameters
@@ -72,16 +113,19 @@ class ProbabilityDistribution:
         positive and at most 1 (plus the same slack).
     """
 
+    __slots__ = ("probs", "kind", "total")
+    _fields = ("probs", "kind")
+
     probs: tuple[float, ...]
     kind: Kind
-    #: Exactly rounded sum of the entries, as validated.
-    total: float = field(init=False, compare=False, repr=False)
+    #: Exactly rounded sum of the entries, as validated; not a field, so it
+    #: takes no part in ``==``, ``hash`` or ``repr``.
+    total: float
 
-    def __post_init__(self) -> None:
-        probs = _as_float_tuple(self.probs, "probability")
-        object.__setattr__(self, "probs", probs)
-        if not isinstance(self.kind, Kind):
-            raise ValidationError(f"kind must be a Kind, got {self.kind!r}")
+    def __init__(self, probs: Iterable[float], kind: Kind) -> None:
+        probs = _as_float_tuple(probs, "probability")
+        if not isinstance(kind, Kind):
+            raise ValidationError(f"kind must be a Kind, got {kind!r}")
         if len(probs) == 0:
             raise EmptyInput("probability vector must not be empty")
         try:
@@ -105,7 +149,7 @@ class ProbabilityDistribution:
             raise ProbabilityAboveOne(
                 f"probabilities must be <= 1, largest entry is {max(probs)!r}"
             )
-        if self.kind is Kind.COMPLETE:
+        if kind is Kind.COMPLETE:
             if not (abs(total - 1.0) <= COMPLETENESS_TOL):
                 raise SumNotOne(
                     f"complete distribution must sum to 1 within "
@@ -121,21 +165,23 @@ class ProbabilityDistribution:
                 raise AllZeroProbabilities(
                     "generalized distribution must have positive total mass"
                 )
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "total", total)
 
     def __len__(self) -> int:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
-class UtilityDistribution:
+class UtilityDistribution(_Frozen):
     """An immutable vector of strictly positive, finite utilities."""
+
+    __slots__ = _fields = ("utils",)
 
     utils: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        utils = _as_float_tuple(self.utils, "utility")
-        object.__setattr__(self, "utils", utils)
+    def __init__(self, utils: Iterable[float]) -> None:
+        utils = _as_float_tuple(utils, "utility")
         if len(utils) == 0:
             raise EmptyInput("utility vector must not be empty")
         # a NaN or an infinity makes the float sum non-finite, so only a bad
@@ -146,42 +192,49 @@ class UtilityDistribution:
                     raise NonPositiveUtility(
                         f"utilities must be positive finite numbers, got {u!r}"
                     )
+        object.__setattr__(self, "utils", utils)
 
     def __len__(self) -> int:
         return len(self.utils)
 
 
-@dataclass(frozen=True)
-class UtilityInformationScheme:
+class UtilityInformationScheme(_Frozen):
     """A probability distribution paired with per-outcome utilities.
 
     Optional ``labels`` name the outcomes; they take no part in any
     computation and are only carried through serialization.
     """
 
+    __slots__ = _fields = ("dist", "util", "labels")
+
     dist: ProbabilityDistribution
     util: UtilityDistribution
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dist, ProbabilityDistribution):
+    def __init__(
+        self,
+        dist: ProbabilityDistribution,
+        util: UtilityDistribution,
+        labels: Iterable[str] | None = None,
+    ) -> None:
+        if not isinstance(dist, ProbabilityDistribution):
             raise ValidationError("dist must be a ProbabilityDistribution")
-        if not isinstance(self.util, UtilityDistribution):
+        if not isinstance(util, UtilityDistribution):
             raise ValidationError("util must be a UtilityDistribution")
-        if len(self.dist) != len(self.util):
-            raise LengthMismatch(
-                f"{len(self.dist)} probabilities but {len(self.util)} utilities"
-            )
-        if self.labels is not None:
-            labels = tuple(self.labels)
+        if len(dist) != len(util):
+            raise LengthMismatch(f"{len(dist)} probabilities but {len(util)} utilities")
+        if labels is not None:
+            labels = tuple(labels)
             for lab in labels:
                 if not isinstance(lab, str):
                     raise ValidationError(f"labels must be strings, got {lab!r}")
-            if len(labels) != len(self.dist):
+            if len(labels) != len(dist):
                 raise LengthMismatch(
-                    f"{len(self.dist)} probabilities but {len(labels)} labels"
+                    f"{len(dist)} probabilities but {len(labels)} labels"
                 )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "util", util)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.dist)
@@ -227,8 +280,7 @@ class FamilyKind(Enum):
     BETA_POWER = "beta_power"
 
 
-@dataclass(frozen=True)
-class ParametricFamily:
+class ParametricFamily(_Frozen):
     """One of the three built-in distribution families.
 
     ``uniform(n)`` puts mass 1/n on n outcomes.  ``geometric(p)`` puts mass
@@ -237,22 +289,32 @@ class ParametricFamily:
     to normalize.
     """
 
-    kind: FamilyKind
-    n: int | None = None
-    p: float | None = None
-    beta: float | None = None
+    __slots__ = _fields = ("kind", "n", "p", "beta")
 
-    def __post_init__(self) -> None:
-        if self.kind is FamilyKind.UNIFORM:
-            check_int(self.n, "uniform family n", 1)
-        elif self.kind is FamilyKind.GEOMETRIC:
-            object.__setattr__(self, "p", check_open(self.p, "geometric family p", 0, 1))
-        elif self.kind is FamilyKind.BETA_POWER:
-            object.__setattr__(
-                self, "beta", check_open(self.beta, "power-law family beta", 1)
-            )
+    kind: FamilyKind
+    n: int | None
+    p: float | None
+    beta: float | None
+
+    def __init__(
+        self,
+        kind: FamilyKind,
+        n: int | None = None,
+        p: float | None = None,
+        beta: float | None = None,
+    ) -> None:
+        if kind is FamilyKind.UNIFORM:
+            check_int(n, "uniform family n", 1)
+        elif kind is FamilyKind.GEOMETRIC:
+            p = check_open(p, "geometric family p", 0, 1)
+        elif kind is FamilyKind.BETA_POWER:
+            beta = check_open(beta, "power-law family beta", 1)
         else:
-            raise InvalidParameter(f"unknown family kind {self.kind!r}")
+            raise InvalidParameter(f"unknown family kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def uniform(cls, n: int) -> "ParametricFamily":

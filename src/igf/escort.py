@@ -16,7 +16,6 @@ relative tolerance ``SCALING_IDENTITY_RTOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import truediv
 
@@ -25,6 +24,7 @@ from .distributions import (
     ProbabilityDistribution,
     UtilityDistribution,
     UtilityInformationScheme,
+    _Frozen,
     constant_utility_scheme,
 )
 from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open, check_t
@@ -34,26 +34,30 @@ from .generating_functions import _exponent, _power_sum, weighted_igf
 SCALING_IDENTITY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EscortPair:
+class EscortPair(_Frozen):
     """An escort distribution together with the mass that normalized it.
 
     ``mass`` is sum_j p_j**beta of the source vector, so ``normalized``
     scaled by ``mass`` recovers the raw powered vector.
     """
 
+    __slots__ = _fields = ("normalized", "mass", "beta")
+
     normalized: ProbabilityDistribution
     mass: float
     beta: float
 
-    def __post_init__(self) -> None:
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValidationError(f"escort mass must be positive, got {self.mass!r}")
-        total = self.normalized.total
+    def __init__(self, normalized: ProbabilityDistribution, mass: float, beta: float) -> None:
+        if not (mass > 0.0 and math.isfinite(mass)):
+            raise ValidationError(f"escort mass must be positive, got {mass!r}")
+        total = normalized.total
         if not (abs(total - 1.0) <= 1e-12):
             raise ValidationError(
                 f"escort distribution must sum to 1 within 1e-12, got {total!r}"
             )
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "beta", beta)
 
 
 def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
@@ -108,14 +112,21 @@ def unnormalized_power_igf(
     return _power_sum(dist.probs, beta * _exponent(u, t))[0]
 
 
-@dataclass(frozen=True)
-class ScalingIdentityReport:
+class ScalingIdentityReport(_Frozen):
     """Both sides of the scaling identity and whether they agree."""
+
+    __slots__ = _fields = ("lhs", "rhs", "abs_diff", "passed")
 
     lhs: float
     rhs: float
     abs_diff: float
     passed: bool
+
+    def __init__(self, lhs: float, rhs: float, abs_diff: float, passed: bool) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "abs_diff", abs_diff)
+        object.__setattr__(self, "passed", passed)
 
 
 def verify_scaling_identity(

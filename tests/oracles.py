@@ -81,12 +81,27 @@ def zeta_bracket(beta: float, terms: int = 2000) -> tuple[float, float]:
     return lo, hi
 
 
+#: Most terms :func:`geometric_igf_direct` will sum before refusing.
+GEOMETRIC_DIRECT_MAX_TERMS = 10**7
+
+
 def geometric_igf_direct(p: float, u: float, t: float, tail: float = 1e-13) -> float:
-    """Truncated sum of ((1-p) * p**i)**s with the analytic tail below `tail`."""
+    """Truncated sum of ((1-p) * p**i)**s with the analytic tail below `tail`.
+
+    Raises ValueError, naming the count, when that takes more than
+    GEOMETRIC_DIRECT_MAX_TERMS terms.
+    """
     s = 1.0 - u * (1.0 - t)
     q = 1.0 - p
-    cutoff = math.log(tail * (1.0 - p**s)) - s * math.log(q)
-    trunc = max(1, math.ceil(cutoff / (s * math.log(p))) + 1)
+    log_p_s = s * math.log(p)
+    # -expm1(s ln p) is 1 - p**s without the cancellation that rounds it to 0
+    cutoff = math.log(tail * -math.expm1(log_p_s)) - s * math.log(q)
+    trunc = max(1, math.ceil(cutoff / log_p_s) + 1)
+    if trunc > GEOMETRIC_DIRECT_MAX_TERMS:
+        raise ValueError(
+            f"the direct sum needs {trunc} terms, "
+            f"above the {GEOMETRIC_DIRECT_MAX_TERMS} this oracle sums"
+        )
     return sum((q * p**i) ** s for i in range(trunc))
 
 
@@ -94,7 +109,7 @@ def geometric_truncation_tail(p: float, u: float, t: float, trunc: int) -> float
     """Exact tail mass of the truncated geometric IGF sum after `trunc` terms."""
     s = 1.0 - u * (1.0 - t)
     q = 1.0 - p
-    return q**s * p ** (trunc * s) / (1.0 - p**s)
+    return q**s * p ** (trunc * s) / -math.expm1(s * math.log(p))
 
 
 def beta_power_igf_direct(

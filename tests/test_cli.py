@@ -720,6 +720,15 @@ class TestClosedFormExtremes:
         assert (code, out) == (3, "")
         assert err.startswith("error: uniform IGF overflows")
 
+    @pytest.mark.parametrize("check", [(), ("--check",)])
+    def test_uniform_igf_at_minus_infinite_t_is_exit_3(self, capsys, check):
+        # printed inf with exit 0, and abs_diff: nan under --check
+        code, out, err = run(
+            capsys, "closed-form", "uniform", "--n", "10", "--t=-inf", "--extended-t", *check
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: uniform IGF overflows")
+
     def test_uniform_n_past_the_float_range(self, capsys):
         # float(n) overflows; n ** -1 = 1e-400 underflows like any power
         n = "1" + "0" * 400
@@ -1163,6 +1172,16 @@ def test_import_igf_leaves_the_cli_unloaded():
         "import sys\n"
         "import igf\n"
         "loaded = {'igf.cli', 'argparse', 'json'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_import_igf_cli_leaves_dataclasses_unloaded():
+    # dataclasses and the inspect module it imports were most of the import
+    # time of every closed-form process
+    _assert_runs(
+        "import igf.cli, sys\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
 

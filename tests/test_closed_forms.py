@@ -160,6 +160,13 @@ class TestUniform:
         with pytest.raises(DomainError, match=r"^uniform IGF overflows"):
             uniform_igf(10**400, 1.0, 0.0)
 
+    def test_minus_infinite_t_is_a_domain_error(self):
+        # the exponent u * (1 - t) is +inf, and n ** inf gave inf without raising
+        for n in (10, 10**400):
+            with pytest.raises(DomainError, match=r"^uniform IGF overflows: .* = inf "):
+                uniform_igf(n, 1.0, -math.inf)
+        assert uniform_igf(1, 1.0, -math.inf) == 1.0
+
     def test_n_past_the_float_range_is_taken_in_logs(self):
         # float(10 ** 400) raised OverflowError
         n = 10**400
@@ -233,6 +240,28 @@ class TestGeometric:
         realized = realize_family(ParametricFamily.geometric(0.5), truncation=60)
         scheme = constant_utility_scheme(realized, 1.0)
         assert abs(geometric_entropy(0.5, 1.0) - weighted_entropy(scheme)) <= 1e-12
+
+
+class TestGeometricOracle:
+    """The oracle's tail and cutoff where 1 - p**s rounds to 0: p = 1 - 2**-53
+    and s = 0.5, so p**s rounds to 1."""
+
+    P = 0.9999999999999999
+
+    def test_tail_where_one_minus_p_to_the_s_rounds_to_zero(self):
+        # the whole sum q**s / (1 - p**s) is 2**-26.5 / (0.5 * 2**-53) = 2**27.5
+        assert self.P == 1.0 - 2.0**-53 and self.P**0.5 == 1.0
+        whole = oracles.geometric_truncation_tail(self.P, 0.5, 0.0, 0)
+        assert whole == pytest.approx(2.0**27.5, rel=1e-15)
+        tail = oracles.geometric_truncation_tail(self.P, 0.5, 0.0, 2**20)
+        assert tail / whole == pytest.approx(math.exp(-(2.0**-34)), rel=1e-15)
+        assert tail < whole
+
+    def test_direct_sum_refuses_an_oversized_truncation(self):
+        with pytest.raises(ValueError, match=r"^the direct sum needs \d+ terms") as info:
+            oracles.geometric_igf_direct(self.P, 0.5, 0.0)
+        needed = int(str(info.value).split()[4])
+        assert needed > oracles.GEOMETRIC_DIRECT_MAX_TERMS
 
 
 class TestBetaPower:

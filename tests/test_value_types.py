@@ -1,0 +1,184 @@
+"""The value types as values: equality, hash, repr, immutability, copies and
+construction, the same for all seven."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from igf import (
+    EscortPair,
+    FamilyKind,
+    Kind,
+    Measure,
+    ParametricFamily,
+    ProbabilityDistribution,
+    ScalingIdentityReport,
+    UtilityDistribution,
+    UtilityInformationScheme,
+)
+from igf.cli import CurveRequest
+
+
+def _dist():
+    return ProbabilityDistribution((0.25, 0.75), Kind.COMPLETE)
+
+
+def _util():
+    return UtilityDistribution((1.0, 2.0))
+
+
+def _scheme():
+    return UtilityInformationScheme(_dist(), _util(), ("a", "b"))
+
+
+DIST_REPR = "ProbabilityDistribution(probs=(0.25, 0.75), kind=<Kind.COMPLETE: 'complete'>)"
+UTIL_REPR = "UtilityDistribution(utils=(1.0, 2.0))"
+SCHEME_REPR = f"UtilityInformationScheme(dist={DIST_REPR}, util={UTIL_REPR}, labels=('a', 'b'))"
+# name -> (a factory of fresh equal instances, the field names, the exact repr)
+TYPES = {
+    "ProbabilityDistribution": (_dist, ("probs", "kind"), DIST_REPR),
+    "UtilityDistribution": (_util, ("utils",), UTIL_REPR),
+    "UtilityInformationScheme": (_scheme, ("dist", "util", "labels"), SCHEME_REPR),
+    "ParametricFamily": (
+        lambda: ParametricFamily(FamilyKind.GEOMETRIC, p=0.5),
+        ("kind", "n", "p", "beta"),
+        "ParametricFamily(kind=<FamilyKind.GEOMETRIC: 'geometric'>, n=None, p=0.5, beta=None)",
+    ),
+    "EscortPair": (
+        lambda: EscortPair(ProbabilityDistribution((0.5, 0.5), Kind.COMPLETE), 0.5, 2.0),
+        ("normalized", "mass", "beta"),
+        "EscortPair(normalized=ProbabilityDistribution(probs=(0.5, 0.5), "
+        "kind=<Kind.COMPLETE: 'complete'>), mass=0.5, beta=2.0)",
+    ),
+    "ScalingIdentityReport": (
+        lambda: ScalingIdentityReport(0.5, 0.5, 0.0, True),
+        ("lhs", "rhs", "abs_diff", "passed"),
+        "ScalingIdentityReport(lhs=0.5, rhs=0.5, abs_diff=0.0, passed=True)",
+    ),
+    "CurveRequest": (
+        lambda: CurveRequest(_scheme(), 1.0, 2.0, 3),
+        ("scheme", "t_min", "t_max", "steps", "measures", "extended"),
+        f"CurveRequest(scheme={SCHEME_REPR}, t_min=1.0, t_max=2.0, steps=3, "
+        "measures=(<Measure.WEIGHTED: 'weighted'>,), extended=False)",
+    ),
+}
+NAMES = sorted(TYPES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_twins_are_equal_and_hash_alike(name):
+    make = TYPES[name][0]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_unequal_across_classes_and_to_tuples(name):
+    a = TYPES[name][0]()
+    for other in NAMES:
+        if other != name:
+            assert a != TYPES[other][0]()
+    fields = TYPES[name][1]
+    assert a != tuple(getattr(a, f) for f in fields)
+
+
+def test_a_changed_field_breaks_equality():
+    assert ScalingIdentityReport(0.5, 0.5, 0.0, True) != ScalingIdentityReport(
+        0.5, 0.5, 0.0, False
+    )
+    assert ParametricFamily.geometric(0.5) != ParametricFamily.geometric(0.25)
+    assert _scheme() != UtilityInformationScheme(_dist(), _util())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_exact_repr(name):
+    _, _, expected = TYPES[name]
+    assert repr(TYPES[name][0]()) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_and_deletion_raise(name):
+    make, fields, _ = TYPES[name]
+    value = make()
+    for field in fields:
+        before = getattr(value, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, before)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.not_a_field = 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_equal(name, duplicate):
+    value = TYPES[name][0]()
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+
+
+def test_copies_keep_the_total():
+    dist = ProbabilityDistribution((0.1, 0.2, 0.7), Kind.COMPLETE)
+    for twin in (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))):
+        assert twin.total == dist.total == 1.0
+
+
+class TestConstruction:
+    def test_distributions_by_keyword(self):
+        assert ProbabilityDistribution(probs=(0.25, 0.75), kind=Kind.COMPLETE) == _dist()
+        assert UtilityDistribution(utils=[1, 2]) == _util()
+        with pytest.raises(TypeError):
+            ProbabilityDistribution((1.0,), Kind.COMPLETE, 1.0)  # total is no argument
+        with pytest.raises(TypeError):
+            ProbabilityDistribution(probs=(1.0,))
+
+    def test_scheme_labels_default_to_none(self):
+        scheme = UtilityInformationScheme(_dist(), _util())
+        assert scheme.labels is None
+        assert scheme == UtilityInformationScheme(dist=_dist(), util=_util(), labels=None)
+        assert UtilityInformationScheme(_dist(), _util(), ["a", "b"]) == _scheme()
+
+    def test_family_defaults(self):
+        family = ParametricFamily(FamilyKind.UNIFORM, n=3)
+        assert (family.n, family.p, family.beta) == (3, None, None)
+        assert family == ParametricFamily.uniform(3) == ParametricFamily(FamilyKind.UNIFORM, 3)
+        assert ParametricFamily(FamilyKind.GEOMETRIC, None, 0.5) == ParametricFamily.geometric(0.5)
+        assert ParametricFamily(
+            kind=FamilyKind.BETA_POWER, n=None, p=None, beta=2.0
+        ) == ParametricFamily.beta_power(2.0)
+
+    def test_escort_types_by_position_and_keyword(self):
+        normalized = ProbabilityDistribution((0.5, 0.5), Kind.COMPLETE)
+        assert EscortPair(normalized=normalized, mass=0.5, beta=2.0) == TYPES["EscortPair"][0]()
+        report = ScalingIdentityReport(lhs=0.5, rhs=0.5, abs_diff=0.0, passed=True)
+        assert report == TYPES["ScalingIdentityReport"][0]()
+        with pytest.raises(TypeError):
+            ScalingIdentityReport(0.5, 0.5, 0.0)
+
+    def test_curve_request_defaults(self):
+        request = CurveRequest(_scheme(), 1.0, 2.0, 3)
+        assert request.measures == (Measure.WEIGHTED,)
+        assert request.extended is False
+        assert request == CurveRequest(
+            scheme=_scheme(), t_min=1.0, t_max=2.0, steps=3,
+            measures=(Measure.WEIGHTED,), extended=False,
+        )
+        # measures come back in Measure order, whatever order they are given in
+        both = CurveRequest(_scheme(), 1.0, 2.0, 3, [Measure.GOLOMB, Measure.WEIGHTED], True)
+        assert both.measures == (Measure.WEIGHTED, Measure.GOLOMB)
+        assert both.extended is True
