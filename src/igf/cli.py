@@ -15,7 +15,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from . import closed_forms
 from .distributions import (
@@ -27,7 +28,6 @@ from .distributions import (
     constant_utility_scheme,
     realize_family,
     scheme_from_dict,
-    scheme_to_dict,
 )
 from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real, check_t
 from .escort import (
@@ -152,18 +152,72 @@ def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
     if fmt == "json":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an int past the digit limit
             raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-        return scheme_from_dict(doc)
-    return _scheme_from_csv(text, path)
+    else:
+        doc = _parse_csv(text, path)
+    # at a million entries the text is as large as the parsed vectors, and
+    # nothing needs it once they are parsed
+    del text
+    return scheme_from_dict(doc)
 
 
-def _scheme_from_csv(text: str, path: str) -> UtilityInformationScheme:
+#: Characters of CSV text per chunk of :func:`_parse_csv`, some 50k rows of
+#: 17-digit values.
+_CSV_CHUNK = 1 << 21
+_CSV_HEADERS = ("p,u", "probability,utility")
+
+
+def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
+    """The scheme document of CSV ``text``: a ``p,u`` row per outcome,
+    after an optional header row.
+
+    The text is parsed in chunks of about _CSV_CHUNK characters, each cut
+    just after a newline, so no list of every row is held.  Blank rows are
+    dropped, as the per-row loop :func:`_parse_csv_rows` drops them; every
+    other row of a chunk must hold one comma, and then the cells of the
+    whole chunk are split and converted in C.  ``float`` strips the
+    whitespace ``str.strip`` does, except U+001F, which it refuses, so
+    whenever every cell converts the values equal those of the per-row
+    loop.  Another count of commas or a cell ``float`` refuses sends the
+    whole text through that loop, whose messages name the row; so does a
+    header row that is not among the rows of the first chunk.
+    """
+    probs: list[float] = []
+    utils: list[float] = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CSV_CHUNK) + 1 or len(text)
+        rows = text[start:end].splitlines()
+        commas = set(map(str.count, rows, repeat(",")))
+        if 0 in commas:
+            rows = list(filter(str.strip, rows))
+            commas = set(map(str.count, rows, repeat(",")))
+        if start == 0 and rows and rows[0].strip().replace(" ", "") in _CSV_HEADERS:
+            del rows[0]
+        if not commas <= {1}:
+            break
+        cells = ",".join(rows).split(",") if rows else []
+        try:
+            probs.extend(map(float, cells[0::2]))
+            utils.extend(map(float, cells[1::2]))
+        except ValueError:
+            break
+        start = end
+    else:
+        return {"probabilities": probs, "utilities": utils}
+    # the values parsed so far are freed before the per-row loop runs
+    probs.clear()
+    utils.clear()
+    return _parse_csv_rows(text, path)
+
+
+def _parse_csv_rows(text: str, path: str) -> dict[str, list[float]]:
     probs: list[float] = []
     utils: list[float] = []
     rows = [line.strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
-    if rows and rows[0].replace(" ", "") in ("p,u", "probability,utility"):
+    if rows and rows[0].replace(" ", "") in _CSV_HEADERS:
         rows = rows[1:]
     for lineno, row in enumerate(rows, start=1):
         parts = [c.strip() for c in row.split(",")]
@@ -179,7 +233,7 @@ def _scheme_from_csv(text: str, path: str) -> UtilityInformationScheme:
             ) from None
         probs.append(p)
         utils.append(u)
-    return scheme_from_dict({"probabilities": probs, "utilities": utils})
+    return {"probabilities": probs, "utilities": utils}
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -193,21 +247,41 @@ def _render_floats(values: Sequence[float], digits: int, sep: str) -> str:
     return sep.join([f"%.{digits}g"] * len(values)) % tuple(values)
 
 
+#: Entries per slice of :func:`_render_chunks`.
+_RENDER_CHUNK = 65536
+
+
+def _render_chunks(values: Sequence[float], digits: int, sep: str) -> Iterator[str]:
+    """The text of ``_render_floats(values, digits, sep)`` in pieces: the
+    renderings of consecutive slices of _RENDER_CHUNK entries, with ``sep``
+    between them, so that no text of the whole vector is built."""
+    for start in range(0, len(values), _RENDER_CHUNK):
+        if start:
+            yield sep
+        yield _render_floats(values[start:start + _RENDER_CHUNK], digits, sep)
+
+
+def _scheme_json_chunks(scheme: UtilityInformationScheme) -> Iterator[str]:
+    """The text of :func:`render_scheme_json` in pieces."""
+    yield "{\n"
+    for key, values in (("probabilities", scheme.dist.probs), ("utilities", scheme.util.utils)):
+        yield f'  "{key}": ['
+        yield from _render_chunks(values, 17, ", ")
+        yield "],\n"
+    yield f'  "kind": {json.dumps(scheme.dist.kind.value)}'
+    if scheme.labels is not None:
+        labels = ", ".join(json.dumps(lab) for lab in scheme.labels)
+        yield f',\n  "labels": [{labels}]'
+    yield "\n}\n"
+
+
 def render_scheme_json(scheme: UtilityInformationScheme) -> str:
     """Canonical JSON for a scheme: fixed key order, 17 significant digits.
 
     17 digits make the decimal rendering round-trip float64 exactly, so
     normalizing twice is byte-for-byte stable.
     """
-    doc = scheme_to_dict(scheme)
-    parts = []
-    for key in ("probabilities", "utilities"):
-        parts.append(f'  "{key}": [{_render_floats(doc[key], 17, ", ")}]')
-    parts.append(f'  "kind": {json.dumps(doc["kind"])}')
-    if "labels" in doc:
-        labels = ", ".join(json.dumps(lab) for lab in doc["labels"])
-        parts.append(f'  "labels": [{labels}]')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+    return "".join(_scheme_json_chunks(scheme))
 
 
 #: The parameter flag and kind of each family the CLI names.  The flag
@@ -425,7 +499,9 @@ def _cmd_escort(args: argparse.Namespace) -> int:
         report = verify_scaling_identity(
             dist, u, args.beta, args.t, args.extended_t, pair, value
         )
-    print("escort: " + _render_floats(pair.normalized.probs, args.digits, " "))
+    sys.stdout.write("escort: ")
+    sys.stdout.writelines(_render_chunks(pair.normalized.probs, args.digits, " "))
+    sys.stdout.write("\n")
     print(f"mass: {_fmt(pair.mass, args.digits)}")
     if args.t is not None:
         print(f"generalized_igf: {_fmt(value, args.digits)}")
@@ -440,7 +516,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.input, args.format)
-    sys.stdout.write(render_scheme_json(scheme))
+    sys.stdout.writelines(_scheme_json_chunks(scheme))
     return 0
 
 

@@ -97,7 +97,18 @@ def _as_float_tuple(values: Iterable[object], what: str) -> tuple[float, ...]:
     for x in out:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValidationError(f"{what} entries must be numbers, got {x!r}")
-    return tuple(map(float, out))
+    try:
+        return tuple(map(float, out))
+    except OverflowError:
+        # an int too large for a float; the loop names the first one
+        for i, x in enumerate(out):
+            try:
+                float(x)
+            except OverflowError:
+                raise ValidationError(
+                    f"{what} entry {i} is an integer too large for a float"
+                ) from None
+        raise
 
 
 class ProbabilityDistribution(_Frozen):

@@ -67,12 +67,14 @@ def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     whose entries are all zero after powering.
     """
     beta = check_open(beta, "escort power beta", 0)
-    powered = list(map(pow, dist.probs, repeat(beta)))
-    mass = math.fsum(powered)
+    # the powers are taken twice, for the mass and for the normalized
+    # tuple, rather than held as a list next to that tuple
+    mass = math.fsum(map(pow, dist.probs, repeat(beta)))
     if mass == 0.0:
         raise AllZeroProbabilities(
             "all probabilities are zero (or underflow to zero) after powering"
         )
+    powered = map(pow, dist.probs, repeat(beta))
     normalized = ProbabilityDistribution(
         tuple(map(truediv, powered, repeat(mass))), Kind.COMPLETE
     )

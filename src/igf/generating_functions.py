@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import compress, repeat
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import ProbabilityDistribution, UtilityInformationScheme
@@ -51,32 +51,47 @@ def _exponent(u: float, t: float) -> float:
     return 1.0 - u * (1.0 - t)
 
 
-def _weighted_exponents(utils: Sequence[float], t: float) -> list[float]:
-    # _exponent inline: a call per entry costs time at a million entries
-    return [1.0 - u * (1.0 - t) for u in utils]
+class _WeightedExponents:
+    """The exponents ``1 - u_i * (1 - t)`` of ``utils`` as a stream that can
+    be iterated more than once: each pass recomputes them in C, with the
+    float operations of :func:`_exponent`, and no per-entry list is held."""
+
+    __slots__ = ("utils", "t")
+
+    def __init__(self, utils: Sequence[float], t: float) -> None:
+        self.utils, self.t = utils, t
+
+    def __iter__(self) -> Iterator[float]:
+        return map(sub, repeat(1.0), map(mul, self.utils, repeat(1.0 - self.t)))
+
+    def reaches_zero(self) -> bool:
+        """Whether some exponent is <= 0.  No t >= 1 gives one; below
+        t = 1 the smallest exponent is exactly that of the largest utility,
+        because rounding is monotonic."""
+        return self.t < 1.0 and _exponent(max(self.utils), self.t) <= 0.0
 
 
 def _power_sum(
     probs: Sequence[float],
-    exps: float | Sequence[float],
+    exps: float | _WeightedExponents,
     weights: Sequence[Sequence[float] | None] = (None,),
 ) -> list[float]:
     """math.fsum of w_i * p_i ** e_i for each weight vector w of ``weights``,
     over one pass of powers: the plain kernel of every generating function.
 
-    ``exps`` is one float exponent for every entry or one exponent per
-    entry; a ``None`` weight vector stands for w_i = 1.  A zero probability
-    adds nothing while its exponent is positive; under an exponent <= 0 it
-    raises DomainError.  Only exponents that reach 0 or below need that
-    scan, which no t >= 1 gives.  A power or sum too large for a float
-    raises DomainError too; a weight times a finite power may still
-    overflow to +-inf.
+    ``exps`` is one float exponent for every entry or the per-entry
+    weighted exponents; a ``None`` weight vector stands for w_i = 1.  A zero
+    probability adds nothing while its exponent is positive; under an
+    exponent <= 0 it raises DomainError.  Only exponents that reach 0 or
+    below need that scan, which no t >= 1 gives.  A power or sum too large
+    for a float raises DomainError too; a weight times a finite power may
+    still overflow to +-inf.
     """
     if isinstance(exps, float):
-        low, exps = exps, repeat(exps)
+        scan, exps = exps <= 0.0, repeat(exps)
     else:
-        low = min(exps)
-    if low <= 0.0:
+        scan = exps.reaches_zero()
+    if scan:
         _check_zero_powers(probs, exps)
     pows = map(pow, probs, exps)
     try:
@@ -124,7 +139,7 @@ def weighted_igf(
     Non-increasing and convex in t for t >= 1.
     """
     t = check_t(t, extended)
-    return _power_sum(scheme.dist.probs, _weighted_exponents(scheme.util.utils, t))[0]
+    return _power_sum(scheme.dist.probs, _WeightedExponents(scheme.util.utils, t))[0]
 
 
 def golomb_igf(
@@ -195,7 +210,7 @@ def curve_values(
             keys.append((e, w is None))
         sums = {}
         for e, ws in passes.items():
-            exps = _weighted_exponents(utils, t) if e is None else e
+            exps = _WeightedExponents(utils, t) if e is None else e
             sums[e] = dict(zip(ws, _power_sum(probs, exps, list(ws.values()))))
         row = tuple(sums[e][unit] for e, unit in keys)
         if not all(map(math.isfinite, row)):
@@ -217,7 +232,7 @@ def weighted_igf_derivative(
     r = check_int(r, "derivative order r", 1)
     t = check_t(t, extended)
     probs, utils = scheme.dist.probs, scheme.util.utils
-    m = next(_moments(probs, utils, (r,), _weighted_exponents(utils, t)))
+    m = next(_moments(probs, utils, (r,), _WeightedExponents(utils, t)))
     return 0.0 - m if r % 2 else m
 
 
@@ -241,7 +256,7 @@ def _moments(
     probs: Sequence[float],
     weights: Sequence[float] | None,
     orders: Sequence[int],
-    exps: Sequence[float] | None = None,
+    exps: _WeightedExponents | None = None,
 ) -> Iterator[float]:
     """sum_i p_i ** e_i * (-w_i * ln p_i) ** r for each r of ``orders``,
     lazily, with w_i = 1 when no weights and e_i = 1 when no exponents are
@@ -263,7 +278,7 @@ def _moments(
             continue
         try:
             if pows is None:
-                if exps is not None and min(exps) <= 0.0:
+                if exps is not None and exps.reaches_zero():
                     _check_zero_powers(probs, exps)
                 a = map(math.log, compress(probs, probs))
                 if weights is not None:

@@ -93,6 +93,8 @@ def geometric_igf_direct(p: float, u: float, t: float, tail: float = 1e-13) -> f
     """
     s = 1.0 - u * (1.0 - t)
     q = 1.0 - p
+    if q**s == 0.0:
+        return 0.0  # the first term is the largest, so every term is 0
     log_p_s = s * math.log(p)
     # -expm1(s ln p) is 1 - p**s without the cancellation that rounds it to 0
     cutoff = math.log(tail * -math.expm1(log_p_s)) - s * math.log(q)

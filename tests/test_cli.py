@@ -6,12 +6,14 @@ behind them were frozen from the direct-summation oracles.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ import igf
 from igf import (
     InvalidParameter,
     ScalingIdentityReport,
+    ValidationError,
     constant_utility_scheme,
     escort_transform,
     golomb_igf,
@@ -140,6 +143,23 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--input", str(path), "--t", "2")
         assert code == 2
         assert "JSON" in err
+
+    def test_integer_too_large_for_a_float_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"probabilities": [1], "utilities": [1' + "0" * 400 + "]}")
+        code, out, err = run(capsys, "eval", "--input", str(path), "--t", "2")
+        assert (code, out, err) == (
+            2, "", "error: utility entry 0 is an integer too large for a float\n"
+        )
+
+    def test_integer_past_the_parsers_digit_limit_is_exit_2(self, capsys, tmp_path):
+        # json.loads refuses an int of more than 4300 digits with a plain
+        # ValueError where the interpreter limits int parsing
+        path = tmp_path / "huge.json"
+        path.write_text('{"probabilities": [1], "utilities": [1' + "0" * 5000 + "]}")
+        code, out, err = run(capsys, "eval", "--input", str(path), "--t", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_normalized_scheme_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -1061,6 +1081,172 @@ class TestRenderingPasses:
         assert out.splitlines()[0] == "escort: " + _per_entry(
             pair.normalized.probs, digits, " "
         )
+
+
+def _random_scheme(n: int, seed: int = 0) -> tuple[list[float], list[float]]:
+    rng = np.random.default_rng(seed)
+    raw = rng.random(n) + 0.5
+    return (raw / raw.sum()).tolist(), (0.1 + 4.0 * rng.random(n)).tolist()
+
+
+class TestChunkedRendering:
+    """Vectors written in slices of _RENDER_CHUNK entries are byte-equal to
+    formatting each entry on its own, on both sides of each slice edge."""
+
+    C = cli._RENDER_CHUNK
+
+    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 2 * C + 1])
+    def test_normalize_escort_and_render_scheme_json(self, capsys, tmp_path, n):
+        probs, utils = _random_scheme(n, seed=n)
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
+        expected = (
+            "{\n"
+            f'  "probabilities": [{_per_entry(probs, 17, ", ")}],\n'
+            f'  "utilities": [{_per_entry(utils, 17, ", ")}],\n'
+            '  "kind": "complete"\n'
+            "}\n"
+        )
+        assert render_scheme_json(make_scheme(probs, utils)) == expected
+        assert run(capsys, "normalize", "--input", str(path)) == (0, expected, "")
+        code, out, err = run(
+            capsys, "escort", "--input", str(path), "--beta", "2", "--digits", "17"
+        )
+        pair = escort_transform(make_scheme(probs, utils).dist, 2.0)
+        assert (code, err) == (0, "")
+        assert out.split("\n")[0] == "escort: " + _per_entry(pair.normalized.probs, 17, " ")
+
+
+class TestCsvChunks:
+    """The chunked CSV parser gives the values of the per-row loop, which
+    it falls back to, and that loop's row-numbered messages."""
+
+    CASES = {
+        "crlf": "p,u\r\n0.5,1\r\n0.5,2\r\n",
+        "cr_only": "p,u\r0.5,1\r0.5,2\r",
+        "blank_at_start": "\n \np,u\n0.5,1\n0.5,2\n",
+        "blank_in_middle": "p,u\n0.5,1\n\n\t\n0.5,2\n",
+        "blank_at_end": "p,u\n0.5,1\n0.5,2\n\n  \n",
+        "cell_whitespace": "p,u\n 0.5 ,\t1 \n\u20030.5,2\u3000\n",
+        "long_header": "probability,utility\n0.5,1\n0.5,2\n",
+        "spaced_header": " p , u \n0.5,1\n0.5,2\n",
+        "no_header": "0.5,1\n0.5,2\n",
+        "no_trailing_newline": "p,u\n0.5,1\n0.5,2",
+        "odd_cells": "p,u\n1_0,nan\ninf,1e400\n-0.0,1e-400\n",
+        "header_only": "p,u\n",
+        "empty": "",
+        # str.strip strips U+001F and float() does not
+        "unit_separator": "p,u\n0.5\x1f,1\n0.5,2\n",
+        "header_not_first": "0.5,1\np,u\n",
+        "three_columns": "p,u\n0.5,1,2\n",
+    }
+    #: The cases the chunked pass parses without the per-row loop.
+    CHUNKED = {
+        "crlf", "cr_only", "blank_at_start", "blank_in_middle", "blank_at_end",
+        "cell_whitespace", "long_header", "spaced_header", "no_header",
+        "no_trailing_newline", "odd_cells", "header_only", "empty",
+    }
+
+    @staticmethod
+    def _parse(monkeypatch, text: str):
+        """The chunked parse of ``text`` or its error, the per-row loop's,
+        and whether the chunked parse called that loop."""
+        rows = cli._parse_csv_rows
+        calls = []
+        monkeypatch.setattr(
+            cli, "_parse_csv_rows", lambda *args: calls.append(args) or rows(*args)
+        )
+
+        def outcome(parse):
+            try:
+                return repr(parse(text, "f.csv"))
+            except ValidationError as exc:
+                return f"error: {exc}"
+
+        return outcome(cli._parse_csv), outcome(rows), bool(calls)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_the_row_loop(self, monkeypatch, name):
+        chunked, rows, fell_back = self._parse(monkeypatch, self.CASES[name])
+        assert chunked == rows
+        assert fell_back == (name not in self.CHUNKED)
+
+    @pytest.mark.parametrize("chunk", range(1, 40))
+    def test_every_cut_matches_the_row_loop(self, monkeypatch, chunk):
+        # small chunks put a cut after every row, CRLF and \r-only endings
+        # and blank rows included, and start the newline search inside a
+        # CRLF pair; some chunks hold only blank rows
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        text = (
+            " p,u \r\n0.25, 1\r\n\r\n 1e-3 ,2.5\n0.5,3\r0.125,4\r\n"
+            "\t\n\n\n\n\n\n\n\n\n\n\n\n0.125,1_0\n\n"
+        )
+        chunked, rows, fell_back = self._parse(monkeypatch, text)
+        assert chunked == rows and "error" not in chunked
+        assert not fell_back
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5,x", "has non-numeric entries: '0.5,x'"),
+        ("0.5,1,2", "must have two columns (p,u), got '0.5,1,2'"),
+    ])
+    def test_a_bad_row_in_the_second_chunk_is_named(self, capsys, tmp_path, bad, message):
+        # a blank row in the first chunk shifts no row number
+        good = "0.5,1\n\n"
+        count = cli._CSV_CHUNK // len(good) + 1000
+        text = "p,u\n" + good * count + bad + "\n" + good
+        assert text.index(bad) > cli._CSV_CHUNK
+        path = tmp_path / "scheme.csv"
+        path.write_text(text)
+        assert run(capsys, "normalize", "--input", str(path), "--format", "csv") == (
+            2, "", f"error: {path}: row {count + 1} {message}\n"
+        )
+
+
+class TestBoundedOutputMemory:
+    """At N = 2e5, normalize writes 8.4 MB and the 17-digit escort line
+    about 4.6 MB; the traced peak of writing either into a null sink stays
+    under 4 MB above what the command held before it began to write."""
+
+    LIMIT = 4 * 2**20
+
+    @pytest.fixture(scope="class")
+    def scheme(self):
+        return make_scheme(*_random_scheme(200_000))
+
+    def _output_peak(self, monkeypatch, scheme, last_step: str, *argv: str) -> int:
+        """Traced peak of ``main(argv)`` after its call to ``cli.<last_step>``
+        returned, less the memory traced at that point."""
+        monkeypatch.setattr(cli, "_load_scheme", lambda path, fmt: scheme)
+        step, held = getattr(cli, last_step), []
+
+        def step_then_mark(*args):
+            result = step(*args)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return result
+
+        monkeypatch.setattr(cli, last_step, step_then_mark)
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(list(argv))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and len(held) == 1
+        return peak - held[0]
+
+    def test_normalize(self, monkeypatch, scheme):
+        peak = self._output_peak(monkeypatch, scheme, "_load_scheme", "normalize", "--input", "-")
+        assert peak < self.LIMIT
+
+    def test_escort_line(self, monkeypatch, scheme):
+        peak = self._output_peak(
+            monkeypatch, scheme, "verify_scaling_identity",
+            "escort", "--input", "-", "--beta", "2", "--t", "2", "--verify-identity",
+            "--digits", "17",
+        )
+        assert peak < self.LIMIT
 
 
 #: The shared flags each subcommand reads, and so declares.

@@ -257,6 +257,12 @@ class TestGeometricOracle:
         assert tail / whole == pytest.approx(math.exp(-(2.0**-34)), rel=1e-15)
         assert tail < whole
 
+    @pytest.mark.parametrize("t", [1e308, 1e300, 2000.0])
+    def test_direct_sum_is_zero_when_the_first_term_underflows(self, t):
+        # at t = 1e308 the cutoff was nan: s ln p and s ln q are both -inf
+        assert (0.5 ** (1.0 - 2.0 * (1.0 - t))) == 0.0
+        assert oracles.geometric_igf_direct(0.5, 2.0, t) == 0.0
+
     def test_direct_sum_refuses_an_oversized_truncation(self):
         with pytest.raises(ValueError, match=r"^the direct sum needs \d+ terms") as info:
             oracles.geometric_igf_direct(self.P, 0.5, 0.0)

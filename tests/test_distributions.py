@@ -194,6 +194,26 @@ class TestScheme:
         with pytest.raises(LengthMismatch):
             make_scheme([0.5, 0.5], [1.0, 2.0], labels=["a"])
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_integer_too_large_for_a_float_names_the_entry(self, sign, position):
+        # 2**1024 - 2**970 is the first integer that rounds past the largest
+        # float; the one below it converts
+        utils = [1, 2**1024 - 2**970 - 1]
+        utils[position] = sign * 10**400
+        with pytest.raises(ValidationError) as excinfo:
+            make_scheme([0.5, 0.5], utils)
+        assert excinfo.type is ValidationError
+        assert str(excinfo.value) == (
+            f"utility entry {position} is an integer too large for a float"
+        )
+        probs = [0.5, 0.5]
+        probs[position] = sign * (2**1024 - 2**970)
+        with pytest.raises(ValidationError, match=(
+            f"^probability entry {position} is an integer too large for a float$"
+        )):
+            make_scheme(probs, [1.0, 1.0])
+
     def test_generalized_flag(self):
         scheme = make_scheme([0.25, 0.25], [1.0, 1.0], generalized=True)
         assert scheme.dist.kind is Kind.GENERALIZED

@@ -36,7 +36,7 @@ from igf import (
     weighted_self_information_moments,
 )
 from igf.cli import CurveRequest, Measure, evaluate_curve
-from igf.generating_functions import _moments
+from igf.generating_functions import _WeightedExponents, _moments
 
 LN2 = 0.6931471805599453
 
@@ -373,6 +373,30 @@ def _sparse_schemes(draw):
     probs.append(draw(st.floats(0.01, 1.0 / 16.0)))
     utils = [draw(st.floats(0.1, 8.0)) for _ in probs]
     return probs, utils
+
+
+class TestWeightedExponents:
+    """The exponent stream repeats the float operations of the per-entry
+    expression, and its zero test agrees with the smallest exponent."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(5e-324, 1e308), st.sampled_from([1.0, 0.5, 2.0, 1e300])),
+            min_size=1, max_size=8,
+        ),
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.sampled_from([1.0, 1.0 - 2.0**-53, 0.5, 0.0, -1.0, 1e-300]),
+        ),
+    )
+    def test_matches_the_per_entry_list(self, utils, t):
+        exps = _WeightedExponents(utils, t)
+        listed = [1.0 - u * (1.0 - t) for u in utils]
+        # two passes: the stream is rebuilt for each
+        assert list(exps) == listed
+        assert list(exps) == listed
+        assert exps.reaches_zero() == (min(listed) <= 0.0)
 
 
 class TestPowerSumKernel:
