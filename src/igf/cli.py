@@ -13,37 +13,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from itertools import repeat
 from typing import Iterator, Sequence
 
-from . import closed_forms
+from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
     FamilyKind,
     ParametricFamily,
-    ProbabilityDistribution,
     UtilityInformationScheme,
-    _Frozen,
     constant_utility_scheme,
     realize_family,
     scheme_from_dict,
 )
-from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real, check_t
-from .escort import (
-    EscortPair,
-    ScalingIdentityReport,
-    _scaling_report,
-    escort_transform,
-    unnormalized_power_igf,
-)
+from .errors import DomainError, ValidationError
+from .escort import escort_transform, verify_scaling_identity
 from .generating_functions import (
+    CurveRequest,
     LogBase,
     Measure,
-    _exponent,
-    curve_values,
-    golomb_igf,
-    hooda_bhaker_igf,
+    evaluate_curve,
+    evaluate_measure,
     weighted_entropy,
     weighted_igf,
     weighted_self_information_moments,
@@ -52,72 +42,6 @@ from .generating_functions import (
 DEFAULT_DIGITS = 12
 MAX_DIGITS = 17
 MAX_MOMENT_ORDER = 8
-
-
-def _evaluate_measure(
-    measure: Measure, scheme: UtilityInformationScheme, t: float, extended: bool
-) -> float:
-    if measure is Measure.WEIGHTED:
-        return weighted_igf(scheme, t, extended=extended)
-    if measure is Measure.GOLOMB:
-        return golomb_igf(scheme.dist, t, extended=extended)
-    return hooda_bhaker_igf(scheme, t, extended=extended)
-
-
-class CurveRequest(_Frozen):
-    """A grid-evaluation request over [t_min, t_max] with inclusive endpoints."""
-
-    __slots__ = _fields = ("scheme", "t_min", "t_max", "steps", "measures", "extended")
-
-    scheme: UtilityInformationScheme
-    t_min: float
-    t_max: float
-    steps: int
-    measures: tuple[Measure, ...]
-    extended: bool
-
-    def __init__(
-        self,
-        scheme: UtilityInformationScheme,
-        t_min: float,
-        t_max: float,
-        steps: int,
-        measures: Sequence[Measure] = (Measure.WEIGHTED,),
-        extended: bool = False,
-    ) -> None:
-        check_int(steps, "steps", 2)
-        t_min, t_max = check_real(t_min, "t_min"), check_real(t_max, "t_max")
-        for name, value in (("t_min", t_min), ("t_max", t_max)):
-            if not math.isfinite(value):
-                raise InvalidParameter(f"{name} must be finite, got {value!r}")
-        if not t_min < t_max:
-            raise InvalidParameter(f"need t_min < t_max, got {t_min!r} and {t_max!r}")
-        if t_max - t_min == math.inf:
-            # the grid step would be inf and the first point t_min + 0 * inf nan
-            raise InvalidParameter(
-                f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
-            )
-        check_t(t_min, extended)
-        measures = tuple(m for m in Measure if m in set(measures))
-        if not measures:
-            raise InvalidParameter("at least one measure is required")
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "t_min", t_min)
-        object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "extended", extended)
-
-
-def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
-    """Every requested measure on the equally spaced t grid, as (t, values)
-    pairs with values ordered like the request's measures."""
-    step = (request.t_max - request.t_min) / (request.steps - 1)
-    # pin the endpoint so the grid covers [t_min, t_max] exactly
-    ts = [request.t_min + k * step for k in range(request.steps - 1)]
-    ts.append(request.t_max)
-    rows = curve_values(request.scheme, ts, request.measures, extended=request.extended)
-    return list(zip(ts, rows))
 
 
 def render_curve_csv(request: CurveRequest) -> str:
@@ -180,8 +104,9 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     whitespace ``str.strip`` does, except U+001F, which it refuses, so
     whenever every cell converts the values equal those of the per-row
     loop.  Another count of commas or a cell ``float`` refuses sends the
-    whole text through that loop, whose messages name the row; so does a
-    header row that is not among the rows of the first chunk.
+    text from that chunk on through that loop, whose messages name the row;
+    the whole text goes while no row is parsed, so that a header row after
+    a first chunk of blank rows is still taken as the header.
     """
     probs: list[float] = []
     utils: list[float] = []
@@ -198,28 +123,33 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
         if not commas <= {1}:
             break
         cells = ",".join(rows).split(",") if rows else []
+        parsed = len(probs)
         try:
             probs.extend(map(float, cells[0::2]))
             utils.extend(map(float, cells[1::2]))
         except ValueError:
+            del probs[parsed:], utils[parsed:]
             break
         start = end
     else:
         return {"probabilities": probs, "utilities": utils}
-    # the values parsed so far are freed before the per-row loop runs
-    probs.clear()
-    utils.clear()
-    return _parse_csv_rows(text, path)
+    return _parse_csv_rows(text[start:] if probs else text, path, probs, utils)
 
 
-def _parse_csv_rows(text: str, path: str) -> dict[str, list[float]]:
-    probs: list[float] = []
-    utils: list[float] = []
+def _parse_csv_rows(
+    text: str, path: str, probs: list[float] | None = None, utils: list[float] | None = None
+) -> dict[str, list[float]]:
+    """The scheme document of CSV ``text``, parsed row by row.  The rows
+    are appended to ``probs`` and ``utils``, which hold those of the text
+    before ``text``: row numbers go on after them, and a header row is
+    taken only while they are empty."""
+    probs = [] if probs is None else probs
+    utils = [] if utils is None else utils
     rows = [line.strip() for line in text.splitlines()]
     rows = [r for r in rows if r]
-    if rows and rows[0].replace(" ", "") in _CSV_HEADERS:
+    if not probs and rows and rows[0].replace(" ", "") in _CSV_HEADERS:
         rows = rows[1:]
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in enumerate(rows, start=len(probs) + 1):
         parts = [c.strip() for c in row.split(",")]
         if len(parts) != 2:
             raise ValidationError(
@@ -286,9 +216,7 @@ def render_scheme_json(scheme: UtilityInformationScheme) -> str:
 
 #: The parameter flag and kind of each family the CLI names.  The flag
 #: names the ParametricFamily field it sets; the kind's value names the
-#: family's constructor on ParametricFamily and its closed forms
-#: ``<kind>_igf`` and ``<kind>_entropy`` in closed_forms, looked up at the
-#: call so that a wrapper set on the module sees it.
+#: family's constructor on ParametricFamily.
 _FAMILIES = {
     "uniform": ("--n", FamilyKind.UNIFORM),
     "geometric": ("--p", FamilyKind.GEOMETRIC),
@@ -320,9 +248,7 @@ def _check_digits(value: str) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.input, args.format)
-    value = _evaluate_measure(Measure(args.measure), scheme, args.t, args.extended_t)
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite {args.measure} value at t = {args.t}")
+    value = evaluate_measure(Measure(args.measure), scheme, args.t, extended=args.extended_t)
     print(_fmt(value, args.digits))
     return 0
 
@@ -356,7 +282,10 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
                 raise ValidationError(f"{flag} needs --family, not --input")
         return _load_scheme(args.input, args.format)
     if args.family is not None:
-        dist = _realize_family(_family_from_args(args), args.truncation)
+        family = _family_from_args(args)
+        if family.kind is FamilyKind.UNIFORM and args.truncation is not None:
+            raise ValidationError("family 'uniform' does not take --truncation")
+        dist = realize_family(family, args.truncation)
         return constant_utility_scheme(dist, 1.0 if args.u is None else args.u)
     raise ValidationError("curve needs a scheme: pass --input or --family")
 
@@ -382,122 +311,44 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-_GEOMETRIC_CHECK_TAIL = 1e-13
-
-#: Length of the beta-power ``--check`` direct sums, and the most terms any
-#: family the CLI realizes may take before it gives up with exit 2.
-_CHECK_TERMS = 1_000_000
-
-
-def _check_terms(needed: int) -> int:
-    if needed > _CHECK_TERMS:
-        raise ValidationError(
-            f"the realized family needs at least {needed} terms, "
-            f"above the cap of {_CHECK_TERMS}"
-        )
-    return needed
-
-
-def _realize_family(
-    family: ParametricFamily, truncation: int | None
-) -> ProbabilityDistribution:
-    """:func:`realize_family` under the _CHECK_TERMS cap, checked before
-    anything is built; the finite uniform family takes no truncation."""
-    if family.kind is FamilyKind.UNIFORM:
-        if truncation is not None:
-            raise ValidationError("family 'uniform' does not take --truncation")
-        _check_terms(family.n)
-    elif truncation is not None:
-        _check_terms(truncation)
-    return realize_family(family, truncation)
-
-
-def _geometric_check_truncation(p: float, u: float, t: float | None) -> int:
-    """Terms the geometric ``--check`` sums: enough that the omitted tail of
-    the IGF (``t`` given) is below _GEOMETRIC_CHECK_TAIL, or that of the
-    entropy (``t`` None) below 1e-15."""
-    if t is None:
-        trunc = 64
-        while (trunc * abs(math.log(p)) + 60.0) * p**trunc > 1e-15:
-            trunc = _check_terms(2 * trunc)
-        return trunc
-    s = _exponent(u, t)
-    q = 1.0 - p
-    if q**s == 0.0:
-        return 1  # the first term is the largest, so every term is 0
-    # tail after T terms is q**s * p**(T*s) / (1 - p**s)
-    log_p_s = s * math.log(p)
-    bound = math.log(_GEOMETRIC_CHECK_TAIL * -math.expm1(log_p_s)) - s * math.log(q)
-    return max(1, math.ceil(bound / log_p_s) + 1)
-
-
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     if args.entropy and args.t is not None:
         raise ValidationError("give either --t or --entropy, not both")
     if not args.entropy and args.t is None:
         raise ValidationError("closed-form needs --t for an IGF value or --entropy")
-    if args.t is not None:
-        check_t(args.t, args.extended_t)
-
-    flag, kind = _FAMILIES[args.family]
-    param = getattr(args, flag[2:])
-    if args.entropy:
-        value = getattr(closed_forms, f"{kind.value}_entropy")(param, args.u)
-    else:
-        value = getattr(closed_forms, f"{kind.value}_igf")(param, args.u, args.t)
+    if args.extended_t and args.t is None:
+        raise ValidationError("--extended-t needs --t")
+    value = closed_form_value(family, args.u, args.t, extended=args.extended_t)
     if not args.check:
         print(_fmt(value, args.digits))
         return 0
-    if kind is FamilyKind.GEOMETRIC:
-        trunc = _geometric_check_truncation(args.p, args.u, None if args.entropy else args.t)
-    else:
-        trunc = None if kind is FamilyKind.UNIFORM else _CHECK_TERMS
-    scheme = constant_utility_scheme(_realize_family(family, trunc), args.u)
-    direct = (
-        weighted_entropy(scheme) if args.entropy
-        else weighted_igf(scheme, args.t, extended=args.extended_t)
-    )
+    direct = direct_sum_value(family, args.u, args.t, extended=args.extended_t)
     print(f"closed_form: {_fmt(value, args.digits)}")
     print(f"direct: {_fmt(direct, args.digits)}")
     print(f"abs_diff: {format(abs(value - direct), '.6e')}")
     return 0
 
 
-def verify_scaling_identity(
-    dist: ProbabilityDistribution,
-    u: float,
-    beta: float,
-    t: float,
-    extended: bool,
-    pair: EscortPair,
-    escort_igf: float,
-) -> ScalingIdentityReport:
-    """:func:`igf.escort.verify_scaling_identity` for the escort command,
-    which already holds ``pair``, the escort of ``dist`` under ``beta``, and
-    ``escort_igf``, its weighted IGF at (u, t): neither is built again."""
-    lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
-    return _scaling_report(lhs, pair, escort_igf, u, t)
-
-
 def _cmd_escort(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.input, args.format)
-    dist: ProbabilityDistribution = scheme.dist
     if args.verify_identity and args.t is None:
         raise ValidationError("--verify-identity needs --t")
     if args.u is not None and args.t is None:
         raise ValidationError("--u needs --t")
+    if args.extended_t and args.t is None:
+        raise ValidationError("--extended-t needs --t")
     u = 1.0 if args.u is None else args.u
     # every value is computed before the first line is printed, so a
     # failing command leaves stdout empty
-    pair = escort_transform(dist, args.beta)
+    pair = escort_transform(scheme.dist, args.beta)
     if args.t is not None:
         value = weighted_igf(
             constant_utility_scheme(pair.normalized, u), args.t, extended=args.extended_t
         )
     if args.verify_identity:
         report = verify_scaling_identity(
-            dist, u, args.beta, args.t, args.extended_t, pair, value
+            scheme.dist, u, args.beta, args.t, extended=args.extended_t, escort=(pair, value)
         )
     sys.stdout.write("escort: ")
     sys.stdout.writelines(_render_chunks(pair.normalized.probs, args.digits, " "))

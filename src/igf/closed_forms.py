@@ -19,8 +19,15 @@ import math
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DomainError, check_int, check_open, check_real
-from .generating_functions import _exponent
+from .distributions import (
+    MAX_REALIZED_TERMS,
+    FamilyKind,
+    ParametricFamily,
+    constant_utility_scheme,
+    realize_family,
+)
+from .errors import DomainError, check_int, check_open, check_real, check_t
+from .generating_functions import _exponent, weighted_entropy, weighted_igf
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -145,17 +152,39 @@ def geometric_igf(p: float, u: float, t: float) -> float:
     """
     p = check_open(p, "geometric ratio p", 0, 1)
     u = check_open(u, "utility u", 0)
-    t = check_real(t, "t")
-    s = _exponent(u, t)
-    if s <= 0.0:
-        raise DomainError(
-            f"geometric series diverges: exponent s = {s} must be positive"
-        )
+    s = _geometric_exponent(u, check_real(t, "t"))
     if s == 1.0:
         return 1.0  # the total mass, exactly as q / (1 - p) = q / q gives it
     q = 1.0 - p
     # expm1 keeps the digits that 1 - p**s cancels away as p nears 1
     return q**s / -math.expm1(s * math.log(p))
+
+
+def _geometric_exponent(u: float, t: float) -> float:
+    s = _exponent(u, t)
+    if s <= 0.0:
+        raise DomainError(f"geometric series diverges: exponent s = {s} must be positive")
+    return s
+
+
+def _geometric_truncation(p: float, u: float, t: float | None) -> int:
+    """Terms of the geometric family that :func:`direct_sum_value` sums:
+    enough that the omitted tail of the IGF (``t`` given) is below 1e-13, or
+    that of the entropy (``t`` None) below 1e-15.  The entropy's count stops
+    doubling at the first one above MAX_REALIZED_TERMS."""
+    if t is None:
+        trunc = 64
+        while trunc <= MAX_REALIZED_TERMS and (trunc * -math.log(p) + 60.0) * p**trunc > 1e-15:
+            trunc *= 2
+        return trunc
+    s = _geometric_exponent(u, t)
+    q = 1.0 - p
+    if q**s == 0.0 or p**s == 0.0:
+        return 1  # every term after the first is 0
+    # tail after T terms is q**s * p**(T*s) / (1 - p**s)
+    log_p_s = s * math.log(p)
+    bound = math.log(1e-13 * -math.expm1(log_p_s)) - s * math.log(q)
+    return max(1, math.ceil(bound / log_p_s) + 1)
 
 
 def geometric_entropy(p: float, u: float) -> float:
@@ -203,3 +232,36 @@ def beta_power_entropy(beta: float, u: float) -> float:
     u = check_open(u, "utility u", 0)
     z = zeta(beta)
     return u * (math.log(z) - beta * zeta_derivative(beta) / z)
+
+
+def closed_form_value(
+    family: ParametricFamily, u: float, t: float | None = None, *, extended: bool = False
+) -> float:
+    """The closed form of ``family`` under the constant utility ``u``: its
+    weighted IGF at ``t``, or its weighted entropy when ``t`` is None."""
+    if t is not None:
+        t = check_t(t, extended)
+    if family.kind is FamilyKind.UNIFORM:
+        return uniform_entropy(family.n, u) if t is None else uniform_igf(family.n, u, t)
+    if family.kind is FamilyKind.GEOMETRIC:
+        return geometric_entropy(family.p, u) if t is None else geometric_igf(family.p, u, t)
+    return beta_power_entropy(family.beta, u) if t is None else beta_power_igf(family.beta, u, t)
+
+
+def direct_sum_value(
+    family: ParametricFamily, u: float, t: float | None = None, *, extended: bool = False
+) -> float:
+    """:func:`closed_form_value` summed directly: :func:`weighted_igf` at
+    ``t``, or :func:`weighted_entropy` when ``t`` is None, of ``family``
+    realized under the constant utility ``u``: the uniform family whole, the
+    power law to MAX_REALIZED_TERMS terms, the geometric family as far as
+    :func:`_geometric_truncation` says.  A family that needs more than
+    MAX_REALIZED_TERMS terms raises ValidationError before any is built."""
+    u = check_open(u, "utility u", 0)
+    if t is not None:
+        t = check_t(t, extended)
+    truncation = MAX_REALIZED_TERMS  # the uniform family ignores it
+    if family.kind is FamilyKind.GEOMETRIC:
+        truncation = _geometric_truncation(family.p, u, t)
+    scheme = constant_utility_scheme(realize_family(family, truncation), u)
+    return weighted_entropy(scheme) if t is None else weighted_igf(scheme, t, extended=extended)

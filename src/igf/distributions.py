@@ -348,6 +348,10 @@ def _check_truncation(truncation: int | None) -> int:
     return check_int(truncation, "truncation", 1)
 
 
+#: The most terms :func:`realize_family` builds.
+MAX_REALIZED_TERMS = 1_000_000
+
+
 def realize_family(
     family: ParametricFamily, truncation: int | None = None
 ) -> ProbabilityDistribution:
@@ -356,20 +360,26 @@ def realize_family(
     The uniform family is finite and comes back complete; ``truncation`` is
     ignored for it.  The geometric and power-law families are truncated to
     the first ``truncation`` outcomes and come back generalized, with total
-    mass 1 - p**T and sum(i**-beta, i <= T)/zeta(beta) respectively.
+    mass 1 - p**T and sum(i**-beta, i <= T)/zeta(beta) respectively.  A
+    family of more than MAX_REALIZED_TERMS terms raises ValidationError
+    before any is built.
     """
+    n = family.n if family.kind is FamilyKind.UNIFORM else _check_truncation(truncation)
+    assert n is not None
+    if n > MAX_REALIZED_TERMS:
+        raise ValidationError(
+            f"the realized family needs at least {n} terms, "
+            f"above the cap of {MAX_REALIZED_TERMS}"
+        )
     if family.kind is FamilyKind.UNIFORM:
-        n = family.n
-        assert n is not None
         return ProbabilityDistribution((1.0 / n,) * n, Kind.COMPLETE)
 
-    t = _check_truncation(truncation)
     if family.kind is FamilyKind.GEOMETRIC:
         p = family.p
         assert p is not None
         q = 1.0 - p
         return ProbabilityDistribution(
-            tuple(q * p**i for i in range(t)), Kind.GENERALIZED
+            tuple(q * p**i for i in range(n)), Kind.GENERALIZED
         )
 
     # power law: normalize by the full infinite-support constant, so the
@@ -380,7 +390,7 @@ def realize_family(
     assert beta is not None
     z = zeta(beta)
     return ProbabilityDistribution(
-        tuple(i ** (-beta) / z for i in range(1, t + 1)), Kind.GENERALIZED
+        tuple(i ** (-beta) / z for i in range(1, n + 1)), Kind.GENERALIZED
     )
 
 

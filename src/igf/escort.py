@@ -138,27 +138,24 @@ def verify_scaling_identity(
     t: float,
     *,
     extended: bool = False,
+    escort: tuple[EscortPair, float] | None = None,
 ) -> ScalingIdentityReport:
     """Check sum p**(beta*s) == I(escort, u, t) * mass**s numerically.
 
     The two sides are computed along independent code paths (direct powered
     sum versus escort normalization followed by the weighted IGF).  They are
     declared in agreement when |lhs - rhs| <= SCALING_IDENTITY_RTOL *
-    max(1, |lhs|).
+    max(1, |lhs|).  A caller that already holds the escort pair of ``dist``
+    under ``beta`` and its weighted IGF at (u, t) passes both as
+    ``escort=(pair, escort_igf)``, and neither is built again.
     """
     u = check_open(u, "constant utility u", 0)
     lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
-    pair = escort_transform(dist, beta)
-    escort_scheme = constant_utility_scheme(pair.normalized, u)
-    escort_igf = weighted_igf(escort_scheme, t, extended=extended)
-    return _scaling_report(lhs, pair, escort_igf, u, t)
-
-
-def _scaling_report(
-    lhs: float, pair: EscortPair, escort_igf: float, u: float, t: float
-) -> ScalingIdentityReport:
-    """The report for a ``lhs`` and an escort IGF already evaluated at (u, t),
-    so that a caller holding the escort need not build it again."""
+    if escort is None:
+        pair = escort_transform(dist, beta)
+        escort_scheme = constant_utility_scheme(pair.normalized, u)
+        escort = pair, weighted_igf(escort_scheme, t, extended=extended)
+    pair, escort_igf = escort
     s = _exponent(u, t)
     try:
         scale = pair.mass**s

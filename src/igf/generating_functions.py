@@ -27,7 +27,7 @@ from itertools import compress, repeat
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .distributions import ProbabilityDistribution, UtilityInformationScheme
+from .distributions import ProbabilityDistribution, UtilityInformationScheme, _Frozen
 from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
 
@@ -156,6 +156,25 @@ def hooda_bhaker_igf(
     return _power_sum(scheme.dist.probs, check_t(t, extended), (scheme.util.utils,))[0]
 
 
+def evaluate_measure(
+    measure: Measure, scheme: UtilityInformationScheme, t: float, *, extended: bool = False
+) -> float:
+    """The value of ``measure`` on ``scheme`` at ``t``: :func:`weighted_igf`,
+    :func:`golomb_igf` of its distribution or :func:`hooda_bhaker_igf`.  A
+    value that is not finite raises DomainError."""
+    if measure is Measure.WEIGHTED:
+        value = weighted_igf(scheme, t, extended=extended)
+    elif measure is Measure.GOLOMB:
+        value = golomb_igf(scheme.dist, t, extended=extended)
+    elif measure is Measure.HOODA_BHAKER:
+        value = hooda_bhaker_igf(scheme, t, extended=extended)
+    else:
+        raise InvalidParameter(f"unknown measure {measure!r}; expected a Measure")
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite {measure.value} value at t = {t}")
+    return value
+
+
 def curve_values(
     scheme: UtilityInformationScheme,
     ts: Sequence[float],
@@ -217,6 +236,62 @@ def curve_values(
             raise DomainError(f"non-finite curve value at t = {t}")
         rows.append(row)
     return rows
+
+
+class CurveRequest(_Frozen):
+    """A grid-evaluation request over [t_min, t_max] with inclusive endpoints."""
+
+    __slots__ = _fields = ("scheme", "t_min", "t_max", "steps", "measures", "extended")
+
+    scheme: UtilityInformationScheme
+    t_min: float
+    t_max: float
+    steps: int
+    measures: tuple[Measure, ...]
+    extended: bool
+
+    def __init__(
+        self,
+        scheme: UtilityInformationScheme,
+        t_min: float,
+        t_max: float,
+        steps: int,
+        measures: Sequence[Measure] = (Measure.WEIGHTED,),
+        extended: bool = False,
+    ) -> None:
+        check_int(steps, "steps", 2)
+        t_min, t_max = check_real(t_min, "t_min"), check_real(t_max, "t_max")
+        for name, value in (("t_min", t_min), ("t_max", t_max)):
+            if not math.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value!r}")
+        if not t_min < t_max:
+            raise InvalidParameter(f"need t_min < t_max, got {t_min!r} and {t_max!r}")
+        if t_max - t_min == math.inf:
+            # the grid step would be inf and the first point t_min + 0 * inf nan
+            raise InvalidParameter(
+                f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
+            )
+        check_t(t_min, extended)
+        measures = tuple(m for m in Measure if m in set(measures))
+        if not measures:
+            raise InvalidParameter("at least one measure is required")
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "t_min", t_min)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "extended", extended)
+
+
+def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
+    """Every requested measure on the equally spaced t grid, as (t, values)
+    pairs with values ordered like the request's measures."""
+    step = (request.t_max - request.t_min) / (request.steps - 1)
+    # pin the endpoint so the grid covers [t_min, t_max] exactly
+    ts = [request.t_min + k * step for k in range(request.steps - 1)]
+    ts.append(request.t_max)
+    rows = curve_values(request.scheme, ts, request.measures, extended=request.extended)
+    return list(zip(ts, rows))
 
 
 def weighted_igf_derivative(

@@ -18,9 +18,12 @@ import oracles
 from igf import (
     DomainError,
     InvalidParameter,
+    ValidationError,
     beta_power_entropy,
     beta_power_igf,
+    closed_form_value,
     constant_utility_scheme,
+    direct_sum_value,
     geometric_entropy,
     geometric_igf,
     make_complete,
@@ -375,6 +378,58 @@ class TestClosedFormsAgainstRealizedFamilies:
         assert diff <= max(1e-12, 2.0 * tail)
         if tail <= 4e-7:
             assert diff <= 1e-6
+
+
+class TestClosedFormAndDirectSum:
+    """The library's closed-form value of a family and its direct sum, the
+    two values ``closed-form --check`` prints."""
+
+    FAMILIES = [
+        ParametricFamily.uniform(7),
+        ParametricFamily.geometric(0.5),
+        ParametricFamily.geometric(0.99),
+        ParametricFamily.beta_power(4.0),
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("t", [None, 2.0])
+    def test_direct_sum_is_within_the_budget(self, family, t):
+        # the omitted geometric tail is below 1e-13 (IGF) or 1e-15
+        # (entropy); the power law at beta * s >= 4 leaves out under 1e-17
+        value = closed_form_value(family, 1.5, t)
+        assert abs(value - direct_sum_value(family, 1.5, t)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family, form_igf, form_entropy, param",
+        [
+            (ParametricFamily.uniform(7), uniform_igf, uniform_entropy, 7),
+            (ParametricFamily.geometric(0.5), geometric_igf, geometric_entropy, 0.5),
+            (ParametricFamily.beta_power(4.0), beta_power_igf, beta_power_entropy, 4.0),
+        ],
+    )
+    def test_value_is_the_family_closed_form(self, family, form_igf, form_entropy, param):
+        assert closed_form_value(family, 0.5) == form_entropy(param, 0.5)
+        assert closed_form_value(family, 0.5, 1.25) == form_igf(param, 0.5, 1.25)
+
+    def test_t_below_one_needs_extended(self):
+        family = ParametricFamily.geometric(0.5)
+        with pytest.raises(DomainError):
+            closed_form_value(family, 1.0, 0.75)
+        with pytest.raises(DomainError):
+            direct_sum_value(family, 1.0, 0.75)
+        value = closed_form_value(family, 1.0, 0.75, extended=True)
+        assert abs(value - direct_sum_value(family, 1.0, 0.75, extended=True)) <= 1e-12
+
+    def test_geometric_entropy_stops_at_the_first_doubling_above_the_cap(self):
+        with pytest.raises(ValidationError) as info:
+            direct_sum_value(ParametricFamily.geometric(0.99999999), 1.0)
+        assert str(info.value) == (
+            "the realized family needs at least 1048576 terms, above the cap of 1000000"
+        )
+
+    def test_geometric_direct_sum_refuses_a_divergent_exponent(self):
+        with pytest.raises(DomainError, match="geometric series diverges"):
+            direct_sum_value(ParametricFamily.geometric(0.5), 2.0, 0.5, extended=True)
 
 
 class TestEntropyIsMinusSlopeAtOne:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from igf import distributions
 from igf import (
     AllZeroProbabilities,
     COMPLETENESS_TOL,
@@ -37,6 +38,7 @@ from igf import (
     scheme_to_dict,
     zeta,
 )
+from igf.distributions import MAX_REALIZED_TERMS
 
 
 class TestProbabilityDistribution:
@@ -286,6 +288,29 @@ class TestRealizeFamily:
         # missing tail is roughly 1/(T * zeta(2))
         tail = dist.total - 1.0
         assert -2e-4 < tail < 0.0
+
+    @pytest.mark.parametrize(
+        "family, truncation",
+        [
+            (ParametricFamily.uniform(MAX_REALIZED_TERMS + 1), None),
+            (ParametricFamily.geometric(0.5), MAX_REALIZED_TERMS + 1),
+            (ParametricFamily.beta_power(2.0), MAX_REALIZED_TERMS + 1),
+        ],
+    )
+    def test_above_the_cap_is_refused_before_building(self, monkeypatch, family, truncation):
+        def refuse(*args):
+            raise AssertionError("a distribution was built above the cap")
+
+        monkeypatch.setattr(distributions, "ProbabilityDistribution", refuse)
+        with pytest.raises(ValidationError) as info:
+            realize_family(family, truncation)
+        assert str(info.value) == (
+            "the realized family needs at least 1000001 terms, above the cap of 1000000"
+        )
+
+    def test_the_cap_itself_is_realized(self):
+        dist = realize_family(ParametricFamily.uniform(MAX_REALIZED_TERMS))
+        assert len(dist) == MAX_REALIZED_TERMS
 
     def test_beta_power_large_truncation_matches_formula(self):
         trunc = 200_000

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,14 @@ from igf import (
     Kind,
     ProbabilityDistribution,
     ValidationError,
+    constant_utility_scheme,
     escort_transform,
     generalized_igf,
     golomb_igf,
     make_complete,
     make_generalized,
     make_scheme,
+    scheme_from_dict,
     unnormalized_power_igf,
     verify_scaling_identity,
     weighted_igf,
@@ -241,3 +245,17 @@ class TestScalingIdentity:
         # scalar, so there is nothing to verify for per-outcome utilities
         with pytest.raises(InvalidParameter):
             verify_scaling_identity(make_complete([0.5, 0.5]), (1.0, 2.0), 2.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["nonuniform_constant", "nonuniform_mixed", "uniform_constant", "uniform_increasing"]
+)
+@pytest.mark.parametrize("u, beta, t", [(1.0, 2.0, 2.0), (0.5, 0.7, 3.0), (2.0, 3.0, 0.75)])
+def test_a_held_escort_gives_the_same_report(name, u, beta, t):
+    path = Path(__file__).parent / "fixtures" / f"{name}.json"
+    dist = scheme_from_dict(json.loads(path.read_text())).dist
+    pair = escort_transform(dist, beta)
+    escort_igf = weighted_igf(constant_utility_scheme(pair.normalized, u), t, extended=True)
+    held = verify_scaling_identity(dist, u, beta, t, extended=True, escort=(pair, escort_igf))
+    assert held == verify_scaling_identity(dist, u, beta, t, extended=True)
+    assert held.passed

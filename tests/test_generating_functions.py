@@ -21,6 +21,7 @@ from igf import (
     InvalidParameter,
     LogBase,
     curve_values,
+    evaluate_measure,
     golomb_igf,
     hooda_bhaker_igf,
     make_complete,
@@ -643,6 +644,40 @@ class TestCurveGrid:
         scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
         with pytest.raises(DomainError, match=r"^t = 0\.5 is below the default domain"):
             curve_values(scheme, [2.0, 0.5], [Measure.WEIGHTED])
+
+
+class TestEvaluateMeasure:
+    """One measure at one t, as ``igf eval`` prints it."""
+
+    POINTWISE = {
+        Measure.WEIGHTED: lambda scheme, t, ext: weighted_igf(scheme, t, extended=ext),
+        Measure.GOLOMB: lambda scheme, t, ext: golomb_igf(scheme.dist, t, extended=ext),
+        Measure.HOODA_BHAKER: lambda scheme, t, ext: hooda_bhaker_igf(scheme, t, extended=ext),
+    }
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("t, extended", [(1.0, False), (2.5, False), (0.75, True)])
+    def test_equals_the_pointwise_call(self, measure, t, extended):
+        scheme = make_scheme([0.5, 0.3, 0.2], [1.0, 2.0, 0.5])
+        got = evaluate_measure(measure, scheme, t, extended=extended)
+        assert got == self.POINTWISE[measure](scheme, t, extended)
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_below_the_default_domain(self, measure):
+        with pytest.raises(DomainError, match=r"^t = 0\.5 is below the default domain"):
+            evaluate_measure(measure, make_scheme([0.5, 0.5], [1.0, 2.0]), 0.5)
+
+    def test_a_non_finite_value_is_a_domain_error(self):
+        # u * 0.5 ** -2 overflows to inf in the weight product
+        scheme = make_scheme([0.5, 0.5], [1e308, 1e308])
+        with pytest.raises(DomainError) as info:
+            evaluate_measure(Measure.HOODA_BHAKER, scheme, -2.0, extended=True)
+        assert str(info.value) == "non-finite hooda_bhaker value at t = -2.0"
+
+    def test_measure_must_be_a_measure(self):
+        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
+        with pytest.raises(InvalidParameter, match=r"^unknown measure 'weighted'"):
+            evaluate_measure("weighted", scheme, 2.0)
 
 
 class TestMomentValidation:
