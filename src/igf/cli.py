@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from itertools import repeat
-from typing import Iterator, Sequence
+from functools import partial
+from itertools import islice, repeat
+from typing import Callable, Iterator, Sequence
 
 from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
@@ -32,7 +34,9 @@ from .generating_functions import (
     CurveRequest,
     LogBase,
     Measure,
-    evaluate_curve,
+    curve_grid,
+    curve_values,
+    evaluate_curve,  # noqa: F401  (importable from here since it moved to the library)
     evaluate_measure,
     weighted_entropy,
     weighted_igf,
@@ -44,14 +48,116 @@ MAX_DIGITS = 17
 MAX_MOMENT_ORDER = 8
 
 
+#: Nonzero terms times grid points above which :func:`render_curve_csv`
+#: splits a curve: measured, see the README.
+_SPLIT_CURVE_WORK = 100_000
+#: Consecutive runs of the grid of a split curve.  Per call,
+#: ``curve_values`` makes passes over the scheme that cost about one grid
+#: point of a constant-utility curve, so runs are long; with 8 runs on 101
+#: points the two processes get 52 and 49 points of about equal cost.
+_CURVE_RUNS = 8
+
+
+def _worth_splitting(work: int, min_work: int) -> bool:
+    """Whether ``work`` units go to :func:`_split_map`: more than
+    ``min_work`` of them, a process that can fork, two or more CPUs it may
+    run on, and no other thread, which a forked child would not have."""
+    if work <= min_work or not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    import threading
+
+    return cpus >= 2 and threading.active_count() == 1
+
+
+def _split_map(fn: Callable, items: Sequence) -> Iterator:
+    """``map(fn, items)``, with every other item computed by a forked child.
+
+    The child computes the items at odd indexes and sends each result
+    through a pipe, in ``marshal`` form after its length, so results are
+    built of core types such as str, float, tuple and list; at its first
+    exception, or when the pipe breaks, it stops.  It leaves through
+    ``os._exit``, so it flushes no inherited buffer and runs no exit
+    handler.  This process computes the other items and reads the child's
+    results as their turn comes, holding one at a time; an item the child
+    did not deliver it computes itself.  So every result and every
+    exception is that of the serial ``map``, in the same order.  The child
+    is killed and reaped however the iteration ends; if it cannot be forked
+    the map is serial.
+    """
+    import marshal
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield from map(fn, items)
+        return
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for item in items[1::2]:
+                    data = marshal.dumps(fn(item))
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+                    pipe.flush()
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            child = True
+            for i, item in enumerate(items):
+                if i % 2 and child:
+                    try:
+                        yield marshal.loads(_receive(pipe))
+                        continue
+                    except EOFError:
+                        child = False
+                yield fn(item)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _receive(pipe) -> bytes:
+    """The next message :func:`_split_map`'s child wrote to ``pipe``;
+    EOFError if the child ended before it wrote all of it."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise EOFError
+    return data
+
+
 def render_curve_csv(request: CurveRequest) -> str:
     """CSV text for a curve request: header row, then one row per grid point.
 
     Floats are rendered with ``repr`` (shortest round-trip form) and rows end
     with a bare newline, so identical requests produce byte-identical output.
+    A long curve is evaluated in _CURVE_RUNS consecutive runs of its grid,
+    every other one by a second process (see :func:`_split_map`); any
+    other in one run.
     """
+    ts = curve_grid(request)
+    probs = request.scheme.dist.probs
+    split = _worth_splitting((len(probs) - probs.count(0.0)) * len(ts), _SPLIT_CURVE_WORK)
+    size = -(-len(ts) // _CURVE_RUNS) if split else len(ts)
+    runs = [ts[k:k + size] for k in range(0, len(ts), size)]
+    evaluate = partial(
+        curve_values, request.scheme, measures=request.measures, extended=request.extended
+    )
+    rows = [row for run in (_split_map if split else map)(evaluate, runs) for row in run]
     lines = ["t," + ",".join(m.value for m in request.measures)]
-    for t, values in evaluate_curve(request):
+    for t, values in zip(ts, rows):
         lines.append(repr(t) + "," + ",".join(repr(v) for v in values))
     return "\n".join(lines) + "\n"
 
@@ -110,10 +216,7 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     """
     probs: list[float] = []
     utils: list[float] = []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CSV_CHUNK) + 1 or len(text)
-        rows = text[start:end].splitlines()
+    for start, rows in _csv_chunks(text):
         commas = set(map(str.count, rows, repeat(",")))
         if 0 in commas:
             rows = list(filter(str.strip, rows))
@@ -130,39 +233,52 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
         except ValueError:
             del probs[parsed:], utils[parsed:]
             break
-        start = end
     else:
         return {"probabilities": probs, "utilities": utils}
     return _parse_csv_rows(text[start:] if probs else text, path, probs, utils)
 
 
+def _csv_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``text.splitlines()`` a chunk at a time: the rows of consecutive
+    pieces of about _CSV_CHUNK characters, each cut just after a newline,
+    each with the offset it starts at."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CSV_CHUNK) + 1 or len(text)
+        yield start, text[start:end].splitlines()
+        start = end
+
+
 def _parse_csv_rows(
     text: str, path: str, probs: list[float] | None = None, utils: list[float] | None = None
 ) -> dict[str, list[float]]:
-    """The scheme document of CSV ``text``, parsed row by row.  The rows
-    are appended to ``probs`` and ``utils``, which hold those of the text
-    before ``text``: row numbers go on after them, and a header row is
-    taken only while they are empty."""
+    """The scheme document of CSV ``text``, parsed row by row, a chunk of
+    rows at a time, up to the first bad row.  The rows are appended to
+    ``probs`` and ``utils``, which hold those of the text before ``text``:
+    row numbers go on after them, and a header row is taken only while
+    they are empty."""
     probs = [] if probs is None else probs
     utils = [] if utils is None else utils
-    rows = [line.strip() for line in text.splitlines()]
-    rows = [r for r in rows if r]
-    if not probs and rows and rows[0].replace(" ", "") in _CSV_HEADERS:
-        rows = rows[1:]
-    for lineno, row in enumerate(rows, start=len(probs) + 1):
-        parts = [c.strip() for c in row.split(",")]
-        if len(parts) != 2:
-            raise ValidationError(
-                f"{path}: row {lineno} must have two columns (p,u), got {row!r}"
-            )
-        try:
-            p, u = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ValidationError(
-                f"{path}: row {lineno} has non-numeric entries: {row!r}"
-            ) from None
-        probs.append(p)
-        utils.append(u)
+    header = not probs
+    for _, lines in _csv_chunks(text):
+        for row in filter(None, map(str.strip, lines)):
+            if header:
+                header = False
+                if row.replace(" ", "") in _CSV_HEADERS:
+                    continue
+            parts = [c.strip() for c in row.split(",")]
+            if len(parts) != 2:
+                raise ValidationError(
+                    f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
+                )
+            try:
+                p, u = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {len(probs) + 1} has non-numeric entries: {row!r}"
+                ) from None
+            probs.append(p)
+            utils.append(u)
     return {"probabilities": probs, "utilities": utils}
 
 
@@ -170,33 +286,44 @@ def _fmt(value: float, digits: int) -> str:
     return format(value, f".{digits}g")
 
 
-def _render_floats(values: Sequence[float], digits: int, sep: str) -> str:
-    """``sep.join(format(x, f".{digits}g") for x in values)`` as one ``%``
-    pass: ``%`` and ``format`` share CPython's double-to-string call, so the
-    text is byte-equal, without a Python-level call per entry."""
-    return sep.join([f"%.{digits}g"] * len(values)) % tuple(values)
+def _render_floats(values: Sequence[float], digits: int, sep: str, lead: str = "") -> str:
+    """``lead + sep.join(format(x, f".{digits}g") for x in values)`` as one
+    ``%`` pass: ``%`` and ``format`` share CPython's double-to-string call,
+    so the text is byte-equal, without a Python-level call per entry."""
+    return (lead + sep.join([f"%.{digits}g"] * len(values))) % tuple(values)
 
 
-#: Entries per slice of :func:`_render_chunks`.
+#: Entries per slice of :func:`_render_slices`.
 _RENDER_CHUNK = 65536
 
 
-def _render_chunks(values: Sequence[float], digits: int, sep: str) -> Iterator[str]:
-    """The text of ``_render_floats(values, digits, sep)`` in pieces: the
-    renderings of consecutive slices of _RENDER_CHUNK entries, with ``sep``
-    between them, so that no text of the whole vector is built."""
-    for start in range(0, len(values), _RENDER_CHUNK):
-        if start:
-            yield sep
-        yield _render_floats(values[start:start + _RENDER_CHUNK], digits, sep)
+def _render_slice(piece: tuple[Sequence[float], int], digits: int, sep: str) -> str:
+    """``_render_floats`` of ``vector[start:start + _RENDER_CHUNK]``, for
+    ``piece = (vector, start)``, after ``sep`` unless ``start`` is 0."""
+    vector, start = piece
+    return _render_floats(vector[start:start + _RENDER_CHUNK], digits, sep, sep if start else "")
+
+
+def _render_slices(vectors: Sequence[Sequence[float]], digits: int, sep: str) -> Iterator[str]:
+    """The text of ``_render_floats(vector, digits, sep)`` for each of
+    ``vectors`` in pieces, vector after vector: the renderings of its
+    consecutive slices of _RENDER_CHUNK entries, so that no text of a whole
+    vector is built.  More than one slice of entries in all is rendered by
+    two processes (see :func:`_split_map`)."""
+    slices = [(v, start) for v in vectors for start in range(0, len(v), _RENDER_CHUNK)]
+    render = partial(_render_slice, digits=digits, sep=sep)
+    split = _worth_splitting(sum(map(len, vectors)), _RENDER_CHUNK)
+    yield from (_split_map if split else map)(render, slices)
 
 
 def _scheme_json_chunks(scheme: UtilityInformationScheme) -> Iterator[str]:
     """The text of :func:`render_scheme_json` in pieces."""
+    vectors = {"probabilities": scheme.dist.probs, "utilities": scheme.util.utils}
+    texts = _render_slices(list(vectors.values()), 17, ", ")
     yield "{\n"
-    for key, values in (("probabilities", scheme.dist.probs), ("utilities", scheme.util.utils)):
+    for key, values in vectors.items():
         yield f'  "{key}": ['
-        yield from _render_chunks(values, 17, ", ")
+        yield from islice(texts, -(-len(values) // _RENDER_CHUNK))
         yield "],\n"
     yield f'  "kind": {json.dumps(scheme.dist.kind.value)}'
     if scheme.labels is not None:
@@ -291,7 +418,6 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    scheme = _scheme_for_curve(args)
     try:
         measures = tuple(Measure(tok.strip()) for tok in args.measures.split(","))
     except ValueError:
@@ -300,7 +426,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             f"{[m.value for m in Measure]}, got {args.measures!r}"
         ) from None
     request = CurveRequest(
-        scheme=scheme,
+        scheme=_scheme_for_curve(args),
         t_min=args.t_min,
         t_max=args.t_max,
         steps=args.steps,
@@ -331,13 +457,13 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def _cmd_escort(args: argparse.Namespace) -> int:
-    scheme = _load_scheme(args.input, args.format)
     if args.verify_identity and args.t is None:
         raise ValidationError("--verify-identity needs --t")
     if args.u is not None and args.t is None:
         raise ValidationError("--u needs --t")
     if args.extended_t and args.t is None:
         raise ValidationError("--extended-t needs --t")
+    scheme = _load_scheme(args.input, args.format)
     u = 1.0 if args.u is None else args.u
     # every value is computed before the first line is printed, so a
     # failing command leaves stdout empty
@@ -351,7 +477,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
             scheme.dist, u, args.beta, args.t, extended=args.extended_t, escort=(pair, value)
         )
     sys.stdout.write("escort: ")
-    sys.stdout.writelines(_render_chunks(pair.normalized.probs, args.digits, " "))
+    sys.stdout.writelines(_render_slices([pair.normalized.probs], args.digits, " "))
     sys.stdout.write("\n")
     print(f"mass: {_fmt(pair.mass, args.digits)}")
     if args.t is not None:

@@ -27,7 +27,12 @@ from itertools import compress, repeat
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .distributions import ProbabilityDistribution, UtilityInformationScheme, _Frozen
+from .distributions import (
+    MAX_REALIZED_TERMS,
+    ProbabilityDistribution,
+    UtilityInformationScheme,
+    _Frozen,
+)
 from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
 
@@ -239,7 +244,10 @@ def curve_values(
 
 
 class CurveRequest(_Frozen):
-    """A grid-evaluation request over [t_min, t_max] with inclusive endpoints."""
+    """A grid-evaluation request over [t_min, t_max] with inclusive endpoints.
+
+    ``steps`` counts the grid points, from 2 to MAX_REALIZED_TERMS.
+    """
 
     __slots__ = _fields = ("scheme", "t_min", "t_max", "steps", "measures", "extended")
 
@@ -260,6 +268,8 @@ class CurveRequest(_Frozen):
         extended: bool = False,
     ) -> None:
         check_int(steps, "steps", 2)
+        if steps > MAX_REALIZED_TERMS:
+            raise InvalidParameter(f"steps must be at most {MAX_REALIZED_TERMS}, got {steps}")
         t_min, t_max = check_real(t_min, "t_min"), check_real(t_max, "t_max")
         for name, value in (("t_min", t_min), ("t_max", t_max)):
             if not math.isfinite(value):
@@ -283,13 +293,19 @@ class CurveRequest(_Frozen):
         object.__setattr__(self, "extended", extended)
 
 
-def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
-    """Every requested measure on the equally spaced t grid, as (t, values)
-    pairs with values ordered like the request's measures."""
+def curve_grid(request: CurveRequest) -> list[float]:
+    """The request's ``steps`` equally spaced t values, from t_min to t_max."""
     step = (request.t_max - request.t_min) / (request.steps - 1)
     # pin the endpoint so the grid covers [t_min, t_max] exactly
     ts = [request.t_min + k * step for k in range(request.steps - 1)]
     ts.append(request.t_max)
+    return ts
+
+
+def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
+    """Every requested measure on the :func:`curve_grid` of ``request``, as
+    (t, values) pairs with values ordered like the request's measures."""
+    ts = curve_grid(request)
     rows = curve_values(request.scheme, ts, request.measures, extended=request.extended)
     return list(zip(ts, rows))
 

@@ -22,6 +22,7 @@ import pytest
 
 import igf
 from igf import (
+    DomainError,
     InvalidParameter,
     ScalingIdentityReport,
     ValidationError,
@@ -1242,6 +1243,23 @@ class TestCsvChunks:
         assert str(info.value) == "f.csv: row 101 has non-numeric entries: '0.5,oops'"
         assert len(texts) == 1 and text.endswith(texts[0]) and len(texts[0]) < 80
 
+    def test_a_bad_first_row_stops_the_row_loop(self, monkeypatch):
+        # the row loop listed every row of the text before it named row 1:
+        # 0.54 s and 177 MB for a 1e6-row file
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 1 << 14)
+        text = "p,u\n0.5,oops\n" + "0.5,1\n" * 400_000  # 150 chunks
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as info:
+                cli._parse_csv(text, "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "f.csv: row 1 has non-numeric entries: '0.5,oops'"
+        # the rows and cells of one chunk, as str objects, take about 35
+        # bytes per character; listing the rows of the whole text took 28 MB
+        assert peak < 64 * cli._CSV_CHUNK
+
     @pytest.mark.parametrize("bad, message", [
         ("0.5,x", "has non-numeric entries: '0.5,x'"),
         ("0.5,1,2", "must have two columns (p,u), got '0.5,1,2'"),
@@ -1304,6 +1322,289 @@ class TestBoundedOutputMemory:
             "--digits", "17",
         )
         assert peak < self.LIMIT
+
+
+class TestBoundedOutputMemorySplit(TestBoundedOutputMemory):
+    """The same bounds while a second process renders every other slice."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made with two usable CPUs."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+def _serial(monkeypatch, fn, *args):
+    """``fn(*args)`` with one usable CPU, where nothing may fork."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        patch.setattr(os, "fork", _no_fork)
+        return fn(*args)
+
+
+class TestSplitMap:
+    """_split_map gives what map gives, in order, errors included, and
+    leaves no child process behind."""
+
+    @staticmethod
+    def square_unless(bad):
+        def fn(x):
+            if x in bad:
+                raise ValueError(f"item {x}")
+            return x * x
+
+        return fn
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
+    def test_results_in_order(self, forks, n):
+        assert list(cli._split_map(self.square_unless(()), list(range(n)))) == [
+            x * x for x in range(n)
+        ]
+        assert forks == [1]
+        _assert_no_child()
+
+    # items 3 and 7 are the child's, 4 and 6 this process's
+    @pytest.mark.parametrize("bad, first", [({3, 6}, 3), ({4, 7}, 4), ({7}, 7), ({6}, 6)])
+    def test_first_error_is_the_serial_one(self, forks, bad, first):
+        got = cli._split_map(self.square_unless(bad), list(range(10)))
+        assert [next(got) for _ in range(first)] == [x * x for x in range(first)]
+        with pytest.raises(ValueError, match=f"^item {first}$"):
+            next(got)
+        assert forks == [1]
+        _assert_no_child()
+
+    def test_a_child_that_dies_partway(self, forks):
+        parent = os.getpid()
+
+        def fn(x):
+            if x == 5 and os.getpid() != parent:
+                os._exit(1)
+            return x * x
+
+        assert list(cli._split_map(fn, list(range(10)))) == [x * x for x in range(10)]
+        _assert_no_child()
+
+    def test_a_consumer_that_stops_early(self, forks):
+        got = cli._split_map(str, list(range(10)))
+        assert [next(got), next(got), next(got)] == ["0", "1", "2"]
+        got.close()
+        _assert_no_child()
+
+    def test_a_fork_that_fails_maps_serially(self, monkeypatch):
+        def fail():
+            raise OSError("no fork today")
+
+        monkeypatch.setattr(os, "fork", fail)
+        assert list(cli._split_map(str, [1, 2, 3])) == ["1", "2", "3"]
+
+
+class TestSplitCommands:
+    """Curves, normalize and the escort line split between two processes
+    only above their thresholds, and print what the serial code prints."""
+
+    C = cli._RENDER_CHUNK
+
+    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 2 * C + 1])
+    def test_rendering_is_byte_equal_to_serial(self, capsys, monkeypatch, tmp_path, forks, n):
+        probs, utils = _random_scheme(n, seed=n)
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
+        scheme = make_scheme(probs, utils)
+        escort = ["escort", "--input", str(path), "--beta", "2", "--t", "2",
+                  "--verify-identity", "--digits", "17"]
+        normalize = ["normalize", "--input", str(path)]
+        expected = [
+            _serial(monkeypatch, render_scheme_json, scheme),
+            _serial(monkeypatch, run, capsys, *normalize),
+            _serial(monkeypatch, run, capsys, *escort),
+        ]
+        assert forks == []
+        got = [render_scheme_json(scheme), run(capsys, *normalize), run(capsys, *escort)]
+        assert got == expected
+        # both vectors are more than one slice of entries; the escort line
+        # only above one slice
+        assert len(forks) == (3 if n > self.C else 2)
+        _assert_no_child()
+
+    def test_scheme_curve_is_byte_equal_to_serial(self, capsys, monkeypatch, tmp_path, forks):
+        probs, utils = _random_scheme(10_000, seed=3)
+        probs[10], probs[11] = 0.0, probs[10] + probs[11]  # a zero term, which the curve drops
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--input", str(path), "--measures", "weighted,golomb,hooda_bhaker",
+                "--out", str(out)]
+        assert _serial(monkeypatch, run, capsys, *argv) == (0, "", "")
+        expected = out.read_bytes()
+        out.unlink()
+        assert run(capsys, *argv) == (0, "", "")
+        assert out.read_bytes() == expected and forks == [1]
+        _assert_no_child()
+
+    #: 2000 terms by 101 points is above the curve threshold.
+    BETA = ["curve", "--family", "beta-power", "--beta", "2", "--truncation", "2000",
+            "--measures", "weighted,golomb"]
+
+    # the grid's 101 points run in 8 runs of 13: the runs of the child
+    # start at indexes 13, 39, 65 and 91, those of this process at 0, 26,
+    # 52 and 78
+    @pytest.mark.parametrize("bad, first", [
+        ((14, 30), 14),  # the child's, then this process's
+        ((30, 40), 30),  # this process's, then the child's
+        ((95,), 95),  # the child's last run
+        ((100, 80), 80),
+    ])
+    def test_first_failing_t_is_the_serial_error(
+        self, capsys, monkeypatch, tmp_path, forks, bad, first
+    ):
+        ts = [1.0 + k * 0.02 for k in range(100)] + [3.0]
+        values = cli.curve_values
+
+        def failing(scheme, grid, measures, *, extended=False):
+            for t in grid:
+                if t in {ts[k] for k in bad}:
+                    raise DomainError(f"non-finite curve value at t = {t}")
+            return values(scheme, grid, measures, extended=extended)
+
+        monkeypatch.setattr(cli, "curve_values", failing)
+        out = tmp_path / "c.csv"
+        argv = [*self.BETA, "--out", str(out)]
+        expected = (3, "", f"error: non-finite curve value at t = {ts[first]}\n")
+        assert _serial(monkeypatch, run, capsys, *argv) == expected
+        assert run(capsys, *argv) == expected
+        assert forks == [1] and not out.exists()
+        _assert_no_child()
+
+    def test_a_child_that_dies_partway(self, capsys, monkeypatch, tmp_path, forks):
+        parent, values = os.getpid(), cli.curve_values
+
+        def dying(scheme, grid, measures, *, extended=False):
+            if grid[0] > 2.0 and os.getpid() != parent:
+                os._exit(1)
+            return values(scheme, grid, measures, extended=extended)
+
+        monkeypatch.setattr(cli, "curve_values", dying)
+        out = tmp_path / "c.csv"
+        argv = [*self.BETA, "--out", str(out)]
+        assert _serial(monkeypatch, run, capsys, *argv) == (0, "", "")
+        expected = out.read_bytes()
+        assert run(capsys, *argv) == (0, "", "")
+        assert out.read_bytes() == expected and forks == [1]
+        _assert_no_child()
+
+    def test_small_work_stays_serial(self, capsys, monkeypatch, tmp_path, forks, half_half):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        out = str(tmp_path / "c.csv")
+        # about 400 nonzero terms
+        geometric = ["curve", "--family", "geometric", "--p", "0.15", "--truncation", "10000",
+                     "--measures", "weighted,golomb,hooda_bhaker", "--out", out]
+        assert run(capsys, *geometric) == (0, "", "")
+        assert run(capsys, "normalize", "--input", half_half)[0] == 0
+        assert run(capsys, "escort", "--input", half_half, "--beta", "2")[0] == 0
+
+    def test_one_cpu_never_forks(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert run(capsys, *self.BETA, "--out", str(tmp_path / "c.csv")) == (0, "", "")
+
+    def test_no_sched_getaffinity_reads_the_cpu_count(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert run(capsys, *self.BETA, "--out", str(tmp_path / "c.csv")) == (0, "", "")
+
+    def test_no_fork_is_serial(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, *self.BETA, "--out", str(tmp_path / "c.csv")) == (0, "", "")
+
+    def test_a_second_thread_never_forks(self, capsys, monkeypatch, tmp_path, forks):
+        import threading
+
+        monkeypatch.setattr(os, "fork", _no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert run(capsys, *self.BETA, "--out", str(tmp_path / "c.csv")) == (0, "", "")
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_only_the_cli_forks():
+    # library callers may run threads, which a forked child would not have
+    forking = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+            if any(n and (n.startswith("fork") or n.split(".")[0] in
+                          ("multiprocessing", "subprocess", "concurrent")) for n in names):
+                forking.add(path.name)
+    assert forking == {"cli.py"}
+
+
+class TestFlagsBeforeInput:
+    """A usage error in the flags exits 2 before the input is read."""
+
+    MEASURES = (
+        "--measures must name measures from ['weighted', 'golomb', 'hooda_bhaker'], "
+        "got 'weighted,bogus'"
+    )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["escort", "--input", "big.json", "--beta", "2", "--verify-identity"],
+         "--verify-identity needs --t"),
+        (["escort", "--input", "big.json", "--beta", "2", "--u", "2"], "--u needs --t"),
+        (["escort", "--input", "big.json", "--beta", "2", "--extended-t"],
+         "--extended-t needs --t"),
+        (["curve", "--input", "big.json", "--measures", "weighted,bogus", "--out", "c.csv"],
+         MEASURES),
+        (["curve", "--family", "beta-power", "--beta", "2", "--truncation", "1000000",
+          "--measures", "weighted,bogus", "--out", "c.csv"], MEASURES),
+    ])
+    def test_flag_error_first(self, capsys, monkeypatch, argv, message):
+        def unread(*args):
+            raise AssertionError("the scheme was built")
+
+        monkeypatch.setattr(cli, "_load_scheme", unread)
+        monkeypatch.setattr(cli, "realize_family", unread)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_grid_above_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
+    # a list of 1e12 floats was allocated before anything else was checked
+    out = tmp_path / "c.csv"
+    start = time.perf_counter()
+    code, stdout, err = run(
+        capsys, "curve", "--family", "uniform", "--n", "2", "--steps", "1000000000000",
+        "--out", str(out),
+    )
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout, err) == (
+        2, "", f"error: steps must be at most {MAX_REALIZED_TERMS}, got 1000000000000\n"
+    )
+    assert not out.exists()
 
 
 #: The shared flags each subcommand reads, and so declares.

@@ -20,6 +20,7 @@ from igf import (
     IGFError,
     InvalidParameter,
     LogBase,
+    MAX_REALIZED_TERMS,
     curve_values,
     evaluate_measure,
     golomb_igf,
@@ -37,7 +38,7 @@ from igf import (
     weighted_self_information_moments,
 )
 from igf.cli import CurveRequest, Measure, evaluate_curve
-from igf.generating_functions import _WeightedExponents, _moments
+from igf.generating_functions import _WeightedExponents, _moments, curve_grid
 
 LN2 = 0.6931471805599453
 
@@ -621,6 +622,32 @@ class TestCurveGrid:
         got = _outcome(lambda: evaluate_curve(request))
         assert got == _outcome(lambda: _pointwise_curve(*case))
         assert got[0] is DomainError and got[1].startswith(message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_curve_cases(), st.lists(st.integers(1, 11), max_size=4))
+    def test_consecutive_runs_equal_the_whole_grid(self, case, cuts):
+        # the command line evaluates a long grid in runs, in two processes
+        scheme, t_min, t_max, steps, measures, extended = case
+        ts = curve_grid(CurveRequest(scheme, t_min, t_max, steps, measures, extended))
+        edges = [0, *sorted(c for c in cuts if c < steps), steps]
+
+        def in_runs():
+            rows = []
+            for a, b in zip(edges, edges[1:]):
+                rows += curve_values(scheme, ts[a:b], measures, extended=extended)
+            return rows
+
+        whole = _outcome(lambda: curve_values(scheme, ts, measures, extended=extended))
+        assert _outcome(in_runs) == whole
+
+    def test_grid_endpoints_and_cap(self):
+        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
+        assert curve_grid(CurveRequest(scheme, 1.0, 3.0, 5)) == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert len(curve_grid(CurveRequest(scheme, 1.0, 3.0, MAX_REALIZED_TERMS))) == (
+            MAX_REALIZED_TERMS
+        )
+        with pytest.raises(InvalidParameter, match="^steps must be at most 1000000, got"):
+            CurveRequest(scheme, 1.0, 3.0, MAX_REALIZED_TERMS + 1)
 
     def test_measures_must_be_measures(self):
         # the string "weighted" was summed as an exponent-t measure: the
