@@ -28,12 +28,13 @@ from .distributions import (
     realize_family,
     scheme_from_dict,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_t
 from .escort import escort_transform, verify_scaling_identity
 from .generating_functions import (
     CurveRequest,
     LogBase,
     Measure,
+    check_curve_grid,
     curve_grid,
     curve_values,
     evaluate_curve,  # noqa: F401  (importable from here since it moved to the library)
@@ -76,14 +77,15 @@ def _worth_splitting(work: int, min_work: int) -> bool:
 def _split_map(fn: Callable, items: Sequence) -> Iterator:
     """``map(fn, items)``, with every other item computed by a forked child.
 
-    The child computes the items at odd indexes and sends each result
-    through a pipe, in ``marshal`` form after its length, so results are
-    built of core types such as str, float, tuple and list; at its first
-    exception, or when the pipe breaks, it stops.  It leaves through
-    ``os._exit``, so it flushes no inherited buffer and runs no exit
-    handler.  This process computes the other items and reads the child's
-    results as their turn comes, holding one at a time; an item the child
-    did not deliver it computes itself.  So every result and every
+    The child computes the items at odd indexes and writes each result to
+    a pipe with ``marshal.dump``, so results are built of core types such
+    as str, float, tuple and list; at its first exception, or when the pipe
+    breaks, it stops.  It leaves through ``os._exit``, so it flushes no
+    inherited buffer and runs no exit handler.  This process computes the
+    other items and reads the child's results with ``marshal.load`` as
+    their turn comes, holding one at a time; ``marshal.load`` raises
+    EOFError on a result the child did not finish, and from then on this
+    process computes the child's items itself.  So every result and every
     exception is that of the serial ``map``, in the same order.  The child
     is killed and reaped however the iteration ends; if it cannot be forked
     the map is serial.
@@ -104,9 +106,7 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 for item in items[1::2]:
-                    data = marshal.dumps(fn(item))
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
+                    marshal.dump(fn(item), pipe)
                     pipe.flush()
         finally:
             os._exit(0)
@@ -117,7 +117,7 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
             for i, item in enumerate(items):
                 if i % 2 and child:
                     try:
-                        yield marshal.loads(_receive(pipe))
+                        yield marshal.load(pipe)
                         continue
                     except EOFError:
                         child = False
@@ -125,17 +125,6 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-
-
-def _receive(pipe) -> bytes:
-    """The next message :func:`_split_map`'s child wrote to ``pipe``;
-    EOFError if the child ended before it wrote all of it."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise EOFError
-    return data
 
 
 def render_curve_csv(request: CurveRequest) -> str:
@@ -200,86 +189,74 @@ _CSV_HEADERS = ("p,u", "probability,utility")
 
 def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     """The scheme document of CSV ``text``: a ``p,u`` row per outcome,
-    after an optional header row.
+    after an optional header row, the first row that is not blank.
 
     The text is parsed in chunks of about _CSV_CHUNK characters, each cut
-    just after a newline, so no list of every row is held.  Blank rows are
-    dropped, as the per-row loop :func:`_parse_csv_rows` drops them; every
-    other row of a chunk must hold one comma, and then the cells of the
-    whole chunk are split and converted in C.  ``float`` strips the
-    whitespace ``str.strip`` does, except U+001F, which it refuses, so
-    whenever every cell converts the values equal those of the per-row
-    loop.  Another count of commas or a cell ``float`` refuses sends the
-    text from that chunk on through that loop, whose messages name the row;
-    the whole text goes while no row is parsed, so that a header row after
-    a first chunk of blank rows is still taken as the header.
+    just after a newline, so no list of every row is held.  A chunk's blank
+    rows are dropped; when every other row holds one comma, its cells are
+    split and converted in C.  ``float`` strips the whitespace
+    ``str.strip`` does, except U+001F, which it refuses, so whenever every
+    cell converts the values equal those of the per-row code.  A chunk
+    with another count of commas, or a cell ``float`` refuses, goes to
+    :func:`_parse_csv_rows`, whose messages name the row; the next chunk
+    goes back to the C pass.
     """
     probs: list[float] = []
     utils: list[float] = []
-    for start, rows in _csv_chunks(text):
+    header = True
+    for rows in _csv_chunks(text):
         commas = set(map(str.count, rows, repeat(",")))
         if 0 in commas:
             rows = list(filter(str.strip, rows))
             commas = set(map(str.count, rows, repeat(",")))
-        if start == 0 and rows and rows[0].strip().replace(" ", "") in _CSV_HEADERS:
-            del rows[0]
-        if not commas <= {1}:
-            break
-        cells = ",".join(rows).split(",") if rows else []
-        parsed = len(probs)
-        try:
-            probs.extend(map(float, cells[0::2]))
-            utils.extend(map(float, cells[1::2]))
-        except ValueError:
-            del probs[parsed:], utils[parsed:]
-            break
-    else:
-        return {"probabilities": probs, "utilities": utils}
-    return _parse_csv_rows(text[start:] if probs else text, path, probs, utils)
+        if header and rows:
+            header = False
+            if rows[0].strip().replace(" ", "") in _CSV_HEADERS:
+                del rows[0]
+        if commas <= {1}:
+            cells = ",".join(rows).split(",") if rows else []
+            parsed = len(probs)
+            try:
+                probs.extend(map(float, cells[0::2]))
+                utils.extend(map(float, cells[1::2]))
+                continue
+            except ValueError:
+                del probs[parsed:], utils[parsed:]
+        _parse_csv_rows(rows, path, probs, utils)
+    return {"probabilities": probs, "utilities": utils}
 
 
-def _csv_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_chunks(text: str) -> Iterator[list[str]]:
     """``text.splitlines()`` a chunk at a time: the rows of consecutive
-    pieces of about _CSV_CHUNK characters, each cut just after a newline,
-    each with the offset it starts at."""
+    pieces of about _CSV_CHUNK characters, each cut just after a newline."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CSV_CHUNK) + 1 or len(text)
-        yield start, text[start:end].splitlines()
+        yield text[start:end].splitlines()
         start = end
 
 
 def _parse_csv_rows(
-    text: str, path: str, probs: list[float] | None = None, utils: list[float] | None = None
-) -> dict[str, list[float]]:
-    """The scheme document of CSV ``text``, parsed row by row, a chunk of
-    rows at a time, up to the first bad row.  The rows are appended to
-    ``probs`` and ``utils``, which hold those of the text before ``text``:
-    row numbers go on after them, and a header row is taken only while
-    they are empty."""
-    probs = [] if probs is None else probs
-    utils = [] if utils is None else utils
-    header = not probs
-    for _, lines in _csv_chunks(text):
-        for row in filter(None, map(str.strip, lines)):
-            if header:
-                header = False
-                if row.replace(" ", "") in _CSV_HEADERS:
-                    continue
-            parts = [c.strip() for c in row.split(",")]
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
-                )
-            try:
-                p, u = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {len(probs) + 1} has non-numeric entries: {row!r}"
-                ) from None
-            probs.append(p)
-            utils.append(u)
-    return {"probabilities": probs, "utilities": utils}
+    rows: list[str], path: str, probs: list[float], utils: list[float]
+) -> None:
+    """Append the values of ``rows``, CSV rows without a header, to
+    ``probs`` and ``utils`` row by row; the first bad row raises
+    ValidationError.  Blank rows are skipped, and rows are numbered on
+    from those already in ``probs``."""
+    for row in filter(None, map(str.strip, rows)):
+        parts = [c.strip() for c in row.split(",")]
+        if len(parts) != 2:
+            raise ValidationError(
+                f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
+            )
+        try:
+            p, u = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {len(probs) + 1} has non-numeric entries: {row!r}"
+            ) from None
+        probs.append(p)
+        utils.append(u)
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -374,6 +351,7 @@ def _check_digits(value: str) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    check_t(args.t, args.extended_t)
     scheme = _load_scheme(args.input, args.format)
     value = evaluate_measure(Measure(args.measure), scheme, args.t, extended=args.extended_t)
     print(_fmt(value, args.digits))
@@ -425,6 +403,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
             f"--measures must name measures from "
             f"{[m.value for m in Measure]}, got {args.measures!r}"
         ) from None
+    check_curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
     request = CurveRequest(
         scheme=_scheme_for_curve(args),
         t_min=args.t_min,
@@ -463,6 +442,8 @@ def _cmd_escort(args: argparse.Namespace) -> int:
         raise ValidationError("--u needs --t")
     if args.extended_t and args.t is None:
         raise ValidationError("--extended-t needs --t")
+    if args.t is not None:
+        check_t(args.t, args.extended_t)
     scheme = _load_scheme(args.input, args.format)
     u = 1.0 if args.u is None else args.u
     # every value is computed before the first line is printed, so a

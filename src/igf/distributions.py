@@ -38,18 +38,28 @@ from .errors import (
 COMPLETENESS_TOL = 1e-9
 
 
+#: Sets a slot past the ``__setattr__`` of :class:`_Frozen`; a global name
+#: is found faster than ``object.__setattr__``.
+_setattr = object.__setattr__
+
+
 class _Frozen:
     """Base of the immutable value types.
 
     Equality, hash and repr run over the slots named in ``_fields``, in
-    order; ``__init__`` sets each slot once with ``object.__setattr__`` and
-    any later assignment or deletion raises ``FrozenInstanceError``.
+    order; ``__init__`` sets each slot once through ``_set`` and any later
+    assignment or deletion raises ``FrozenInstanceError``.
     ``__reduce__`` rebuilds through ``__init__``, so copies and pickles are
     validated again.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        """Set the slots, in the order of ``__slots__``, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -176,9 +186,7 @@ class ProbabilityDistribution(_Frozen):
                 raise AllZeroProbabilities(
                     "generalized distribution must have positive total mass"
                 )
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "total", total)
+        self._set(probs, kind, total)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -203,7 +211,7 @@ class UtilityDistribution(_Frozen):
                     raise NonPositiveUtility(
                         f"utilities must be positive finite numbers, got {u!r}"
                     )
-        object.__setattr__(self, "utils", utils)
+        self._set(utils)
 
     def __len__(self) -> int:
         return len(self.utils)
@@ -243,9 +251,7 @@ class UtilityInformationScheme(_Frozen):
                 raise LengthMismatch(
                     f"{len(dist)} probabilities but {len(labels)} labels"
                 )
-        object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "util", util)
-        object.__setattr__(self, "labels", labels)
+        self._set(dist, util, labels)
 
     def __len__(self) -> int:
         return len(self.dist)
@@ -322,10 +328,7 @@ class ParametricFamily(_Frozen):
             beta = check_open(beta, "power-law family beta", 1)
         else:
             raise InvalidParameter(f"unknown family kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "beta", beta)
+        self._set(kind, n, p, beta)
 
     @classmethod
     def uniform(cls, n: int) -> "ParametricFamily":

@@ -55,9 +55,7 @@ class EscortPair(_Frozen):
             raise ValidationError(
                 f"escort distribution must sum to 1 within 1e-12, got {total!r}"
             )
-        object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "beta", beta)
+        self._set(normalized, mass, beta)
 
 
 def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
@@ -125,10 +123,7 @@ class ScalingIdentityReport(_Frozen):
     passed: bool
 
     def __init__(self, lhs: float, rhs: float, abs_diff: float, passed: bool) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "abs_diff", abs_diff)
-        object.__setattr__(self, "passed", passed)
+        self._set(lhs, rhs, abs_diff, passed)
 
 
 def verify_scaling_identity(

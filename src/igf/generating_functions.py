@@ -243,6 +243,32 @@ def curve_values(
     return rows
 
 
+def check_curve_grid(
+    t_min: float, t_max: float, steps: int, extended: bool = False
+) -> tuple[float, float]:
+    """``(t_min, t_max)`` as floats, once they and ``steps`` make a curve
+    grid: ``steps`` an integer from 2 to MAX_REALIZED_TERMS, both ends
+    finite, t_min below t_max by a finite span, and t_min in the t domain
+    (:func:`check_t`).  The checks of :class:`CurveRequest`, which a caller
+    can run before it builds the scheme."""
+    check_int(steps, "steps", 2)
+    if steps > MAX_REALIZED_TERMS:
+        raise InvalidParameter(f"steps must be at most {MAX_REALIZED_TERMS}, got {steps}")
+    t_min, t_max = check_real(t_min, "t_min"), check_real(t_max, "t_max")
+    for name, value in (("t_min", t_min), ("t_max", t_max)):
+        if not math.isfinite(value):
+            raise InvalidParameter(f"{name} must be finite, got {value!r}")
+    if not t_min < t_max:
+        raise InvalidParameter(f"need t_min < t_max, got {t_min!r} and {t_max!r}")
+    if t_max - t_min == math.inf:
+        # the grid step would be inf and the first point t_min + 0 * inf nan
+        raise InvalidParameter(
+            f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
+        )
+    check_t(t_min, extended)
+    return t_min, t_max
+
+
 class CurveRequest(_Frozen):
     """A grid-evaluation request over [t_min, t_max] with inclusive endpoints.
 
@@ -267,30 +293,11 @@ class CurveRequest(_Frozen):
         measures: Sequence[Measure] = (Measure.WEIGHTED,),
         extended: bool = False,
     ) -> None:
-        check_int(steps, "steps", 2)
-        if steps > MAX_REALIZED_TERMS:
-            raise InvalidParameter(f"steps must be at most {MAX_REALIZED_TERMS}, got {steps}")
-        t_min, t_max = check_real(t_min, "t_min"), check_real(t_max, "t_max")
-        for name, value in (("t_min", t_min), ("t_max", t_max)):
-            if not math.isfinite(value):
-                raise InvalidParameter(f"{name} must be finite, got {value!r}")
-        if not t_min < t_max:
-            raise InvalidParameter(f"need t_min < t_max, got {t_min!r} and {t_max!r}")
-        if t_max - t_min == math.inf:
-            # the grid step would be inf and the first point t_min + 0 * inf nan
-            raise InvalidParameter(
-                f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
-            )
-        check_t(t_min, extended)
+        t_min, t_max = check_curve_grid(t_min, t_max, steps, extended)
         measures = tuple(m for m in Measure if m in set(measures))
         if not measures:
             raise InvalidParameter("at least one measure is required")
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "t_min", t_min)
-        object.__setattr__(self, "t_max", t_max)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "extended", extended)
+        self._set(scheme, t_min, t_max, steps, measures, extended)
 
 
 def curve_grid(request: CurveRequest) -> list[float]:

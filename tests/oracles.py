@@ -132,6 +132,36 @@ def beta_power_entropy_direct(
     return float(-np.sum(u * probs * np.log(probs)))
 
 
+def csv_scheme_rows(text: str, path: str) -> dict[str, list[float]]:
+    """The scheme document of CSV ``text``, read row by row over the whole
+    text: blank rows skipped, the first other row skipped when it is a
+    header, every other row two cells that ``float`` takes after
+    ``str.strip``.  A bad row raises ValueError naming its number as the
+    ``igf`` CLI's message does."""
+    probs: list[float] = []
+    utils: list[float] = []
+    header = True
+    for row in filter(None, map(str.strip, text.splitlines())):
+        if header:
+            header = False
+            if row.replace(" ", "") in ("p,u", "probability,utility"):
+                continue
+        parts = [c.strip() for c in row.split(",")]
+        if len(parts) != 2:
+            raise ValueError(
+                f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
+            )
+        try:
+            p, u = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {len(probs) + 1} has non-numeric entries: {row!r}"
+            ) from None
+        probs.append(p)
+        utils.append(u)
+    return {"probabilities": probs, "utilities": utils}
+
+
 def random_simplex(rng: np.random.Generator, n: int) -> list[float]:
     return rng.dirichlet(np.ones(n)).tolist()
 

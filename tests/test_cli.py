@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import igf
+import oracles
 from igf import (
     DomainError,
     InvalidParameter,
@@ -1145,8 +1146,9 @@ class TestChunkedRendering:
 
 
 class TestCsvChunks:
-    """The chunked CSV parser gives the values of the per-row loop, which
-    it falls back to, and that loop's row-numbered messages."""
+    """The chunked CSV parser gives the values and the row-numbered
+    messages of the whole-text per-row reader of ``oracles``; only a chunk
+    the C pass refuses goes to the per-row code."""
 
     CASES = {
         "crlf": "p,u\r\n0.5,1\r\n0.5,2\r\n",
@@ -1167,7 +1169,7 @@ class TestCsvChunks:
         "header_not_first": "0.5,1\np,u\n",
         "three_columns": "p,u\n0.5,1,2\n",
     }
-    #: The cases the chunked pass parses without the per-row loop.
+    #: The cases the chunked pass parses without the per-row code.
     CHUNKED = {
         "crlf", "cr_only", "blank_at_start", "blank_in_middle", "blank_at_end",
         "cell_whitespace", "long_header", "spaced_header", "no_header",
@@ -1175,22 +1177,34 @@ class TestCsvChunks:
     }
 
     @staticmethod
-    def _parse(monkeypatch, text: str):
-        """The chunked parse of ``text`` or its error, the per-row loop's,
-        and whether the chunked parse called that loop."""
-        rows = cli._parse_csv_rows
-        calls = []
-        monkeypatch.setattr(
-            cli, "_parse_csv_rows", lambda *args: calls.append(args) or rows(*args)
-        )
+    def _calls(monkeypatch) -> list[list[str]]:
+        """The rows of each call of the per-row code, from now on."""
+        rows, calls = cli._parse_csv_rows, []
 
-        def outcome(parse):
+        def recorded(chunk, *args):
+            calls.append(list(chunk))
+            return rows(chunk, *args)
+
+        monkeypatch.setattr(cli, "_parse_csv_rows", recorded)
+        return calls
+
+    @classmethod
+    def _parse(cls, monkeypatch, text: str):
+        """The chunked parse of ``text`` or its error, the per-row
+        reader's, and whether the chunked parse called the per-row code."""
+        calls = cls._calls(monkeypatch)
+
+        def outcome(parse, error):
             try:
                 return repr(parse(text, "f.csv"))
-            except ValidationError as exc:
+            except error as exc:
                 return f"error: {exc}"
 
-        return outcome(cli._parse_csv), outcome(rows), bool(calls)
+        return (
+            outcome(cli._parse_csv, ValidationError),
+            outcome(oracles.csv_scheme_rows, ValueError),
+            bool(calls),
+        )
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_the_row_loop(self, monkeypatch, name):
@@ -1233,15 +1247,25 @@ class TestCsvChunks:
         # 148 MB for a 975k-row file with one bad last row
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "0.5,1\n" * 100 + "0.5,oops\n"
-        texts = []
-        rows = cli._parse_csv_rows
-        monkeypatch.setattr(
-            cli, "_parse_csv_rows", lambda text, *args: texts.append(text) or rows(text, *args)
-        )
+        calls = self._calls(monkeypatch)
         with pytest.raises(ValidationError) as info:
             cli._parse_csv(text, "f.csv")
         assert str(info.value) == "f.csv: row 101 has non-numeric entries: '0.5,oops'"
-        assert len(texts) == 1 and text.endswith(texts[0]) and len(texts[0]) < 80
+        assert len(calls) == 1 and calls[0][-1] == "0.5,oops"
+        chunk = "\n".join(calls[0]) + "\n"
+        assert text.endswith(chunk) and len(chunk) < 80
+
+    def test_only_the_refused_chunk_is_read_row_by_row(self, monkeypatch):
+        # the C pass refuses the U+001F cell of chunk 2 and takes chunks 3
+        # to 5 back; the per-row code had read every row from chunk 2 on
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
+        text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
+        text = text.replace("0.0010,4", "0.0010\x1f,4")
+        chunks = list(cli._csv_chunks(text))
+        assert len(chunks) == 5 and "0.0010\x1f,4" in chunks[1]
+        calls = self._calls(monkeypatch)
+        assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
+        assert calls == [chunks[1]]
 
     def test_a_bad_first_row_stops_the_row_loop(self, monkeypatch):
         # the row loop listed every row of the text before it named row 1:
@@ -1398,6 +1422,35 @@ class TestSplitMap:
             return x * x
 
         assert list(cli._split_map(fn, list(range(10)))) == [x * x for x in range(10)]
+        _assert_no_child()
+
+    def test_a_child_that_dies_inside_a_message(self, forks, monkeypatch):
+        # the child sends two whole results and half of the third
+        import marshal
+
+        dumps, sent = marshal.dumps, []
+
+        def dump(value, file):
+            data = dumps(value)
+            if len(sent) == 2:
+                file.write(data[: len(data) // 2])
+                file.flush()
+                os._exit(0)
+            sent.append(value)
+            file.write(data)
+
+        monkeypatch.setattr(marshal, "dump", dump)
+        parent, here = os.getpid(), []
+
+        def fn(x):
+            if os.getpid() == parent:
+                here.append(x)
+            return x * x
+
+        items = [float(x) for x in range(10)]
+        assert list(cli._split_map(fn, items)) == [x * x for x in items]
+        # this process computed the child's items from the cut one on
+        assert here == [0, 2, 4, 5, 6, 7, 8, 9]
         _assert_no_child()
 
     def test_a_consumer_that_stops_early(self, forks):
@@ -1565,7 +1618,16 @@ def test_only_the_cli_forks():
 
 
 class TestFlagsBeforeInput:
-    """A usage error in the flags exits 2 before the input is read."""
+    """A usage error in the flags exits 2, and a bad t or curve grid exits
+    with its own code, before the input is read or a family is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_scheme(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("the scheme was built")
+
+        monkeypatch.setattr(cli, "_load_scheme", unread)
+        monkeypatch.setattr(cli, "realize_family", unread)
 
     MEASURES = (
         "--measures must name measures from ['weighted', 'golomb', 'hooda_bhaker'], "
@@ -1583,13 +1645,27 @@ class TestFlagsBeforeInput:
         (["curve", "--family", "beta-power", "--beta", "2", "--truncation", "1000000",
           "--measures", "weighted,bogus", "--out", "c.csv"], MEASURES),
     ])
-    def test_flag_error_first(self, capsys, monkeypatch, argv, message):
-        def unread(*args):
-            raise AssertionError("the scheme was built")
-
-        monkeypatch.setattr(cli, "_load_scheme", unread)
-        monkeypatch.setattr(cli, "realize_family", unread)
+    def test_flag_error_first(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    BELOW = (
+        "t = 0.5 is below the default domain t >= 1; pass extended=True "
+        "(--extended-t on the command line) to evaluate there"
+    )
+
+    # a bad t or grid was found only after the scheme was built: about
+    # 1.1 s and 130 MB for eval --t 0.5 or curve --steps 1 at N = 1e6
+    @pytest.mark.parametrize("argv, code, message", [
+        (["eval", "--input", "big.json", "--t", "0.5"], 3, BELOW),
+        (["escort", "--input", "big.json", "--beta", "2", "--t", "0.5"], 3, BELOW),
+        (["curve", "--input", "big.json", "--steps", "1", "--out", "c.csv"], 2,
+         "steps must be an integer >= 2, got 1"),
+        (["curve", "--family", "beta-power", "--beta", "2", "--truncation", "1000000",
+          "--t-min", "3", "--t-max", "2", "--out", "c.csv"], 2,
+         "need t_min < t_max, got 3.0 and 2.0"),
+    ])
+    def test_t_and_grid_errors_first(self, capsys, argv, code, message):
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 def test_a_grid_above_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
