@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import partial
 from itertools import islice, repeat
@@ -23,12 +24,13 @@ from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
     FamilyKind,
     ParametricFamily,
+    UtilityDistribution,
     UtilityInformationScheme,
     constant_utility_scheme,
     realize_family,
     scheme_from_dict,
 )
-from .errors import DomainError, ValidationError, check_t
+from .errors import DomainError, ValidationError, check_open, check_t
 from .escort import escort_transform, verify_scaling_identity
 from .generating_functions import (
     CurveRequest,
@@ -77,18 +79,21 @@ def _worth_splitting(work: int, min_work: int) -> bool:
 def _split_map(fn: Callable, items: Sequence) -> Iterator:
     """``map(fn, items)``, with every other item computed by a forked child.
 
-    The child computes the items at odd indexes and writes each result to
-    a pipe with ``marshal.dump``, so results are built of core types such
-    as str, float, tuple and list; at its first exception, or when the pipe
-    breaks, it stops.  It leaves through ``os._exit``, so it flushes no
-    inherited buffer and runs no exit handler.  This process computes the
-    other items and reads the child's results with ``marshal.load`` as
-    their turn comes, holding one at a time; ``marshal.load`` raises
-    EOFError on a result the child did not finish, and from then on this
-    process computes the child's items itself.  So every result and every
-    exception is that of the serial ``map``, in the same order.  The child
-    is killed and reaped however the iteration ends; if it cannot be forked
-    the map is serial.
+    The child computes the items at odd indexes and sends each result as
+    one bytes object, ``marshal.dump(marshal.dumps(result), pipe)``, so
+    results are built of core types such as str, float, tuple and list; at
+    its first exception, or when the pipe breaks, it stops.  It leaves
+    through ``os._exit``, so it flushes no inherited buffer and runs no exit
+    handler.  This process computes the other items and reads the child's
+    results as their turn comes, holding one at a time.  The bytes framing
+    makes each result one read from the pipe: ``marshal.load`` of a list
+    of floats straight from a pipe makes a call per element, 0.41 s for
+    5e5 floats against 0.034 s for ``marshal.loads`` of the same bytes.
+    ``marshal.load`` raises EOFError on a result the child did not finish,
+    and from then on this process computes the child's items itself.  So
+    every result and every exception is that of the serial ``map``, in the
+    same order.  The child is killed and reaped however the iteration ends;
+    if it cannot be forked the map is serial.
     """
     import marshal
     import signal
@@ -106,7 +111,7 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 for item in items[1::2]:
-                    marshal.dump(fn(item), pipe)
+                    marshal.dump(marshal.dumps(fn(item)), pipe)
                     pipe.flush()
         finally:
             os._exit(0)
@@ -117,7 +122,7 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
             for i, item in enumerate(items):
                 if i % 2 and child:
                     try:
-                        yield marshal.load(pipe)
+                        yield marshal.loads(marshal.load(pipe))
                         continue
                     except EOFError:
                         child = False
@@ -170,7 +175,7 @@ def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     if fmt == "json":
         try:
-            doc = json.loads(text)
+            doc = _parse_json(text)
         except ValueError as exc:  # malformed, or an int past the digit limit
             raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     else:
@@ -181,59 +186,175 @@ def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
     return scheme_from_dict(doc)
 
 
+#: Characters of a scheme file above which it is parsed by two processes
+#: (see :func:`_split_map`), 24 MiB: measured, see the README.
+_SPLIT_PARSE = 24 << 20
 #: Characters of CSV text per chunk of :func:`_parse_csv`, some 50k rows of
-#: 17-digit values.
+#: 17-digit values; also about the size of a piece of a JSON number array.
 _CSV_CHUNK = 1 << 21
 _CSV_HEADERS = ("p,u", "probability,utility")
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _parse_json(text: str) -> object:
+    """``json.loads(text)``; above _SPLIT_PARSE characters, on two CPUs.
+
+    A large text that is a JSON object is walked key by key with
+    ``JSONDecoder.raw_decode``.  A value that starts with ``[`` and holds
+    no ``"``, ``[`` or ``{`` before its first ``]`` is a flat array: its
+    elements are numbers or constants, which hold no comma, so its commas
+    are exactly its separators.  Such an array is cut at commas into pieces
+    of about _CSV_CHUNK characters, and each piece is parsed by
+    ``json.loads("[" + piece + "]")`` in this process or a forked child.
+    The array is valid if and only if every piece is a valid non-empty
+    array, and its elements are then the pieces' elements in order.  Any
+    other value is parsed in place.  On anything else (a top level that is
+    not an object, a duplicate key, a bad separator, trailing text, a piece
+    that fails or is empty) the whole text goes to ``json.loads``, which
+    gives its value or its error.
+    """
+    if not _worth_splitting(len(text), _SPLIT_PARSE):
+        return json.loads(text)
+    try:
+        doc, pieces = _json_walk(text)
+    except ValueError:
+        return json.loads(text)
+    parts = _split_map(partial(_parse_json_piece, text), [span for _, span in pieces])
+    try:
+        for (key, _), part in zip(pieces, parts):
+            if part is None:
+                break
+            doc[key] += part
+        else:
+            return doc
+    finally:
+        parts.close()
+    return json.loads(text)
+
+
+def _json_walk(text: str) -> tuple[dict, list]:
+    """The object of JSON ``text`` with each flat array value empty, and
+    ``(key, span)`` for each piece of those arrays, in order; ValueError
+    where :func:`_parse_json` hands the text to ``json.loads``."""
+    space, decode = _JSON_SPACE.match, json.JSONDecoder().raw_decode
+    doc: dict = {}
+    pieces = []
+    i = space(text).end() + 1
+    if text[i - 1:i] != "{":
+        raise ValueError
+    sep = ","
+    while sep == ",":
+        i = space(text, i).end()
+        if text[i:i + 1] != '"':
+            raise ValueError
+        key, i = decode(text, i)
+        i = space(text, i).end()
+        if key in doc or text[i:i + 1] != ":":
+            raise ValueError
+        i = space(text, i + 1).end()
+        close = text.find("]", i) if text[i:i + 1] == "[" else -1
+        if close > 0 and all(text.find(c, i + 1, close) < 0 for c in '"[{'):
+            doc[key] = []
+            start = i + 1
+            while start <= close:
+                cut = text.find(",", start + _CSV_CHUNK, close)
+                end = close if cut < 0 else cut
+                pieces.append((key, (start, end)))
+                start = end + 1
+            i = close + 1
+        else:
+            doc[key], i = decode(text, i)
+        i = space(text, i).end()
+        sep = text[i:i + 1]
+        i += 1
+    if sep != "}" or space(text, i).end() != len(text):
+        raise ValueError
+    return doc, pieces
+
+
+def _parse_json_piece(text: str, span: tuple[int, int]) -> list | None:
+    """The elements of ``text[start:end]`` read as the inside of a JSON
+    array, or None if it is not a valid non-empty one."""
+    try:
+        return json.loads("[" + text[span[0]:span[1]] + "]") or None
+    except ValueError:
+        return None
 
 
 def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     """The scheme document of CSV ``text``: a ``p,u`` row per outcome,
     after an optional header row, the first row that is not blank.
 
-    The text is parsed in chunks of about _CSV_CHUNK characters, each cut
-    just after a newline, so no list of every row is held.  A chunk's blank
-    rows are dropped; when every other row holds one comma, its cells are
-    split and converted in C.  ``float`` strips the whitespace
-    ``str.strip`` does, except U+001F, which it refuses, so whenever every
-    cell converts the values equal those of the per-row code.  A chunk
-    with another count of commas, or a cell ``float`` refuses, goes to
-    :func:`_parse_csv_rows`, whose messages name the row; the next chunk
-    goes back to the C pass.
+    The header is found first; the rows after it are parsed in chunks of
+    about _CSV_CHUNK characters, each cut just after a newline, so no list
+    of every row is held.  Each chunk goes through the C pass of
+    :func:`_parse_csv_chunk`, above _SPLIT_PARSE characters every other
+    one in a forked child (see :func:`_split_map`).  This process takes the
+    values in order and reads each chunk the C pass refused with
+    :func:`_parse_csv_rows`, whose messages name the row.
     """
     probs: list[float] = []
     utils: list[float] = []
-    header = True
-    for rows in _csv_chunks(text):
-        commas = set(map(str.count, rows, repeat(",")))
-        if 0 in commas:
-            rows = list(filter(str.strip, rows))
-            commas = set(map(str.count, rows, repeat(",")))
-        if header and rows:
-            header = False
-            if rows[0].strip().replace(" ", "") in _CSV_HEADERS:
-                del rows[0]
-        if commas <= {1}:
-            cells = ",".join(rows).split(",") if rows else []
-            parsed = len(probs)
-            try:
-                probs.extend(map(float, cells[0::2]))
-                utils.extend(map(float, cells[1::2]))
-                continue
-            except ValueError:
-                del probs[parsed:], utils[parsed:]
-        _parse_csv_rows(rows, path, probs, utils)
+    spans = list(_csv_chunks(text, _csv_header_end(text)))
+    split = _worth_splitting(len(text), _SPLIT_PARSE)
+    parsed = (_split_map if split else map)(partial(_parse_csv_chunk, text), spans)
+    try:
+        for (start, end), values in zip(spans, parsed):
+            if values is None:
+                _parse_csv_rows(text[start:end].splitlines(), path, probs, utils)
+            else:
+                probs += values[0]
+                utils += values[1]
+    finally:
+        if split:
+            parsed.close()
     return {"probabilities": probs, "utilities": utils}
 
 
-def _csv_chunks(text: str) -> Iterator[list[str]]:
-    """``text.splitlines()`` a chunk at a time: the rows of consecutive
-    pieces of about _CSV_CHUNK characters, each cut just after a newline."""
-    start = 0
+def _csv_chunks(text: str, start: int = 0, size: int = 0) -> Iterator[tuple[int, int]]:
+    """The ``(start, end)`` spans of consecutive pieces of ``text[start:]``
+    of about ``size`` (default _CSV_CHUNK) characters, each cut just after
+    a newline."""
+    size = size or _CSV_CHUNK
     while start < len(text):
-        end = text.find("\n", start + _CSV_CHUNK) + 1 or len(text)
-        yield text[start:end].splitlines()
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield start, end
         start = end
+
+
+def _csv_header_end(text: str) -> int:
+    """Where the rows after the header begin: just past the first row of
+    ``text`` that is not blank if that row is a header, else 0."""
+    for start, end in _csv_chunks(text, 0, 64):
+        for row in text[start:end].splitlines(keepends=True):
+            start += len(row)
+            if row.strip():
+                return start if row.strip().replace(" ", "") in _CSV_HEADERS else 0
+    return 0
+
+
+def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list] | None:
+    """The probabilities and utilities of the CSV rows in ``text[start:end]``
+    converted in C, or None if the C pass refuses them.
+
+    Blank rows are dropped; when every other row holds one comma, the cells
+    are split and converted by ``float``.  ``float`` strips the whitespace
+    ``str.strip`` does, except U+001F, which it refuses, so whenever every
+    cell converts the values equal those of the per-row code.  Another
+    count of commas, or a cell ``float`` refuses, is a refusal.
+    """
+    rows = text[span[0]:span[1]].splitlines()
+    commas = set(map(str.count, rows, repeat(",")))
+    if 0 in commas:
+        rows = list(filter(str.strip, rows))
+        commas = set(map(str.count, rows, repeat(",")))
+    if not commas <= {1}:
+        return None
+    cells = ",".join(rows).split(",") if rows else []
+    try:
+        return list(map(float, cells[0::2])), list(map(float, cells[1::2]))
+    except ValueError:
+        return None
 
 
 def _parse_csv_rows(
@@ -444,6 +565,11 @@ def _cmd_escort(args: argparse.Namespace) -> int:
         raise ValidationError("--extended-t needs --t")
     if args.t is not None:
         check_t(args.t, args.extended_t)
+    # the checks of escort_transform and constant_utility_scheme, made
+    # before the file is read
+    check_open(args.beta, "escort power beta", 0)
+    if args.u is not None:
+        UtilityDistribution((args.u,))
     scheme = _load_scheme(args.input, args.format)
     u = 1.0 if args.u is None else args.u
     # every value is computed before the first line is printed, so a

@@ -13,12 +13,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import igf
 import oracles
@@ -1242,6 +1245,20 @@ class TestCsvChunks:
         chunked, rows, _ = self._parse(monkeypatch, text)
         assert chunked == rows and "error" not in chunked
 
+    @pytest.mark.parametrize("chunk", [1, 4, 16])
+    @pytest.mark.parametrize("first", [" probability , utility ", "0.75,1"])
+    def test_blank_chunks_then_the_first_row(self, monkeypatch, chunk, first):
+        # the header is the first row that is not blank, found before any
+        # chunk is parsed; blank rows of every line ending fill more than
+        # one chunk ahead of it, and a refused chunk follows
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        text = "\r\n \n\t\r\x1c\n" * 12 + first + "\r\n0.125,1\n\n0.125\x1f,3\n0.5,4\n"
+        assert text.index(first) > 2 * chunk
+        body = text.index("0.125,1") if "p" in first else 0
+        assert cli._csv_header_end(text) == body
+        chunked, rows, fell_back = self._parse(monkeypatch, text)
+        assert chunked == rows and "error" not in chunked and fell_back
+
     def test_the_row_loop_reparses_from_the_failing_chunk_only(self, monkeypatch):
         # it re-parsed the whole text: 3.6 s and 232 MB instead of 2.2 s and
         # 148 MB for a 975k-row file with one bad last row
@@ -1261,7 +1278,8 @@ class TestCsvChunks:
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
         text = text.replace("0.0010,4", "0.0010\x1f,4")
-        chunks = list(cli._csv_chunks(text))
+        assert cli._csv_header_end(text) == len("p,u\n")
+        chunks = [text[a:b].splitlines() for a, b in cli._csv_chunks(text, len("p,u\n"))]
         assert len(chunks) == 5 and "0.0010\x1f,4" in chunks[1]
         calls = self._calls(monkeypatch)
         assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
@@ -1299,6 +1317,202 @@ class TestCsvChunks:
         assert run(capsys, "normalize", "--input", str(path), "--format", "csv") == (
             2, "", f"error: {path}: row {count + 1} {message}\n"
         )
+
+
+class TestCsvChunksSplit(TestCsvChunks):
+    """The same values, messages and row numbers while a forked child
+    parses every other chunk, whatever the text's length: a chunk the child
+    refuses is read row by row by this process, in order."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch, forks):
+        monkeypatch.setattr(cli, "_SPLIT_PARSE", -1)
+        yield
+        _assert_no_child()
+
+    def test_the_child_parses_every_other_chunk(self, monkeypatch, forks):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
+        text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
+        spans = list(cli._csv_chunks(text, len("p,u\n")))
+        chunk, here = cli._parse_csv_chunk, []
+        monkeypatch.setattr(
+            cli, "_parse_csv_chunk", lambda t, span: here.append(span) or chunk(t, span)
+        )
+        assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
+        assert forks == [1] and len(spans) == 5 and here == spans[0::2]
+
+
+class TestJsonPieces:
+    """Above _SPLIT_PARSE characters, the flat number arrays of a JSON
+    object are parsed in pieces cut at commas, every other one by a forked
+    child.  The document, or the error, is that of ``json.loads``, and
+    anything else goes to ``json.loads`` whole."""
+
+    CASES = {
+        "flat": '{"probabilities": [0.5, 0.25, 0.125, 0.125], "utilities": [1, 2.5, 3, 4e0]}',
+        "pretty": json.dumps({"probabilities": [0.5, 0.5], "utilities": [1.5, 2.0]}, indent=1),
+        "spaces": ' \t\n{ "probabilities" :\r\n[ 0.5 ,\t0.5 ] ,"utilities":[1,2]\r\n}\n',
+        "ints_and_constants": (
+            '{"probabilities": [1, 0, -0, 10000000000000000000001, NaN, Infinity,'
+            ' -Infinity, true, false, null, 1e400, -0.0, 5e-324]}'
+        ),
+        "other_values": (
+            '{"kind": "generalized", "labels": ["a]", "utilities", "[{"],'
+            ' "probabilities": [0.25, 0.25], "utilities": [1, 2], "x": {"y": [1, 2]}}'
+        ),
+        "nested_array": '{"probabilities": [[0.5, 0.25], 0.25]}',
+        "object_in_array": '{"probabilities": [{}, 0.5]}',
+        "string_in_array": '{"probabilities": ["0.5,1", 0.5]}',
+        "empty_array": '{"probabilities": [ ], "utilities": []}',
+        "double_comma": '{"probabilities": [0.5,,0.5]}',
+        "trailing_comma": '{"probabilities": [0.5,0.5,]}',
+        "leading_comma": '{"probabilities": [,0.5,0.5]}',
+        "missing_comma": '{"probabilities": [0.5 0.5]}',
+        "bad_number": '{"probabilities": [0.5, 00.5]}',
+        "non_json_space": '{"probabilities": [0.5,\u00a00.5]}',
+        "unclosed_array": '{"probabilities": [0.5, 0.5',
+        "duplicate_key": '{"probabilities": [0.5], "probabilities": [0.5, 0.5]}',
+        "top_level_array": "[0.5, 0.5]",
+        "bom": '\ufeff{"probabilities": [0.5, 0.5]}',
+        "trailing_text": '{"probabilities": [0.5, 0.5]} x',
+        "trailing_object_comma": '{"probabilities": [0.5, 0.5],}',
+        "bad_separator": '{"probabilities": [0.5, 0.5]; "utilities": [1, 1]}',
+        "missing_colon": '{"probabilities" [0.5, 0.5]}',
+        "bare_key": '{probabilities: [0.5, 0.5]}',
+        "empty_object": "{}",
+        "int_past_the_digit_limit": '{"probabilities": [0.5, ' + "9" * 5000 + "]}",
+    }
+    #: The cases whose whole text goes to json.loads.
+    FALLBACK = {
+        "empty_array", "double_comma", "trailing_comma", "leading_comma",
+        "missing_comma", "bad_number", "non_json_space", "unclosed_array", "duplicate_key",
+        "top_level_array", "bom", "trailing_text", "trailing_object_comma", "bad_separator",
+        "missing_colon", "bare_key", "empty_object", "int_past_the_digit_limit",
+    }
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch, forks):
+        # every text splits, into pieces of a few elements
+        monkeypatch.setattr(cli, "_SPLIT_PARSE", -1)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 4)
+        yield
+        _assert_no_child()
+
+    @staticmethod
+    def _parse(monkeypatch, text: str):
+        """The split parse of ``text`` or its error, those of
+        ``json.loads``, and whether the split parse gave ``json.loads`` the
+        whole text."""
+        loads, whole = json.loads, []
+
+        def outcome(parse):
+            try:
+                return repr(parse(text))
+            except ValueError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", lambda s: whole.append(s is text) or loads(s))
+            split = outcome(cli._parse_json)
+        return split, outcome(json.loads), any(whole)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_json_loads(self, monkeypatch, name):
+        split, whole, fell_back = self._parse(monkeypatch, self.CASES[name])
+        assert split == whole
+        assert fell_back == (name in self.FALLBACK)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_main_prints_what_the_serial_parse_prints(self, capsys, monkeypatch, tmp_path, name):
+        path = tmp_path / "scheme.json"
+        path.write_text(self.CASES[name], encoding="utf-8")
+        argv = ["normalize", "--input", str(path)]
+        assert run(capsys, *argv) == _serial(monkeypatch, run, capsys, *argv)
+
+    def test_the_child_parses_every_other_piece(self, monkeypatch, forks):
+        probs, utils = _random_scheme(40, seed=4)
+        text = json.dumps({"probabilities": probs, "utilities": utils, "kind": "complete"})
+        piece, here = cli._parse_json_piece, []
+        monkeypatch.setattr(
+            cli, "_parse_json_piece", lambda t, span: here.append(span) or piece(t, span)
+        )
+        assert cli._parse_json(text) == json.loads(text)
+        spans = [span for _, span in cli._json_walk(text)[1]]
+        assert forks == [1] and len(spans) > 20 and here == spans[0::2]
+
+    _numbers = st.one_of(
+        st.floats(), st.integers(-(10**30), 10**30), st.booleans(), st.none()
+    )
+    _values = st.one_of(
+        st.lists(_numbers, max_size=12),
+        _numbers,
+        st.text(alphabet='a,]["{}:', max_size=5),
+        st.lists(st.one_of(st.lists(_numbers, max_size=3), st.text("a,]", max_size=3)),
+                 max_size=4),
+        st.dictionaries(st.text("ab,", max_size=2), _numbers, max_size=2),
+    )
+    _docs = st.dictionaries(
+        st.sampled_from(["probabilities", "utilities", "kind", "labels", ",", "]", ""]),
+        _values, max_size=5,
+    )
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        doc=st.one_of(_docs, _values),
+        indent=st.sampled_from([None, 0, 1, "\t"]),
+        edit=st.none() | st.tuples(
+            st.integers(0, 10**4), st.sampled_from(list(',[]{}":x1 ') + [""]), st.integers(0, 2)
+        ),
+    )
+    def test_any_text_matches_json_loads(self, monkeypatch, doc, indent, edit):
+        # json.dumps output, and that output with a few characters replaced
+        text = json.dumps(doc, indent=indent)
+        if edit is not None:
+            at, new, old = edit
+            at %= len(text) + 1
+            text = text[:at] + new + text[at + old:]
+        split, whole, _ = self._parse(monkeypatch, text)
+        assert split == whole
+
+
+@pytest.mark.parametrize("condition", ["small", "one_cpu", "no_fork", "thread"])
+def test_a_parse_that_cannot_pay_is_serial(capsys, monkeypatch, tmp_path, forks, condition):
+    # json.loads of the whole text, and the CSV chunks in this process
+    probs, utils = _random_scheme(1000, seed=5)
+    scheme_json, scheme_csv = tmp_path / "s.json", tmp_path / "s.csv"
+    scheme_json.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
+    scheme_csv.write_text("p,u\n" + "".join(f"{p!r},{u!r}\n" for p, u in zip(probs, utils)))
+    longest = max(len(scheme_json.read_text()), len(scheme_csv.read_text()))
+    monkeypatch.setattr(cli, "_SPLIT_PARSE", longest if condition == "small" else 0)
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 1 << 12)
+
+    def unwalked(text):
+        raise AssertionError("the JSON text was walked")
+
+    monkeypatch.setattr(cli, "_json_walk", unwalked)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    if condition == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if condition == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if condition == "thread":
+        thread.start()
+    try:
+        expected = render_scheme_json(make_scheme(probs, utils))
+        assert run(capsys, "normalize", "--input", str(scheme_json)) == (0, expected, "")
+        assert run(capsys, "normalize", "--input", str(scheme_csv), "--format", "csv") == (
+            0, expected, ""
+        )
+    finally:
+        stop.set()
+        if condition == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestBoundedOutputMemory:
@@ -1451,6 +1665,61 @@ class TestSplitMap:
         assert list(cli._split_map(fn, items)) == [x * x for x in items]
         # this process computed the child's items from the cut one on
         assert here == [0, 2, 4, 5, 6, 7, 8, 9]
+        _assert_no_child()
+
+    @staticmethod
+    def floats(k):
+        return [k + x / 7 for x in range(50_000)]
+
+    def test_a_result_crosses_the_pipe_as_one_bytes_object(self, forks, monkeypatch):
+        # marshal.load of a float list straight from the pipe made a call
+        # per element: 0.41 s for 5e5 floats, against 0.034 s for
+        # marshal.loads of the same bytes
+        import marshal
+
+        load, read = marshal.load, []
+
+        def recorded(file):
+            value = load(file)
+            read.append(type(value))
+            return value
+
+        monkeypatch.setattr(marshal, "load", recorded)
+        assert list(cli._split_map(self.floats, [0, 1, 2, 3])) == [
+            self.floats(k) for k in range(4)
+        ]
+        assert read == [bytes, bytes]
+        _assert_no_child()
+
+    def test_a_child_that_dies_inside_a_payload(self, forks, monkeypatch):
+        # the child sends one whole 5e4-float result, then the framing and
+        # half the payload of the next
+        import marshal
+
+        dumps, sent = marshal.dumps, []
+
+        def dump(value, file):
+            assert type(value) is bytes
+            data = dumps(value)
+            if sent:
+                file.write(data[: len(data) - len(value) // 2])
+                file.flush()
+                os._exit(0)
+            sent.append(value)
+            file.write(data)
+
+        expected = [self.floats(k) for k in range(6)]
+        monkeypatch.setattr(marshal, "dump", dump)
+        parent, here = os.getpid(), []
+
+        def fn(k):
+            if os.getpid() == parent:
+                here.append(k)
+            return self.floats(k)
+
+        assert list(cli._split_map(fn, list(range(6)))) == expected
+        # this process computed the child's items from the cut one on
+        assert here == [0, 2, 3, 4, 5]
         _assert_no_child()
 
     def test_a_consumer_that_stops_early(self, forks):
@@ -1644,6 +1913,12 @@ class TestFlagsBeforeInput:
          MEASURES),
         (["curve", "--family", "beta-power", "--beta", "2", "--truncation", "1000000",
           "--measures", "weighted,bogus", "--out", "c.csv"], MEASURES),
+        # both were checked only after the scheme was built: 1.3 and 1.6 s
+        # of CPU and 130 MB for the N = 1e6 file
+        (["escort", "--input", "big.json", "--beta", "0"],
+         "escort power beta must lie in (0, inf), got 0.0"),
+        (["escort", "--input", "big.json", "--beta", "2", "--t", "2", "--u", "-1"],
+         "utilities must be positive finite numbers, got -1.0"),
     ])
     def test_flag_error_first(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
