@@ -120,17 +120,21 @@ def _overflow_error(
     r: int = 0,
 ) -> DomainError:
     """The DomainError for an OverflowError in a kernel sum: it names the
-    first term that overflows, or else the sum."""
+    first term that overflows and the factor of it that does, or else the
+    sum."""
     # Python raises OverflowError for finite operands with huge results,
     # which only extended-domain evaluations and extreme utilities reach
     ws = repeat(1.0) if weights is None else weights
     for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
         try:
             p**e
+        except OverflowError:
+            return DomainError(f"term {i} overflows: probability {p!r}, exponent {e!r}")
+        try:
             if r and p:
                 (w * math.log(p)) ** r
         except OverflowError:
-            return DomainError(f"term {i} overflows: probability {p!r}, exponent {e!r}")
+            return DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}")
     return DomainError("the sum of the terms overflows")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import json
 import math
 import os
@@ -142,6 +143,21 @@ class TestEval:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["eval", "--t", "2"], b'{"probabilities": [1.0], "utilities": [1.0\xff]}'),
+        (["entropy", "--format", "csv"], b"p,u\n1.0,1.0\xff\n"),
+    ])
+    def test_file_that_is_not_utf8_is_exit_2(self, capsys, tmp_path, argv, text):
+        # the UnicodeDecodeError of the read ended the process with exit 1
+        path = tmp_path / "scheme"
+        path.write_bytes(text)
+        assert run(capsys, *argv, "--input", str(path)) == (
+            2,
+            "",
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {text.index(0xff)}: invalid start byte\n",
+        )
 
     def test_malformed_json_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -305,7 +321,8 @@ class TestMoments:
         code, out, err = run(capsys, "moments", "--input", str(path), "--r-max", "2")
         assert code == 3
         assert out.splitlines()[0] == "0\t1"
-        assert "term 0 overflows" in err
+        # p ** 1.0 = 1e-300 is fine; the message named it as the overflow
+        assert err == "error: term 0 overflows: (1e+305 * ln 1e-300) ** 2\n"
 
     @pytest.mark.parametrize("bad", ["0", "9", "-1"])
     def test_r_max_outside_declared_range_is_exit_2(self, capsys, half_half, bad):
@@ -1735,6 +1752,58 @@ class TestSplitMap:
         monkeypatch.setattr(os, "fork", fail)
         assert list(cli._split_map(str, [1, 2, 3])) == ["1", "2", "3"]
 
+    def test_the_child_starts_off_this_process_cpu(self, forks, monkeypatch, tmp_path):
+        # a new child often shared its parent's CPU for its first 0.2-0.4 s;
+        # it moves off that CPU, then takes back the whole mask
+        assert 0 <= cli._running_cpu() < os.cpu_count()
+        log = tmp_path / "affinity.log"
+
+        def logged(pid, mask):
+            with open(log, "a") as fh:
+                fh.write(f"{pid} {sorted(mask)}\n")
+
+        monkeypatch.setattr(cli, "_running_cpu", lambda: 1)
+        monkeypatch.setattr(os, "sched_setaffinity", logged)
+        assert list(cli._split_map(self.square_unless(()), list(range(10)))) == [
+            x * x for x in range(10)
+        ]
+        assert forks == [1]
+        _assert_no_child()
+        assert log.read_text() == "0 [0]\n0 [0, 1]\n"
+
+    @pytest.mark.parametrize("fault, attempts", [
+        (OSError(22, "Invalid argument"), 1),
+        (ValueError("invalid CPU"), 1),
+        (FileNotFoundError(2, "No such file or directory", "/proc/self/stat"), 0),
+    ])
+    def test_a_move_that_fails_is_skipped(self, forks, monkeypatch, tmp_path, fault, attempts):
+        # a mask the OS refuses ends the move; without /proc there is none
+        log = tmp_path / "affinity.log"
+
+        def refuse(pid, mask):
+            with open(log, "a") as fh:
+                fh.write(f"{pid} {sorted(mask)}\n")
+            raise fault
+
+        def unknown():
+            raise fault
+
+        if isinstance(fault, FileNotFoundError):
+            monkeypatch.setattr(cli, "_running_cpu", unknown)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        parent, here = os.getpid(), []
+
+        def fn(x):
+            if os.getpid() == parent:
+                here.append(x)
+            return x * x
+
+        assert list(cli._split_map(fn, list(range(10)))) == [x * x for x in range(10)]
+        # the child still computed the odd items
+        assert forks == [1] and here == [0, 2, 4, 6, 8]
+        _assert_no_child()
+        assert len(log.read_text().splitlines() if log.exists() else []) == attempts
+
 
 class TestSplitCommands:
     """Curves, normalize and the escort line split between two processes
@@ -2097,10 +2166,116 @@ def test_import_igf_cli_leaves_dataclasses_unloaded():
     )
 
 
-def _assert_runs(script: str) -> None:
+def _run_process(*args: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python *args`` in a fresh process
+    that imports this tree's igf."""
     src = str(Path(igf.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
-    assert done.returncode == 0, done.stderr
+    return done.returncode, done.stdout, done.stderr
+
+
+def _assert_runs(script: str) -> None:
+    code, _, err = _run_process("-c", script)
+    assert code == 0, err
+
+
+def _main_in_process(capsys, argv: list[str]) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+#: What the installed ``igf`` console script runs.
+CONSOLE_SCRIPT = "from igf.cli import console_main; console_main()"
+
+
+class TestProcessEntry:
+    """A process enters the CLI through console_main, by ``python -m
+    igf.cli`` or the ``igf`` console script, and freezes the collector
+    before it exits: it prints the bytes and exits with the code of
+    ``main()`` run in-process, which freezes nothing."""
+
+    @pytest.mark.parametrize("template, code", [
+        (["eval", "--input", "{scheme}", "--t", "2"], 0),
+        (["eval", "--input", "{scheme}", "--t", "2", "--base", "2"], 2),
+        (["eval", "--input", "{bad}", "--t", "2"], 2),
+        (["eval", "--input", "{scheme}", "--t", "0.5"], 3),
+    ])
+    def test_same_bytes_as_main(self, capsys, half_half, tmp_path, template, code):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff")
+        argv = [arg.format(scheme=half_half, bad=bad) for arg in template]
+        expected = _main_in_process(capsys, argv)
+        assert expected[0] == code and gc.get_freeze_count() == 0
+        assert _run_process("-m", "igf.cli", *argv) == expected
+        assert _run_process("-c", CONSOLE_SCRIPT, *argv) == expected
+
+    def test_failed_verification_is_exit_4(self, capsys, monkeypatch, eight_two):
+        # a FAIL is not constructible from inputs, so the report is faked
+        # as in TestEscort, here and in the script
+        argv = ["escort", "--input", eight_two, "--beta", "2", "--t", "2", "--verify-identity"]
+        monkeypatch.setattr(
+            cli,
+            "verify_scaling_identity",
+            lambda *a, **k: ScalingIdentityReport(lhs=1.0, rhs=2.0, abs_diff=1.0, passed=False),
+        )
+        expected = _main_in_process(capsys, argv)
+        assert expected[0] == 4 and gc.get_freeze_count() == 0
+        script = (
+            "import igf.cli\n"
+            "from igf import ScalingIdentityReport\n"
+            "igf.cli.verify_scaling_identity = lambda *a, **k: ScalingIdentityReport(\n"
+            "    lhs=1.0, rhs=2.0, abs_diff=1.0, passed=False\n"
+            ")\n"
+            "igf.cli.console_main()\n"
+        )
+        assert _run_process("-c", script, *argv) == expected
+
+    def test_exit_handlers_run_after_the_freeze(self, capsys, half_half):
+        # the handler's line reaches stdout: the final flush still runs
+        argv = ["eval", "--input", half_half, "--t", "2"]
+        code, out, err = _main_in_process(capsys, argv)
+        script = (
+            "import atexit, gc\n"
+            "from igf.cli import console_main\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, end=''))\n"
+            "console_main()\n"
+        )
+        assert _run_process("-c", script, *argv) == (code, out + "frozen: True", err)
+
+    def test_no_child_is_left_when_the_process_freezes(self, capsys, monkeypatch, tmp_path, forks):
+        # stdout breaks midway through normalize's render, whose second
+        # slice of each 70000-entry vector is the child's; the child is
+        # reaped before the freeze, after which no collection would close
+        # a generator that still held it
+        probs, utils = _random_scheme(70_000)
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
+
+        class BreaksAtTheChildsSlice:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 4:  # "{", the key, this process's slice
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(_assert_no_child()))
+        monkeypatch.setattr(sys, "argv", ["igf", "normalize", "--input", str(path)])
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", BreaksAtTheChildsSlice())
+            with pytest.raises(SystemExit) as excinfo:
+                cli.console_main()
+        assert excinfo.value.code == 2 and frozen == [None] and forks == [1]
+        assert capsys.readouterr() == ("", "error: [Errno 32] Broken pipe\n")

@@ -481,7 +481,7 @@ class TestPowerSumKernel:
                         terms.append((w * math.log(p)) ** r * p)
                     except OverflowError:
                         raise DomainError(
-                            f"term {i} overflows: probability {p!r}, exponent 1.0"
+                            f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}"
                         ) from None
             try:
                 s = math.fsum(terms)
