@@ -34,13 +34,10 @@ from .distributions import (
 from .errors import DomainError, ValidationError, check_open, check_t
 from .escort import escort_transform, verify_scaling_identity
 from .generating_functions import (
-    CurveRequest,
     LogBase,
     Measure,
-    check_curve_grid,
     curve_grid,
     curve_values,
-    evaluate_curve,  # noqa: F401  (importable from here since it moved to the library)
     evaluate_measure,
     weighted_entropy,
     weighted_igf,
@@ -55,6 +52,9 @@ MAX_MOMENT_ORDER = 8
 #: Nonzero terms times grid points above which :func:`render_curve_csv`
 #: splits a curve: measured, see the README.
 _SPLIT_CURVE_WORK = 100_000
+#: Nonzero terms times grid points above which :func:`render_curve_csv`
+#: refuses a curve, up to about 32 s of one CPU: measured, see the README.
+_MAX_CURVE_WORK = 100_000_000
 #: Consecutive runs of the grid of a split curve.  Per call,
 #: ``curve_values`` makes passes over the scheme that cost about one grid
 #: point of a constant-utility curve, so runs are long; with 8 runs on 101
@@ -157,37 +157,39 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
         os.waitpid(pid, 0)
 
 
-def render_curve_csv(request: CurveRequest) -> str:
-    """CSV text for a curve request: header row, then one row per grid point.
+def render_curve_csv(
+    scheme: UtilityInformationScheme,
+    ts: Sequence[float],
+    measures: Sequence[Measure],
+    extended: bool,
+) -> str:
+    """CSV text of ``measures`` on ``scheme`` over the :func:`curve_grid`
+    ``ts``: header row, then one row per grid point.
 
     Floats are rendered with ``repr`` (shortest round-trip form) and rows end
     with a bare newline, so identical requests produce byte-identical output.
-    A long curve is evaluated in _CURVE_RUNS consecutive runs of its grid,
-    every other one by a second process (see :func:`_split_map`); any
-    other in one run.
+    A curve whose nonzero terms times grid points exceed _MAX_CURVE_WORK
+    raises ValidationError before any value is computed.  A long curve is
+    evaluated in _CURVE_RUNS consecutive runs of its grid, every other one
+    by a second process (see :func:`_split_map`); any other in one run.
     """
-    ts = curve_grid(request)
-    probs = request.scheme.dist.probs
-    split = _worth_splitting((len(probs) - probs.count(0.0)) * len(ts), _SPLIT_CURVE_WORK)
+    probs = scheme.dist.probs
+    terms = len(probs) - probs.count(0.0)
+    work = terms * len(ts)
+    if work > _MAX_CURVE_WORK:
+        raise ValidationError(
+            f"a curve of {terms} nonzero terms at {len(ts)} grid points is {work} "
+            f"term-points of work, above the bound of {_MAX_CURVE_WORK}"
+        )
+    split = _worth_splitting(work, _SPLIT_CURVE_WORK)
     size = -(-len(ts) // _CURVE_RUNS) if split else len(ts)
     runs = [ts[k:k + size] for k in range(0, len(ts), size)]
-    evaluate = partial(
-        curve_values, request.scheme, measures=request.measures, extended=request.extended
-    )
+    evaluate = partial(curve_values, scheme, measures=measures, extended=extended)
     rows = [row for run in (_split_map if split else map)(evaluate, runs) for row in run]
-    lines = ["t," + ",".join(m.value for m in request.measures)]
+    lines = ["t," + ",".join(m.value for m in measures)]
     for t, values in zip(ts, rows):
         lines.append(repr(t) + "," + ",".join(repr(v) for v in values))
     return "\n".join(lines) + "\n"
-
-
-def write_curve_csv(request: CurveRequest, path: str) -> None:
-    text = render_curve_csv(request)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
@@ -543,22 +545,21 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     try:
-        measures = tuple(Measure(tok.strip()) for tok in args.measures.split(","))
+        chosen = {Measure(tok.strip()) for tok in args.measures.split(",")}
     except ValueError:
         raise ValidationError(
             f"--measures must name measures from "
             f"{[m.value for m in Measure]}, got {args.measures!r}"
         ) from None
-    check_curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
-    request = CurveRequest(
-        scheme=_scheme_for_curve(args),
-        t_min=args.t_min,
-        t_max=args.t_max,
-        steps=args.steps,
-        measures=measures,
-        extended=args.extended_t,
-    )
-    write_curve_csv(request, args.out)
+    # canonical column order, each measure once
+    measures = tuple(m for m in Measure if m in chosen)
+    ts = curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
+    text = render_curve_csv(_scheme_for_curve(args), ts, measures, args.extended_t)
+    try:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from None
     return 0
 
 

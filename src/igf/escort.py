@@ -67,7 +67,7 @@ def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     beta = check_open(beta, "escort power beta", 0)
     # the powers are taken twice, for the mass and for the normalized
     # tuple, rather than held as a list next to that tuple
-    mass = math.fsum(map(pow, dist.probs, repeat(beta)))
+    mass = _power_sum(dist.probs, beta)[0]
     if mass == 0.0:
         raise AllZeroProbabilities(
             "all probabilities are zero (or underflow to zero) after powering"

@@ -31,7 +31,6 @@ from .distributions import (
     MAX_REALIZED_TERMS,
     ProbabilityDistribution,
     UtilityInformationScheme,
-    _Frozen,
 )
 from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
@@ -247,14 +246,15 @@ def curve_values(
     return rows
 
 
-def check_curve_grid(
+def curve_grid(
     t_min: float, t_max: float, steps: int, extended: bool = False
-) -> tuple[float, float]:
-    """``(t_min, t_max)`` as floats, once they and ``steps`` make a curve
-    grid: ``steps`` an integer from 2 to MAX_REALIZED_TERMS, both ends
-    finite, t_min below t_max by a finite span, and t_min in the t domain
-    (:func:`check_t`).  The checks of :class:`CurveRequest`, which a caller
-    can run before it builds the scheme."""
+) -> list[float]:
+    """``steps`` equally spaced t values from t_min to t_max, both included.
+
+    The grid is checked before it is built: ``steps`` an integer from 2 to
+    MAX_REALIZED_TERMS, both ends finite, t_min below t_max by a finite
+    span, and t_min in the t domain (:func:`check_t`).
+    """
     check_int(steps, "steps", 2)
     if steps > MAX_REALIZED_TERMS:
         raise InvalidParameter(f"steps must be at most {MAX_REALIZED_TERMS}, got {steps}")
@@ -270,55 +270,11 @@ def check_curve_grid(
             f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
         )
     check_t(t_min, extended)
-    return t_min, t_max
-
-
-class CurveRequest(_Frozen):
-    """A grid-evaluation request over [t_min, t_max] with inclusive endpoints.
-
-    ``steps`` counts the grid points, from 2 to MAX_REALIZED_TERMS.
-    """
-
-    __slots__ = _fields = ("scheme", "t_min", "t_max", "steps", "measures", "extended")
-
-    scheme: UtilityInformationScheme
-    t_min: float
-    t_max: float
-    steps: int
-    measures: tuple[Measure, ...]
-    extended: bool
-
-    def __init__(
-        self,
-        scheme: UtilityInformationScheme,
-        t_min: float,
-        t_max: float,
-        steps: int,
-        measures: Sequence[Measure] = (Measure.WEIGHTED,),
-        extended: bool = False,
-    ) -> None:
-        t_min, t_max = check_curve_grid(t_min, t_max, steps, extended)
-        measures = tuple(m for m in Measure if m in set(measures))
-        if not measures:
-            raise InvalidParameter("at least one measure is required")
-        self._set(scheme, t_min, t_max, steps, measures, extended)
-
-
-def curve_grid(request: CurveRequest) -> list[float]:
-    """The request's ``steps`` equally spaced t values, from t_min to t_max."""
-    step = (request.t_max - request.t_min) / (request.steps - 1)
+    step = (t_max - t_min) / (steps - 1)
     # pin the endpoint so the grid covers [t_min, t_max] exactly
-    ts = [request.t_min + k * step for k in range(request.steps - 1)]
-    ts.append(request.t_max)
+    ts = [t_min + k * step for k in range(steps - 1)]
+    ts.append(t_max)
     return ts
-
-
-def evaluate_curve(request: CurveRequest) -> list[tuple[float, tuple[float, ...]]]:
-    """Every requested measure on the :func:`curve_grid` of ``request``, as
-    (t, values) pairs with values ordered like the request's measures."""
-    ts = curve_grid(request)
-    rows = curve_values(request.scheme, ts, request.measures, extended=request.extended)
-    return list(zip(ts, rows))
 
 
 def weighted_igf_derivative(

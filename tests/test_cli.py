@@ -41,9 +41,9 @@ from igf import (
     weighted_igf,
 )
 from igf import cli, distributions
-from igf.cli import CurveRequest, _render_floats, build_parser, main, render_scheme_json
+from igf.cli import _render_floats, build_parser, main, render_scheme_json
 from igf.distributions import MAX_REALIZED_TERMS, ParametricFamily
-from igf.generating_functions import LogBase
+from igf.generating_functions import LogBase, curve_grid
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -459,11 +459,58 @@ class TestCurve:
         )
         assert (code, err) == (2, f"error: {message}\n")
         assert not out_path.exists()
-        scheme = scheme_from_dict({"probabilities": [0.5, 0.5], "utilities": [1.0, 2.0]})
         t_min = float(bounds[0].split("=")[1]) if "=" in bounds[0] else 1.0
         t_max = float(bounds[-1]) if "--t-max" in bounds else 3.0
         with pytest.raises(InvalidParameter, match=message.replace("+", r"\+")):
-            CurveRequest(scheme, t_min, t_max, 5, extended=True)
+            curve_grid(t_min, t_max, 5, extended=True)
+
+    def test_work_above_the_bound_exits_before_any_value(self, capsys, monkeypatch, tmp_path):
+        # a million terms at a million points: 1e12 powers per measure, days
+        # of CPU, refused once the family is built
+        def unevaluated(*args, **kwargs):
+            raise AssertionError("curve_values was called")
+
+        monkeypatch.setattr(cli, "curve_values", unevaluated)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        out_path = tmp_path / "curve.csv"
+        start = time.perf_counter()
+        got = run(
+            capsys, "curve", "--family", "uniform", "--n", "1000000", "--steps", "1000000",
+            "--out", str(out_path),
+        )
+        assert time.perf_counter() - start < 5.0
+        assert got == (
+            2, "",
+            "error: a curve of 1000000 nonzero terms at 1000000 grid points is "
+            "1000000000000 term-points of work, above the bound of 100000000\n",
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("bound", [10, 9])
+    def test_work_bound_counts_nonzero_terms_times_points(
+        self, capsys, monkeypatch, tmp_path, bound
+    ):
+        # two nonzero terms and a zero one at five points: 10 term-points
+        path = tmp_path / "zero.json"
+        path.write_text(
+            json.dumps({"probabilities": [0.5, 0.0, 0.5], "utilities": [1.0, 1.0, 2.0]})
+        )
+        monkeypatch.setattr(cli, "_MAX_CURVE_WORK", bound)
+        out_path = tmp_path / "curve.csv"
+        got = run(capsys, "curve", "--input", str(path), "--steps", "5", "--out", str(out_path))
+        if bound == 10:
+            assert got == (0, "", "")
+            assert out_path.read_text().splitlines()[1:] == [
+                "1.0,1.0", "1.5,0.6035533905932737", "2.0,0.375", "2.5,0.2392766952966369",
+                "3.0,0.15625",
+            ]
+        else:
+            assert got == (
+                2, "",
+                "error: a curve of 2 nonzero terms at 5 grid points is 10 term-points "
+                "of work, above the bound of 9\n",
+            )
+            assert not out_path.exists()
 
     def test_infinite_family_needs_truncation(self, capsys, tmp_path):
         code, _, err = run(

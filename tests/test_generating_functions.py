@@ -37,7 +37,7 @@ from igf import (
     weighted_self_information_moment,
     weighted_self_information_moments,
 )
-from igf.cli import CurveRequest, Measure, evaluate_curve
+from igf.cli import Measure
 from igf.generating_functions import _WeightedExponents, _moments, curve_grid
 
 LN2 = 0.6931471805599453
@@ -564,6 +564,13 @@ def _pointwise_curve(scheme, t_min, t_max, steps, measures, extended):
     return rows
 
 
+def _grid_curve(scheme, t_min, t_max, steps, measures, extended):
+    """The curve as :func:`curve_values` over :func:`curve_grid`, in the
+    (t, values) pairs of :func:`_pointwise_curve`."""
+    ts = curve_grid(t_min, t_max, steps, extended)
+    return list(zip(ts, curve_values(scheme, ts, measures, extended=extended)))
+
+
 def _outcome(compute):
     try:
         return compute()
@@ -601,9 +608,7 @@ class TestCurveGrid:
     @settings(max_examples=300, deadline=None)
     @given(_curve_cases())
     def test_equals_pointwise_calls(self, case):
-        scheme, t_min, t_max, steps, measures, extended = case
-        request = CurveRequest(scheme, t_min, t_max, steps, measures, extended)
-        got = _outcome(lambda: evaluate_curve(request))
+        got = _outcome(lambda: _grid_curve(*case))
         assert got == _outcome(lambda: _pointwise_curve(*case))
 
     @pytest.mark.parametrize(
@@ -618,8 +623,7 @@ class TestCurveGrid:
         # at t = -2: u * 0.5 ** -2 is inf, or two finite terms sum past the
         # float range, or the weighted exponent 1 - 1e3 * 3 overflows a power
         case = (make_scheme([0.5, 0.5], utils), -2.0, 2.0, 5, (measure,), True)
-        request = CurveRequest(*case)
-        got = _outcome(lambda: evaluate_curve(request))
+        got = _outcome(lambda: _grid_curve(*case))
         assert got == _outcome(lambda: _pointwise_curve(*case))
         assert got[0] is DomainError and got[1].startswith(message)
 
@@ -628,7 +632,7 @@ class TestCurveGrid:
     def test_consecutive_runs_equal_the_whole_grid(self, case, cuts):
         # the command line evaluates a long grid in runs, in two processes
         scheme, t_min, t_max, steps, measures, extended = case
-        ts = curve_grid(CurveRequest(scheme, t_min, t_max, steps, measures, extended))
+        ts = curve_grid(t_min, t_max, steps, extended)
         edges = [0, *sorted(c for c in cuts if c < steps), steps]
 
         def in_runs():
@@ -641,13 +645,10 @@ class TestCurveGrid:
         assert _outcome(in_runs) == whole
 
     def test_grid_endpoints_and_cap(self):
-        scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
-        assert curve_grid(CurveRequest(scheme, 1.0, 3.0, 5)) == [1.0, 1.5, 2.0, 2.5, 3.0]
-        assert len(curve_grid(CurveRequest(scheme, 1.0, 3.0, MAX_REALIZED_TERMS))) == (
-            MAX_REALIZED_TERMS
-        )
+        assert curve_grid(1.0, 3.0, 5) == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert len(curve_grid(1.0, 3.0, MAX_REALIZED_TERMS)) == MAX_REALIZED_TERMS
         with pytest.raises(InvalidParameter, match="^steps must be at most 1000000, got"):
-            CurveRequest(scheme, 1.0, 3.0, MAX_REALIZED_TERMS + 1)
+            curve_grid(1.0, 3.0, MAX_REALIZED_TERMS + 1)
 
     def test_measures_must_be_measures(self):
         # the string "weighted" was summed as an exponent-t measure: the

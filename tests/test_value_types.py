@@ -1,5 +1,5 @@
 """The value types as values: equality, hash, repr, immutability, copies and
-construction, the same for all seven."""
+construction, the same for all six."""
 
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ from igf import (
     EscortPair,
     FamilyKind,
     Kind,
-    Measure,
     ParametricFamily,
     ProbabilityDistribution,
     ScalingIdentityReport,
     UtilityDistribution,
     UtilityInformationScheme,
 )
-from igf.cli import CurveRequest
 
 
 def _dist():
@@ -58,12 +56,6 @@ TYPES = {
         lambda: ScalingIdentityReport(0.5, 0.5, 0.0, True),
         ("lhs", "rhs", "abs_diff", "passed"),
         "ScalingIdentityReport(lhs=0.5, rhs=0.5, abs_diff=0.0, passed=True)",
-    ),
-    "CurveRequest": (
-        lambda: CurveRequest(_scheme(), 1.0, 2.0, 3),
-        ("scheme", "t_min", "t_max", "steps", "measures", "extended"),
-        f"CurveRequest(scheme={SCHEME_REPR}, t_min=1.0, t_max=2.0, steps=3, "
-        "measures=(<Measure.WEIGHTED: 'weighted'>,), extended=False)",
     ),
 }
 NAMES = sorted(TYPES)
@@ -169,16 +161,3 @@ class TestConstruction:
         assert report == TYPES["ScalingIdentityReport"][0]()
         with pytest.raises(TypeError):
             ScalingIdentityReport(0.5, 0.5, 0.0)
-
-    def test_curve_request_defaults(self):
-        request = CurveRequest(_scheme(), 1.0, 2.0, 3)
-        assert request.measures == (Measure.WEIGHTED,)
-        assert request.extended is False
-        assert request == CurveRequest(
-            scheme=_scheme(), t_min=1.0, t_max=2.0, steps=3,
-            measures=(Measure.WEIGHTED,), extended=False,
-        )
-        # measures come back in Measure order, whatever order they are given in
-        both = CurveRequest(_scheme(), 1.0, 2.0, 3, [Measure.GOLOMB, Measure.WEIGHTED], True)
-        assert both.measures == (Measure.WEIGHTED, Measure.GOLOMB)
-        assert both.extended is True
