@@ -87,6 +87,14 @@ class TestEscortTransform:
             pair = escort_transform(make_complete(probs), beta)
             assert pair.mass == pytest.approx(sum(p**beta for p in probs), rel=1e-13)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
+    def test_mass_is_the_correctly_rounded_powered_sum(self, beta):
+        # the mass goes through the power-sum kernel: one math.fsum of the
+        # float powers, so it is bit-equal to that sum, zeros included
+        probs = [*oracles.random_simplex(np.random.default_rng(29), 64), 0.0]
+        pair = escort_transform(make_generalized(probs), beta)
+        assert pair.mass == math.fsum(p**beta for p in probs)
+
     def test_zeros_stay_at_zero(self):
         pair = escort_transform(make_generalized([0.5, 0.0, 0.25]), 2.0)
         assert pair.normalized.probs[1] == 0.0

@@ -650,6 +650,38 @@ class TestCurveGrid:
         with pytest.raises(InvalidParameter, match="^steps must be at most 1000000, got"):
             curve_grid(1.0, 3.0, MAX_REALIZED_TERMS + 1)
 
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((1.0, 3.0, 1), InvalidParameter, "steps must be an integer >= 2, got 1"),
+            ((1.0, 3.0, 2.0), InvalidParameter, "steps must be an integer >= 2, got 2.0"),
+            ((1.0, 3.0, True), InvalidParameter, "steps must be an integer >= 2, got True"),
+            # steps is checked before either end
+            ((math.nan, 3.0, 1), InvalidParameter, "steps must be an integer >= 2, got 1"),
+            ((math.nan, 3.0, 5), InvalidParameter, "t_min must be a real number, got nan"),
+            ((1.0, "3", 5), InvalidParameter, "t_max must be a real number, got '3'"),
+            ((-math.inf, math.inf, 5), InvalidParameter, "t_min must be finite, got -inf"),
+            ((1.0, math.inf, 5), InvalidParameter, "t_max must be finite, got inf"),
+            ((3.0, 2.0, 5), InvalidParameter, "need t_min < t_max, got 3.0 and 2.0"),
+            ((2.0, 2.0, 5), InvalidParameter, "need t_min < t_max, got 2.0 and 2.0"),
+            ((-1e308, 1e308, 5), InvalidParameter,
+             "the span from t_min = -1e+308 to t_max = 1e+308 overflows"),
+            # the domain is checked last, on t_min alone
+            ((0.5, 0.4, 5), InvalidParameter, "need t_min < t_max, got 0.5 and 0.4"),
+            ((0.5, 3.0, 5), DomainError, "t = 0.5 is below the default domain t >= 1"),
+        ],
+    )
+    def test_grid_is_checked_before_it_is_built(self, args, error, message):
+        with pytest.raises(error) as info:
+            curve_grid(*args)
+        assert str(info.value).startswith(message)
+
+    def test_extended_grid_reaches_below_zero(self):
+        assert curve_grid(-1.0, 1.0, 3, extended=True) == [-1.0, 0.0, 1.0]
+        # the last point is t_max itself, not t_min + (steps - 1) * step
+        ts = curve_grid(0.1, 0.7, 7, extended=True)
+        assert len(ts) == 7 and ts[0] == 0.1 and ts[-1] == 0.7
+
     def test_measures_must_be_measures(self):
         # the string "weighted" was summed as an exponent-t measure: the
         # Golomb value 0.5 in place of the weighted 0.375
