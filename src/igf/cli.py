@@ -38,9 +38,7 @@ from .generating_functions import (
     Measure,
     curve_grid,
     curve_values,
-    evaluate_measure,
     weighted_entropy,
-    weighted_igf,
     weighted_self_information_moments,
 )
 
@@ -501,7 +499,8 @@ def _check_digits(value: str) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     check_t(args.t, args.extended_t)
     scheme = _load_scheme(args.input, args.format)
-    value = evaluate_measure(Measure(args.measure), scheme, args.t, extended=args.extended_t)
+    measure = Measure(args.measure)
+    [(value,)] = curve_values(scheme, (args.t,), (measure,), extended=args.extended_t)
     print(_fmt(value, args.digits))
     return 0
 
@@ -602,8 +601,9 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     # failing command leaves stdout empty
     pair = escort_transform(scheme.dist, args.beta)
     if args.t is not None:
-        value = weighted_igf(
-            constant_utility_scheme(pair.normalized, u), args.t, extended=args.extended_t
+        escort_scheme = constant_utility_scheme(pair.normalized, u)
+        [(value,)] = curve_values(
+            escort_scheme, (args.t,), (Measure.WEIGHTED,), extended=args.extended_t
         )
     if args.verify_identity:
         report = verify_scaling_identity(

@@ -142,10 +142,13 @@ def verify_scaling_identity(
     declared in agreement when |lhs - rhs| <= SCALING_IDENTITY_RTOL *
     max(1, |lhs|).  A caller that already holds the escort pair of ``dist``
     under ``beta`` and its weighted IGF at (u, t) passes both as
-    ``escort=(pair, escort_igf)``, and neither is built again.
+    ``escort=(pair, escort_igf)``, and neither is built again.  A powered
+    sum or a ``mass ** s`` that is not finite raises DomainError.
     """
     u = check_open(u, "constant utility u", 0)
     lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
+    if not math.isfinite(lhs):
+        raise DomainError(f"non-finite powered sum at t = {t}")
     if escort is None:
         pair = escort_transform(dist, beta)
         escort_scheme = constant_utility_scheme(pair.normalized, u)
@@ -155,7 +158,9 @@ def verify_scaling_identity(
     try:
         scale = pair.mass**s
     except OverflowError:
-        raise DomainError(f"escort mass {pair.mass!r} ** {s!r} overflows") from None
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise DomainError(f"escort mass {pair.mass!r} ** {s!r} overflows")
     rhs = escort_igf * scale
     abs_diff = abs(lhs - rhs)
     passed = abs_diff <= SCALING_IDENTITY_RTOL * max(1.0, abs(lhs))

@@ -118,22 +118,25 @@ def _overflow_error(
     weights: Sequence[float] | None = None,
     r: int = 0,
 ) -> DomainError:
-    """The DomainError for an OverflowError in a kernel sum: it names the
-    first term that overflows and the factor of it that does, or else the
-    sum."""
+    """The DomainError for an OverflowError or a non-finite value in a kernel
+    sum: it names the first term that overflows and the factor of it that
+    does, or else the sum."""
     # Python raises OverflowError for finite operands with huge results,
-    # which only extended-domain evaluations and extreme utilities reach
+    # which only extended-domain evaluations and extreme utilities reach; a
+    # product w * ln p past the float range is -inf instead
     ws = repeat(1.0) if weights is None else weights
     for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
         try:
             p**e
         except OverflowError:
             return DomainError(f"term {i} overflows: probability {p!r}, exponent {e!r}")
-        try:
-            if r and p:
-                (w * math.log(p)) ** r
-        except OverflowError:
-            return DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}")
+        if r and p:
+            try:
+                finite = math.isfinite((w * math.log(p)) ** r)
+            except OverflowError:
+                finite = False
+            if not finite:
+                return DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}")
     return DomainError("the sum of the terms overflows")
 
 
@@ -164,25 +167,6 @@ def hooda_bhaker_igf(
     return _power_sum(scheme.dist.probs, check_t(t, extended), (scheme.util.utils,))[0]
 
 
-def evaluate_measure(
-    measure: Measure, scheme: UtilityInformationScheme, t: float, *, extended: bool = False
-) -> float:
-    """The value of ``measure`` on ``scheme`` at ``t``: :func:`weighted_igf`,
-    :func:`golomb_igf` of its distribution or :func:`hooda_bhaker_igf`.  A
-    value that is not finite raises DomainError."""
-    if measure is Measure.WEIGHTED:
-        value = weighted_igf(scheme, t, extended=extended)
-    elif measure is Measure.GOLOMB:
-        value = golomb_igf(scheme.dist, t, extended=extended)
-    elif measure is Measure.HOODA_BHAKER:
-        value = hooda_bhaker_igf(scheme, t, extended=extended)
-    else:
-        raise InvalidParameter(f"unknown measure {measure!r}; expected a Measure")
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite {measure.value} value at t = {t}")
-    return value
-
-
 def curve_values(
     scheme: UtilityInformationScheme,
     ts: Sequence[float],
@@ -195,15 +179,17 @@ def curve_values(
     Each value equals (``==``) that of the pointwise :func:`weighted_igf`,
     :func:`golomb_igf` or :func:`hooda_bhaker_igf` call, and the first
     (t, measure) at which one of those raises raises the same error here.
-    A value that is not finite raises DomainError once its row is complete.
+    A value that is not finite raises DomainError, naming the first such
+    measure of its row, once the row is complete.
     A measure that is not a :class:`Measure` and a t that is not a real
     number raise InvalidParameter before any sum; no t gives no rows.
     What the pointwise calls would repeat is done once:
 
-    * Zero probabilities are dropped once per curve when t and every
-      weighted exponent stay positive along the grid: then a zero adds
-      exactly 0.0 to an fsum and no term can overflow, so no error names an
-      entry index.
+    * Zero probabilities are dropped once per curve of two or more points
+      when t and every weighted exponent stay positive along the grid: then
+      a zero adds exactly 0.0 to an fsum and no term can overflow, so no
+      error names an entry index.  One point has nothing to share the copy
+      with, so it sums the scheme as it is.
     * Per t, the measures that share an exponent share one
       :func:`_power_sum` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
       weighted IGF raises to ``1 - u0 * (1 - t)`` under a constant utility
@@ -221,7 +207,7 @@ def curve_values(
     t_low = min(check_real(t, "t") for t in ts)
     # every exponent grows with t, and below t = 1 the weighted one shrinks
     # as u grows, so t_low and the largest utility give the smallest ones
-    if t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
+    if len(ts) > 1 and t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
         probs, utils = list(compress(probs, probs)), list(compress(utils, probs))
     u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
     hooda = None if u0 == 1.0 else utils  # None: unit weights
@@ -240,8 +226,9 @@ def curve_values(
             exps = _WeightedExponents(utils, t) if e is None else e
             sums[e] = dict(zip(ws, _power_sum(probs, exps, list(ws.values()))))
         row = tuple(sums[e][unit] for e, unit in keys)
-        if not all(map(math.isfinite, row)):
-            raise DomainError(f"non-finite curve value at t = {t}")
+        for m, value in zip(measures, row):
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite {m.value} value at t = {t}")
         rows.append(row)
     return rows
 
@@ -321,6 +308,7 @@ def _moments(
     given; order 0 is the total mass.  The log-weighted kernel: the
     entropies are its first order, and the r-th derivative of
     :func:`weighted_igf` is (-1) ** r times it at the weighted exponents.
+    An order whose sum is not finite raises DomainError.
 
     Zero entries are dropped, and ``a_i = w_i * ln p_i`` and ``p_i ** e_i``
     built, once for all orders.  Each order sums ``a_i ** r * p_i ** e_i``,
@@ -349,7 +337,9 @@ def _moments(
             # a ** 1 is a, so the first order skips the power pass
             s = math.fsum(map(mul, a if r == 1 else map(pow, a, repeat(r)), pows))
         except OverflowError:
-            raise _overflow_error(probs, exps or repeat(1.0), weights, r) from None
+            s = math.inf
+        if not math.isfinite(s):
+            raise _overflow_error(probs, exps or repeat(1.0), weights, r)
         yield 0.0 - s if r % 2 else s
 
 

@@ -273,6 +273,13 @@ class TestEntropy:
         code, out, _ = run(capsys, "entropy", "--input", half_half, "--base", "2")
         assert (code, out) == (0, "1.5\n")
 
+    def test_a_product_past_the_float_range_is_exit_3(self, capsys, tmp_path):
+        # 1e308 * ln 0.1 is -inf before 0.1 scales it; inf was printed
+        path = tmp_path / "huge_u.json"
+        path.write_text(json.dumps({"probabilities": [0.1, 0.9], "utilities": [1e308, 1]}))
+        code, out, err = run(capsys, "entropy", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == "error: term 0 overflows: (1e+308 * ln 0.1) ** 1\n"
 
     def test_base_choices_are_the_log_bases(self, capsys, half_half):
         for base in LogBase:
@@ -323,6 +330,15 @@ class TestMoments:
         assert out.splitlines()[0] == "0\t1"
         # p ** 1.0 = 1e-300 is fine; the message named it as the overflow
         assert err == "error: term 0 overflows: (1e+305 * ln 1e-300) ** 2\n"
+
+    def test_a_product_past_the_float_range_is_exit_3(self, capsys, tmp_path):
+        # (1e308 * ln 0.1) ** r is inf without an OverflowError; "1\tinf"
+        # and "2\tinf" were printed with exit 0
+        path = tmp_path / "huge_u.json"
+        path.write_text(json.dumps({"probabilities": [0.1, 0.9], "utilities": [1e308, 1]}))
+        code, out, err = run(capsys, "moments", "--input", str(path), "--r-max", "2")
+        assert (code, out) == (3, "0\t1\n")
+        assert err == "error: term 0 overflows: (1e+308 * ln 0.1) ** 1\n"
 
     @pytest.mark.parametrize("bad", ["0", "9", "-1"])
     def test_r_max_outside_declared_range_is_exit_2(self, capsys, half_half, bad):
@@ -981,23 +997,26 @@ class TestEscort:
         # the escort and its IGF printed above feed the identity check
         import igf.cli as cli_module
         import igf.escort as escort_module
+        import igf.generating_functions as gf_module
 
-        calls = {"escort_transform": 0, "weighted_igf": 0}
+        calls = {"escort_transform": 0, "curve_values": 0, "weighted_igf": 0}
         for name in calls:
-            real = getattr(escort_module, name)
+            real = getattr(escort_module, name, None) or getattr(gf_module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
             for module in (cli_module, escort_module):
-                monkeypatch.setattr(module, name, counted)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         code, out, _ = run(
             capsys, "escort", "--input", eight_two, "--beta", "2", "--u", "1",
             "--t", "2", "--verify-identity",
         )
         assert (code, out.splitlines()[-1]) == (0, "PASS")
-        assert calls == {"escort_transform": 1, "weighted_igf": 1}
+        # the escort's IGF is the one-point curve of eval and curve
+        assert calls == {"escort_transform": 1, "curve_values": 1, "weighted_igf": 0}
 
     def test_verify_identity_needs_t(self, capsys, eight_two):
         code, _, err = run(
@@ -1044,6 +1063,30 @@ class TestEscort:
         got, out, err = run(capsys, "escort", "--input", eight_two, *argv)
         assert (got, out) == (code, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the escort's IGF is inf at t = -inf: printed with exit 0, and
+            # the identity compared inf with inf or nan
+            (["--beta", "0.5", "--t=-inf", "--extended-t"],
+             "non-finite weighted value at t = -inf"),
+            (["--beta", "0.5", "--t=-inf", "--extended-t", "--verify-identity"],
+             "non-finite weighted value at t = -inf"),
+            (["--beta", "2", "--t=-inf", "--extended-t", "--verify-identity"],
+             "non-finite weighted value at t = -inf"),
+            # the escort's IGF is 0 and mass ** inf is inf: rhs was nan
+            (["--beta", "0.5", "--t", "inf", "--verify-identity"],
+             "escort mass 1.3843825840392416 ** inf overflows"),
+        ],
+    )
+    def test_an_infinite_t_that_reaches_no_finite_value_is_exit_3(
+        self, capsys, tmp_path, argv, message
+    ):
+        path = tmp_path / "three_seven.json"
+        path.write_text(json.dumps({"probabilities": [0.3, 0.7]}))
+        code, out, err = run(capsys, "escort", "--input", str(path), *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_u_needs_t(self, capsys, eight_two):
         code, out, err = run(capsys, "escort", "--input", eight_two, "--beta", "2", "--u", "5")

@@ -248,6 +248,21 @@ class TestScalingIdentity:
             assert report.passed
             assert report.abs_diff <= 1e-10 * max(1.0, abs(report.lhs))
 
+    @pytest.mark.parametrize(
+        "beta, t, message",
+        [
+            # 1.384 ** inf is inf without an OverflowError: rhs was 0 * inf
+            (0.5, math.inf, "escort mass 1.3843825840392416 ** inf overflows"),
+            # every p ** -inf is inf: lhs was inf, rhs inf or nan
+            (0.5, -math.inf, "non-finite powered sum at t = -inf"),
+            (2.0, -math.inf, "non-finite powered sum at t = -inf"),
+        ],
+    )
+    def test_an_infinite_t_without_finite_sides_is_a_domain_error(self, beta, t, message):
+        with pytest.raises(DomainError) as info:
+            verify_scaling_identity(make_complete([0.3, 0.7]), 1.0, beta, t, extended=True)
+        assert str(info.value) == message
+
     def test_breaks_for_non_constant_utilities_by_construction(self):
         # the identity is only stated for a shared u; the report type takes a
         # scalar, so there is nothing to verify for per-outcome utilities

@@ -8,6 +8,7 @@ populations so failures reproduce.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from igf import (
     LogBase,
     MAX_REALIZED_TERMS,
     curve_values,
-    evaluate_measure,
     golomb_igf,
     hooda_bhaker_igf,
     make_complete,
@@ -336,6 +336,14 @@ class TestDomainRules:
     def test_infinite_t_is_a_real_number(self, half_half):
         assert weighted_igf(half_half, float("inf")) == 0.0
         assert golomb_igf(half_half.dist, float("-inf"), extended=True) == float("inf")
+        assert hooda_bhaker_igf(half_half, float("-inf"), extended=True) == float("inf")
+
+    def test_a_derivative_past_the_float_range_is_a_domain_error(self):
+        # (1001 * ln 0.5) ** 3 * 0.5 ** -1000 is -inf without an
+        # OverflowError, and -inf was returned
+        scheme = make_scheme([0.5, 0.5], [1001.0, 1.0])
+        with pytest.raises(DomainError, match="^the sum of the terms overflows$"):
+            weighted_igf_derivative(scheme, 0.0, 3, extended=True)
 
 
 def _defined_fsum(probs, exps, term):
@@ -463,11 +471,14 @@ class TestPowerSumKernel:
     # a point mass sums odd orders to zero, which must stay +0.0
     @example(case=([0.0, 1.0], [2.0, 3.0]), scale=None, orders=[0, 1, 2, 3])
     @example(case=([1.0], [3.0]), scale=1.0, orders=[5, 1])
+    # 3e305 * ln 5e-324 is -inf without an OverflowError; inf was the sum
+    @example(case=([5e-324, 0.0625], [3.0, 1.0]), scale=1e305, orders=[1])
     def test_moments_share_one_log_pass(self, case, scale, orders):
         # every order of the one-pass moments equals (repr: sign of zero
         # included) the fsum of its defining per-term expression; an order
-        # whose (u ln p) ** r overflows raises the error naming the first
-        # term that overflows and ends the iteration there
+        # whose (u ln p) ** r overflows or is not finite raises the error
+        # naming the first such term and ends the iteration there, and a
+        # sum that is not finite raises too
         probs, utils = case
         weights = None if scale is None else [u * scale for u in utils]
 
@@ -478,15 +489,18 @@ class TestPowerSumKernel:
             for i, (p, w) in enumerate(zip(probs, weights or [1.0] * len(probs))):
                 if p:
                     try:
-                        terms.append((w * math.log(p)) ** r * p)
+                        a = (w * math.log(p)) ** r
                     except OverflowError:
-                        raise DomainError(
-                            f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}"
-                        ) from None
+                        a = math.inf
+                    if not math.isfinite(a):
+                        raise DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}")
+                    terms.append(a * p)
             try:
                 s = math.fsum(terms)
             except OverflowError:
-                raise DomainError("the sum of the terms overflows") from None
+                s = math.inf
+            if not math.isfinite(s):
+                raise DomainError("the sum of the terms overflows")
             return 0.0 - s if r % 2 else s
 
         def collect(values):
@@ -557,9 +571,9 @@ def _pointwise_curve(scheme, t_min, t_max, steps, measures, extended):
     for k in range(steps):
         t = t_max if k == steps - 1 else t_min + k * step
         values = tuple(evaluate[m](t) for m in measures)
-        for v in values:
+        for m, v in zip(measures, values):
             if not math.isfinite(v):
-                raise DomainError(f"non-finite curve value at t = {t}")
+                raise DomainError(f"non-finite {m.value} value at t = {t}")
         rows.append((t, values))
     return rows
 
@@ -614,7 +628,8 @@ class TestCurveGrid:
     @pytest.mark.parametrize(
         "utils, measure, message",
         [
-            ([1e308, 1e308], Measure.HOODA_BHAKER, "non-finite curve value at t = -2.0"),
+            ([1e308, 1e308], Measure.HOODA_BHAKER,
+             "non-finite hooda_bhaker value at t = -2.0"),
             ([3e307, 3e307], Measure.HOODA_BHAKER, "the sum of the terms overflows"),
             ([1e3, 1.0], Measure.WEIGHTED, "term 0 overflows"),
         ],
@@ -706,7 +721,13 @@ class TestCurveGrid:
             curve_values(scheme, [2.0, 0.5], [Measure.WEIGHTED])
 
 
-class TestEvaluateMeasure:
+def _one_point(measure, scheme, t, extended=False):
+    """``igf eval``'s value: the one-point curve of one measure."""
+    [(value,)] = curve_values(scheme, (t,), (measure,), extended=extended)
+    return value
+
+
+class TestOnePointCurve:
     """One measure at one t, as ``igf eval`` prints it."""
 
     POINTWISE = {
@@ -719,25 +740,48 @@ class TestEvaluateMeasure:
     @pytest.mark.parametrize("t, extended", [(1.0, False), (2.5, False), (0.75, True)])
     def test_equals_the_pointwise_call(self, measure, t, extended):
         scheme = make_scheme([0.5, 0.3, 0.2], [1.0, 2.0, 0.5])
-        got = evaluate_measure(measure, scheme, t, extended=extended)
+        got = _one_point(measure, scheme, t, extended=extended)
         assert got == self.POINTWISE[measure](scheme, t, extended)
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    @pytest.mark.parametrize("utils", ["varied", "constant"])
+    def test_a_large_scheme_is_summed_in_place(self, measure, utils):
+        # one point drops no zero probability: the value is bit-equal to the
+        # pointwise call's, and no copy of the 2e5-entry vectors (1.6 MB
+        # each) is made
+        rng = np.random.default_rng(7)
+        n = 200_000
+        probs = rng.random(n)
+        probs[rng.choice(n, n // 100, replace=False)] = 0.0
+        probs /= probs.sum()
+        u = rng.uniform(0.5, 3.0, n) if utils == "varied" else np.full(n, 2.0)
+        scheme = make_scheme(probs.tolist(), u.tolist(), generalized=True)
+        expected = self.POINTWISE[measure](scheme, 2.0, False)
+        tracemalloc.start()
+        try:
+            got = _one_point(measure, scheme, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert repr(got) == repr(expected)
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("measure", list(Measure))
     def test_below_the_default_domain(self, measure):
         with pytest.raises(DomainError, match=r"^t = 0\.5 is below the default domain"):
-            evaluate_measure(measure, make_scheme([0.5, 0.5], [1.0, 2.0]), 0.5)
+            _one_point(measure, make_scheme([0.5, 0.5], [1.0, 2.0]), 0.5)
 
     def test_a_non_finite_value_is_a_domain_error(self):
         # u * 0.5 ** -2 overflows to inf in the weight product
         scheme = make_scheme([0.5, 0.5], [1e308, 1e308])
         with pytest.raises(DomainError) as info:
-            evaluate_measure(Measure.HOODA_BHAKER, scheme, -2.0, extended=True)
+            _one_point(Measure.HOODA_BHAKER, scheme, -2.0, extended=True)
         assert str(info.value) == "non-finite hooda_bhaker value at t = -2.0"
 
     def test_measure_must_be_a_measure(self):
         scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
         with pytest.raises(InvalidParameter, match=r"^unknown measure 'weighted'"):
-            evaluate_measure("weighted", scheme, 2.0)
+            _one_point("weighted", scheme, 2.0)
 
 
 class TestMomentValidation:
