@@ -19,7 +19,7 @@ import re
 import sys
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
@@ -53,26 +53,21 @@ _SPLIT_CURVE_WORK = 100_000
 #: Nonzero terms times grid points above which :func:`render_curve_csv`
 #: refuses a curve, up to about 32 s of one CPU: measured, see the README.
 _MAX_CURVE_WORK = 100_000_000
-#: Consecutive runs of the grid of a split curve.  Per call,
-#: ``curve_values`` makes passes over the scheme that cost about one grid
-#: point of a constant-utility curve, so runs are long; with 8 runs on 101
-#: points the two processes get 52 and 49 points of about equal cost.
-_CURVE_RUNS = 8
 
 
-def _worth_splitting(work: int, min_work: int) -> bool:
-    """Whether ``work`` units go to :func:`_split_map`: more than
-    ``min_work`` of them, a process that can fork, two or more CPUs it may
+def _split_cpus(work: int, min_work: int) -> Collection[int]:
+    """The CPUs for :func:`_split_map` of ``work`` units: none unless there
+    are more than ``min_work``, a fork, two or more CPUs this process may
     run on, and no other thread, which a forked child would not have."""
     if work <= min_work or not hasattr(os, "fork"):
-        return False
+        return set()
     try:
-        cpus = len(os.sched_getaffinity(0))
+        cpus = os.sched_getaffinity(0)
     except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
+        cpus = range(os.cpu_count() or 1)
     import threading
 
-    return cpus >= 2 and threading.active_count() == 1
+    return cpus if len(cpus) >= 2 and threading.active_count() == 1 else set()
 
 
 def _running_cpu() -> int:
@@ -83,7 +78,7 @@ def _running_cpu() -> int:
         return int(fh.read().rpartition(b")")[2].split()[36])
 
 
-def _split_map(fn: Callable, items: Sequence) -> Iterator:
+def _split_map(fn: Callable, items: Sequence, cpus: Collection[int]) -> Iterator:
     """``map(fn, items)``, with every other item computed by a forked child.
 
     The child computes the items at odd indexes and sends each result as
@@ -100,24 +95,26 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
     and from then on this process computes the child's items itself.  So
     every result and every exception is that of the serial ``map``, in the
     same order.  The child is killed and reaped however the iteration ends;
-    if it cannot be forked the map is serial.  On Linux the child first
-    moves off the CPU this process ran on when it forked, then takes back
-    this process's whole CPU mask.
+    with no ``cpus`` (see :func:`_split_cpus`) or a failed fork the map is
+    serial.  On Linux the child first moves off the CPU this process ran on
+    when it forked, then takes back all of ``cpus``.
     """
     import marshal
     import signal
 
-    try:
-        allowed = os.sched_getaffinity(0)
-        away = allowed - {_running_cpu()}
-    except (AttributeError, OSError, ValueError):  # no affinity or /proc: not Linux
-        away = None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+    pid = -1
+    if cpus:
+        try:
+            away = set(cpus) - {_running_cpu()}
+        except (OSError, ValueError):  # no /proc: not Linux
+            away = None
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
         yield from map(fn, items)
         return
     if pid == 0:
@@ -128,7 +125,7 @@ def _split_map(fn: Callable, items: Sequence) -> Iterator:
                 # pinned there
                 try:
                     os.sched_setaffinity(0, away)
-                    os.sched_setaffinity(0, allowed)
+                    os.sched_setaffinity(0, cpus)
                 except (OSError, ValueError):
                     pass
             os.close(read_fd)
@@ -167,9 +164,9 @@ def render_curve_csv(
     Floats are rendered with ``repr`` (shortest round-trip form) and rows end
     with a bare newline, so identical requests produce byte-identical output.
     A curve whose nonzero terms times grid points exceed _MAX_CURVE_WORK
-    raises ValidationError before any value is computed.  A long curve is
-    evaluated in _CURVE_RUNS consecutive runs of its grid, every other one
-    by a second process (see :func:`_split_map`); any other in one run.
+    raises ValidationError before any value is computed.  The grid is
+    evaluated in two halves; above _SPLIT_CURVE_WORK the second half goes
+    to a second process (see :func:`_split_map`).
     """
     probs = scheme.dist.probs
     terms = len(probs) - probs.count(0.0)
@@ -179,11 +176,10 @@ def render_curve_csv(
             f"a curve of {terms} nonzero terms at {len(ts)} grid points is {work} "
             f"term-points of work, above the bound of {_MAX_CURVE_WORK}"
         )
-    split = _worth_splitting(work, _SPLIT_CURVE_WORK)
-    size = -(-len(ts) // _CURVE_RUNS) if split else len(ts)
-    runs = [ts[k:k + size] for k in range(0, len(ts), size)]
+    h = (len(ts) + 1) // 2
     evaluate = partial(curve_values, scheme, measures=measures, extended=extended)
-    rows = [row for run in (_split_map if split else map)(evaluate, runs) for row in run]
+    halves = _split_map(evaluate, [ts[:h], ts[h:]], _split_cpus(work, _SPLIT_CURVE_WORK))
+    rows = [row for half in halves for row in half]
     lines = ["t," + ",".join(m.value for m in measures)]
     for t, values in zip(ts, rows):
         lines.append(repr(t) + "," + ",".join(repr(v) for v in values))
@@ -238,13 +234,14 @@ def _parse_json(text: str) -> object:
     that fails or is empty) the whole text goes to ``json.loads``, which
     gives its value or its error.
     """
-    if not _worth_splitting(len(text), _SPLIT_PARSE):
+    cpus = _split_cpus(len(text), _SPLIT_PARSE)
+    if not cpus:
         return json.loads(text)
     try:
         doc, pieces = _json_walk(text)
     except ValueError:
         return json.loads(text)
-    parts = _split_map(partial(_parse_json_piece, text), [span for _, span in pieces])
+    parts = _split_map(partial(_parse_json_piece, text), [span for _, span in pieces], cpus)
     try:
         for (key, _), part in zip(pieces, parts):
             if part is None:
@@ -321,8 +318,8 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     probs: list[float] = []
     utils: list[float] = []
     spans = list(_csv_chunks(text, _csv_header_end(text)))
-    split = _worth_splitting(len(text), _SPLIT_PARSE)
-    parsed = (_split_map if split else map)(partial(_parse_csv_chunk, text), spans)
+    cpus = _split_cpus(len(text), _SPLIT_PARSE)
+    parsed = _split_map(partial(_parse_csv_chunk, text), spans, cpus)
     try:
         for (start, end), values in zip(spans, parsed):
             if values is None:
@@ -331,8 +328,7 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
                 probs += values[0]
                 utils += values[1]
     finally:
-        if split:
-            parsed.close()
+        parsed.close()
     return {"probabilities": probs, "utilities": utils}
 
 
@@ -435,8 +431,7 @@ def _render_slices(vectors: Sequence[Sequence[float]], digits: int, sep: str) ->
     two processes (see :func:`_split_map`)."""
     slices = [(v, start) for v in vectors for start in range(0, len(v), _RENDER_CHUNK)]
     render = partial(_render_slice, digits=digits, sep=sep)
-    split = _worth_splitting(sum(map(len, vectors)), _RENDER_CHUNK)
-    yield from (_split_map if split else map)(render, slices)
+    yield from _split_map(render, slices, _split_cpus(sum(map(len, vectors)), _RENDER_CHUNK))
 
 
 def _scheme_json_chunks(scheme: UtilityInformationScheme) -> Iterator[str]:

@@ -119,24 +119,25 @@ def _overflow_error(
     r: int = 0,
 ) -> DomainError:
     """The DomainError for an OverflowError or a non-finite value in a kernel
-    sum: it names the first term that overflows and the factor of it that
-    does, or else the sum."""
+    sum: it names the first term that overflows and the factor of it, or
+    the product of its factors, that does, or else the sum."""
     # Python raises OverflowError for finite operands with huge results,
     # which only extended-domain evaluations and extreme utilities reach; a
     # product w * ln p past the float range is -inf instead
     ws = repeat(1.0) if weights is None else weights
     for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
         try:
-            p**e
+            power = p**e
         except OverflowError:
             return DomainError(f"term {i} overflows: probability {p!r}, exponent {e!r}")
         if r and p:
             try:
-                finite = math.isfinite((w * math.log(p)) ** r)
+                factor = (w * math.log(p)) ** r
             except OverflowError:
-                finite = False
-            if not finite:
-                return DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}")
+                factor = math.inf
+            if not math.isfinite(factor * power):
+                tail = f" * {p!r} ** {e!r}" if math.isfinite(factor) else ""
+                return DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}{tail}")
     return DomainError("the sum of the terms overflows")
 
 
@@ -207,7 +208,7 @@ def curve_values(
     t_low = min(check_real(t, "t") for t in ts)
     # every exponent grows with t, and below t = 1 the weighted one shrinks
     # as u grows, so t_low and the largest utility give the smallest ones
-    if len(ts) > 1 and t_low > 0.0 and _exponent(max(utils), t_low) > 0.0:
+    if len(ts) > 1 and t_low > 0.0 and not _WeightedExponents(utils, t_low).reaches_zero():
         probs, utils = list(compress(probs, probs)), list(compress(utils, probs))
     u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
     hooda = None if u0 == 1.0 else utils  # None: unit weights

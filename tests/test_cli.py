@@ -1718,7 +1718,7 @@ class TestSplitMap:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
     def test_results_in_order(self, forks, n):
-        assert list(cli._split_map(self.square_unless(()), list(range(n)))) == [
+        assert list(cli._split_map(self.square_unless(()), list(range(n)), {0, 1})) == [
             x * x for x in range(n)
         ]
         assert forks == [1]
@@ -1727,7 +1727,7 @@ class TestSplitMap:
     # items 3 and 7 are the child's, 4 and 6 this process's
     @pytest.mark.parametrize("bad, first", [({3, 6}, 3), ({4, 7}, 4), ({7}, 7), ({6}, 6)])
     def test_first_error_is_the_serial_one(self, forks, bad, first):
-        got = cli._split_map(self.square_unless(bad), list(range(10)))
+        got = cli._split_map(self.square_unless(bad), list(range(10)), {0, 1})
         assert [next(got) for _ in range(first)] == [x * x for x in range(first)]
         with pytest.raises(ValueError, match=f"^item {first}$"):
             next(got)
@@ -1742,7 +1742,7 @@ class TestSplitMap:
                 os._exit(1)
             return x * x
 
-        assert list(cli._split_map(fn, list(range(10)))) == [x * x for x in range(10)]
+        assert list(cli._split_map(fn, list(range(10)), {0, 1})) == [x * x for x in range(10)]
         _assert_no_child()
 
     def test_a_child_that_dies_inside_a_message(self, forks, monkeypatch):
@@ -1769,7 +1769,7 @@ class TestSplitMap:
             return x * x
 
         items = [float(x) for x in range(10)]
-        assert list(cli._split_map(fn, items)) == [x * x for x in items]
+        assert list(cli._split_map(fn, items, {0, 1})) == [x * x for x in items]
         # this process computed the child's items from the cut one on
         assert here == [0, 2, 4, 5, 6, 7, 8, 9]
         _assert_no_child()
@@ -1792,7 +1792,7 @@ class TestSplitMap:
             return value
 
         monkeypatch.setattr(marshal, "load", recorded)
-        assert list(cli._split_map(self.floats, [0, 1, 2, 3])) == [
+        assert list(cli._split_map(self.floats, [0, 1, 2, 3], {0, 1})) == [
             self.floats(k) for k in range(4)
         ]
         assert read == [bytes, bytes]
@@ -1824,13 +1824,13 @@ class TestSplitMap:
                 here.append(k)
             return self.floats(k)
 
-        assert list(cli._split_map(fn, list(range(6)))) == expected
+        assert list(cli._split_map(fn, list(range(6)), {0, 1})) == expected
         # this process computed the child's items from the cut one on
         assert here == [0, 2, 3, 4, 5]
         _assert_no_child()
 
     def test_a_consumer_that_stops_early(self, forks):
-        got = cli._split_map(str, list(range(10)))
+        got = cli._split_map(str, list(range(10)), {0, 1})
         assert [next(got), next(got), next(got)] == ["0", "1", "2"]
         got.close()
         _assert_no_child()
@@ -1840,7 +1840,11 @@ class TestSplitMap:
             raise OSError("no fork today")
 
         monkeypatch.setattr(os, "fork", fail)
-        assert list(cli._split_map(str, [1, 2, 3])) == ["1", "2", "3"]
+        assert list(cli._split_map(str, [1, 2, 3], {0, 1})) == ["1", "2", "3"]
+
+    def test_no_cpus_map_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert list(cli._split_map(str, [1, 2, 3], set())) == ["1", "2", "3"]
 
     def test_the_child_starts_off_this_process_cpu(self, forks, monkeypatch, tmp_path):
         # a new child often shared its parent's CPU for its first 0.2-0.4 s;
@@ -1854,7 +1858,7 @@ class TestSplitMap:
 
         monkeypatch.setattr(cli, "_running_cpu", lambda: 1)
         monkeypatch.setattr(os, "sched_setaffinity", logged)
-        assert list(cli._split_map(self.square_unless(()), list(range(10)))) == [
+        assert list(cli._split_map(self.square_unless(()), list(range(10)), {0, 1})) == [
             x * x for x in range(10)
         ]
         assert forks == [1]
@@ -1888,7 +1892,7 @@ class TestSplitMap:
                 here.append(x)
             return x * x
 
-        assert list(cli._split_map(fn, list(range(10)))) == [x * x for x in range(10)]
+        assert list(cli._split_map(fn, list(range(10)), {0, 1})) == [x * x for x in range(10)]
         # the child still computed the odd items
         assert forks == [1] and here == [0, 2, 4, 6, 8]
         _assert_no_child()
@@ -1923,14 +1927,20 @@ class TestSplitCommands:
         assert len(forks) == (3 if n > self.C else 2)
         _assert_no_child()
 
-    def test_scheme_curve_is_byte_equal_to_serial(self, capsys, monkeypatch, tmp_path, forks):
+    # with 2 steps each half is one point, which curve_values sums without
+    # dropping the zero term
+    @pytest.mark.parametrize("steps", [2, 3, 101])
+    def test_scheme_curve_is_byte_equal_to_serial(
+        self, capsys, monkeypatch, tmp_path, forks, steps
+    ):
+        monkeypatch.setattr(cli, "_SPLIT_CURVE_WORK", 0)
         probs, utils = _random_scheme(10_000, seed=3)
         probs[10], probs[11] = 0.0, probs[10] + probs[11]  # a zero term, which the curve drops
         path = tmp_path / "scheme.json"
         path.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
         out = tmp_path / "c.csv"
         argv = ["curve", "--input", str(path), "--measures", "weighted,golomb,hooda_bhaker",
-                "--out", str(out)]
+                "--steps", str(steps), "--out", str(out)]
         assert _serial(monkeypatch, run, capsys, *argv) == (0, "", "")
         expected = out.read_bytes()
         out.unlink()
@@ -1942,14 +1952,14 @@ class TestSplitCommands:
     BETA = ["curve", "--family", "beta-power", "--beta", "2", "--truncation", "2000",
             "--measures", "weighted,golomb"]
 
-    # the grid's 101 points run in 8 runs of 13: the runs of the child
-    # start at indexes 13, 39, 65 and 91, those of this process at 0, 26,
-    # 52 and 78
+    # the grid's 101 points run in two halves: this process computes
+    # indexes 0-50, the child 51-100
     @pytest.mark.parametrize("bad, first", [
-        ((14, 30), 14),  # the child's, then this process's
-        ((30, 40), 30),  # this process's, then the child's
-        ((95,), 95),  # the child's last run
-        ((100, 80), 80),
+        ((60,), 60),  # the child's only
+        ((60, 30), 30),  # the child's and this process's
+        ((90, 70), 70),  # two in the child
+        ((51, 50), 50),  # both sides of the boundary
+        ((51,), 51),  # the child's first point
     ])
     def test_first_failing_t_is_the_serial_error(
         self, capsys, monkeypatch, tmp_path, forks, bad, first
@@ -1987,6 +1997,13 @@ class TestSplitCommands:
         expected = out.read_bytes()
         assert run(capsys, *argv) == (0, "", "")
         assert out.read_bytes() == expected and forks == [1]
+        _assert_no_child()
+
+    def test_a_split_curve_reads_the_cpu_mask_once(self, capsys, monkeypatch, tmp_path, forks):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append(pid) or {0, 1})
+        assert run(capsys, *self.BETA, "--out", str(tmp_path / "c.csv")) == (0, "", "")
+        assert forks == [1] and calls == [0]
         _assert_no_child()
 
     def test_small_work_stays_serial(self, capsys, monkeypatch, tmp_path, forks, half_half):

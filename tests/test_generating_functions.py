@@ -340,9 +340,11 @@ class TestDomainRules:
 
     def test_a_derivative_past_the_float_range_is_a_domain_error(self):
         # (1001 * ln 0.5) ** 3 * 0.5 ** -1000 is -inf without an
-        # OverflowError, and -inf was returned
+        # OverflowError, and -inf was returned; both factors are finite,
+        # so the error names their product
         scheme = make_scheme([0.5, 0.5], [1001.0, 1.0])
-        with pytest.raises(DomainError, match="^the sum of the terms overflows$"):
+        message = r"^term 0 overflows: \(1001\.0 \* ln 0\.5\) \*\* 3 \* 0\.5 \*\* -1000\.0$"
+        with pytest.raises(DomainError, match=message):
             weighted_igf_derivative(scheme, 0.0, 3, extended=True)
 
 
