@@ -197,7 +197,7 @@ def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
     if fmt == "json":
         try:
             doc = _parse_json(text)
-        except ValueError as exc:  # malformed, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
             raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     else:
         doc = _parse_csv(text, path)
@@ -239,7 +239,7 @@ def _parse_json(text: str) -> object:
         return json.loads(text)
     try:
         doc, pieces = _json_walk(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return json.loads(text)
     parts = _split_map(partial(_parse_json_piece, text), [span for _, span in pieces], cpus)
     try:

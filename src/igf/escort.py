@@ -28,7 +28,7 @@ from .distributions import (
     constant_utility_scheme,
 )
 from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open, check_t
-from .generating_functions import _exponent, _power_sum, weighted_igf
+from .generating_functions import _exponent, _term_sums, weighted_igf
 
 #: Relative tolerance for declaring the scaling identity verified.
 SCALING_IDENTITY_RTOL = 1e-10
@@ -67,7 +67,7 @@ def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     beta = check_open(beta, "escort power beta", 0)
     # the powers are taken twice, for the mass and for the normalized
     # tuple, rather than held as a list next to that tuple
-    mass = _power_sum(dist.probs, beta)[0]
+    mass = next(_term_sums(dist.probs, beta))
     if mass == 0.0:
         raise AllZeroProbabilities(
             "all probabilities are zero (or underflow to zero) after powering"
@@ -109,7 +109,7 @@ def unnormalized_power_igf(
     u = check_open(u, "constant utility u", 0)
     beta = check_open(beta, "escort power beta", 0)
     t = check_t(t, extended)
-    return _power_sum(dist.probs, beta * _exponent(u, t))[0]
+    return next(_term_sums(dist.probs, beta * _exponent(u, t)))
 
 
 class ScalingIdentityReport(_Frozen):
@@ -147,8 +147,6 @@ def verify_scaling_identity(
     """
     u = check_open(u, "constant utility u", 0)
     lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
-    if not math.isfinite(lhs):
-        raise DomainError(f"non-finite powered sum at t = {t}")
     if escort is None:
         pair = escort_transform(dist, beta)
         escort_scheme = constant_utility_scheme(pair.normalized, u)

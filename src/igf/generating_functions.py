@@ -16,7 +16,8 @@ Conventions: outcomes with zero probability contribute nothing (0 * log 0 and
 optional base-2 conversion on output, and sums are accumulated with
 ``math.fsum`` so 1e-12 tolerances stay honest for vectors up to 1e6 entries.
 By default t must be at least 1; passing ``extended=True`` lifts that and
-allows any t for which every term is defined.
+allows any t for which every term is defined.  A sum that is not finite
+raises DomainError naming the first term that is not, or else the sum.
 """
 
 from __future__ import annotations
@@ -75,69 +76,93 @@ class _WeightedExponents:
         return self.t < 1.0 and _exponent(max(self.utils), self.t) <= 0.0
 
 
-def _power_sum(
+def _term_sums(
     probs: Sequence[float],
-    exps: float | _WeightedExponents,
-    weights: Sequence[Sequence[float] | None] = (None,),
-) -> list[float]:
-    """math.fsum of w_i * p_i ** e_i for each weight vector w of ``weights``,
-    over one pass of powers: the plain kernel of every generating function.
+    exps: float | _WeightedExponents | None,
+    specs: Sequence[tuple[Sequence[float] | None, int]] = ((None, 0),),
+) -> Iterator[float]:
+    """math.fsum of c_i * p_i ** e_i for each spec ``(w, r)`` of ``specs``,
+    lazily, over one pass of powers: the one kernel of every measure.
 
-    ``exps`` is one float exponent for every entry or the per-entry
-    weighted exponents; a ``None`` weight vector stands for w_i = 1.  A zero
-    probability adds nothing while its exponent is positive; under an
-    exponent <= 0 it raises DomainError.  Only exponents that reach 0 or
-    below need that scan, which no t >= 1 gives.  A power or sum too large
-    for a float raises DomainError too; a weight times a finite power may
-    still overflow to +-inf.
+    ``c_i`` is ``w_i`` for r = 0 and ``(w_i * ln p_i) ** r`` for r >= 1; a
+    ``None`` weight vector stands for w_i = 1.  ``exps`` is one float
+    exponent for every entry, the per-entry weighted exponents, or ``None``
+    for e_i = 1, which takes no power.  A zero probability adds nothing
+    while its exponent is positive; under an exponent <= 0 it raises
+    DomainError.  Only exponents that reach 0 or below need that scan,
+    which no t >= 1 gives.  An order r > 0 drops the zero entries, which
+    have no log; fsum ignores the exact zeros they would add.  The powers,
+    and ``a_i = w_i * ln p_i`` once per weight vector, are shared by every
+    spec, and ``a ** 1`` is taken as ``a``.  A sum that is not finite
+    raises the DomainError of :func:`_overflow_error`.
     """
     if isinstance(exps, float):
         scan, exps = exps <= 0.0, repeat(exps)
     else:
-        scan = exps.reaches_zero()
+        scan = exps is not None and exps.reaches_zero()
     if scan:
-        _check_zero_powers(probs, exps)
-    pows = map(pow, probs, exps)
-    try:
-        if len(weights) > 1:
-            pows = list(pows)
-        return [math.fsum(pows if w is None else map(mul, w, pows)) for w in weights]
-    except OverflowError:
-        raise _overflow_error(probs, exps) from None
-
-
-def _check_zero_powers(probs: Sequence[float], exps: Iterable[float]) -> None:
-    for i, (p, e) in enumerate(zip(probs, exps)):
-        if p == 0.0 and e <= 0.0:
-            raise DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
+        for i, (p, e) in enumerate(zip(probs, exps)):
+            if p == 0.0 and e <= 0.0:
+                raise DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
+    many = len(specs) > 1  # one spec streams every pass
+    pows = probs if exps is None else None
+    kept = None  # the powers of the nonzero entries
+    logs: dict[int, Iterable[float]] = {}
+    for w, r in specs:
+        try:
+            if pows is None:
+                pows = map(pow, probs, exps)
+                if many:
+                    pows = list(pows)
+            if r:
+                a = logs.get(id(w))
+                if a is None:
+                    a = map(math.log, compress(probs, probs))
+                    if w is not None:
+                        a = map(mul, compress(w, probs), a)
+                    logs[id(w)] = a = list(a) if many else a
+                if kept is None:
+                    kept = compress(pows, probs)
+                    kept = list(kept) if many else kept
+                terms = map(mul, a if r == 1 else map(pow, a, repeat(r)), kept)
+            else:
+                terms = pows if w is None else map(mul, w, pows)
+            s = math.fsum(terms)
+        except OverflowError:
+            s = math.inf
+        if not math.isfinite(s):
+            raise _overflow_error(probs, exps, w, r)
+        yield s
 
 
 def _overflow_error(
-    probs: Sequence[float],
-    exps: Iterable[float],
-    weights: Sequence[float] | None = None,
-    r: int = 0,
+    probs: Sequence[float], exps: Iterable[float] | None, w: Sequence[float] | None, r: int
 ) -> DomainError:
-    """The DomainError for an OverflowError or a non-finite value in a kernel
-    sum: it names the first term that overflows and the factor of it, or
-    the product of its factors, that does, or else the sum."""
+    """The DomainError for a :func:`_term_sums` sum of spec ``(w, r)`` that
+    is not finite: it names the first term that is not, and its factor, or
+    the product of its factors, that is not, or else the sum."""
     # Python raises OverflowError for finite operands with huge results,
-    # which only extended-domain evaluations and extreme utilities reach; a
-    # product w * ln p past the float range is -inf instead
-    ws = repeat(1.0) if weights is None else weights
-    for i, (p, e, w) in enumerate(zip(probs, exps, ws)):
+    # which only extended-domain evaluations and extreme utilities reach;
+    # p ** -inf and a product past the float range are +-inf instead
+    ones = repeat(1.0)
+    ws = ones if w is None else w
+    for i, (p, e, wi) in enumerate(zip(probs, ones if exps is None else exps, ws)):
         try:
             power = p**e
         except OverflowError:
+            power = math.inf
+        if not math.isfinite(power):
             return DomainError(f"term {i} overflows: probability {p!r}, exponent {e!r}")
         if r and p:
             try:
-                factor = (w * math.log(p)) ** r
+                factor = (wi * math.log(p)) ** r
             except OverflowError:
                 factor = math.inf
             if not math.isfinite(factor * power):
                 tail = f" * {p!r} ** {e!r}" if math.isfinite(factor) else ""
-                return DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}{tail}")
+                return DomainError(f"term {i} overflows: ({wi!r} * ln {p!r}) ** {r}{tail}")
+        elif not r and not math.isfinite(wi * power):
+            return DomainError(f"term {i} overflows: {wi!r} * {p!r} ** {e!r}")
     return DomainError("the sum of the terms overflows")
 
 
@@ -151,21 +176,22 @@ def weighted_igf(
     Non-increasing and convex in t for t >= 1.
     """
     t = check_t(t, extended)
-    return _power_sum(scheme.dist.probs, _WeightedExponents(scheme.util.utils, t))[0]
+    return next(_term_sums(scheme.dist.probs, _WeightedExponents(scheme.util.utils, t)))
 
 
 def golomb_igf(
     dist: ProbabilityDistribution, t: float, *, extended: bool = False
 ) -> float:
     """Evaluate the unweighted generating function sum_i p_i ** t."""
-    return _power_sum(dist.probs, check_t(t, extended))[0]
+    return next(_term_sums(dist.probs, check_t(t, extended)))
 
 
 def hooda_bhaker_igf(
     scheme: UtilityInformationScheme, t: float, *, extended: bool = False
 ) -> float:
     """Evaluate the utility-premultiplied form sum_i u_i * p_i ** t."""
-    return _power_sum(scheme.dist.probs, check_t(t, extended), (scheme.util.utils,))[0]
+    t = check_t(t, extended)
+    return next(_term_sums(scheme.dist.probs, t, ((scheme.util.utils, 0),)))
 
 
 def curve_values(
@@ -179,11 +205,10 @@ def curve_values(
 
     Each value equals (``==``) that of the pointwise :func:`weighted_igf`,
     :func:`golomb_igf` or :func:`hooda_bhaker_igf` call, and the first
-    (t, measure) at which one of those raises raises the same error here.
-    A value that is not finite raises DomainError, naming the first such
-    measure of its row, once the row is complete.
-    A measure that is not a :class:`Measure` and a t that is not a real
-    number raise InvalidParameter before any sum; no t gives no rows.
+    (t, measure) at which one of those raises, for a value that is not
+    finite too, raises the same error here.  A measure that is not a
+    :class:`Measure` and a t that is not a real number raise
+    InvalidParameter before any sum; no t gives no rows.
     What the pointwise calls would repeat is done once:
 
     * Zero probabilities are dropped once per curve of two or more points
@@ -192,7 +217,7 @@ def curve_values(
       error names an entry index.  One point has nothing to share the copy
       with, so it sums the scheme as it is.
     * Per t, the measures that share an exponent share one
-      :func:`_power_sum` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
+      :func:`_term_sums` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
       weighted IGF raises to ``1 - u0 * (1 - t)`` under a constant utility
       ``u0`` and to the per-entry exponents (keyed ``None``) otherwise.
     * Per pass, each distinct weight vector is summed once: at u0 = 1 all
@@ -222,15 +247,20 @@ def curve_values(
             w = hooda if m is Measure.HOODA_BHAKER else None
             passes.setdefault(e, {})[w is None] = w
             keys.append((e, w is None))
-        sums = {}
-        for e, ws in passes.items():
-            exps = _WeightedExponents(utils, t) if e is None else e
-            sums[e] = dict(zip(ws, _power_sum(probs, exps, list(ws.values()))))
-        row = tuple(sums[e][unit] for e, unit in keys)
-        for m, value in zip(measures, row):
-            if not math.isfinite(value):
-                raise DomainError(f"non-finite {m.value} value at t = {t}")
-        rows.append(row)
+        # passes and the weight vectors of each are in the order of the
+        # first measure that uses them, so pulling the lazy sums in measure
+        # order sums no later measure first: the first error raised is that
+        # of the pointwise loop
+        sums = {
+            e: _term_sums(probs, _WeightedExponents(utils, t) if e is None else e,
+                          [(w, 0) for w in ws.values()])
+            for e, ws in passes.items()
+        }
+        values: dict[tuple[float | None, bool], float] = {}
+        for key in keys:
+            if key not in values:
+                values[key] = next(sums[key[0]])
+        rows.append(tuple(values[key] for key in keys))
     return rows
 
 
@@ -278,15 +308,14 @@ def weighted_igf_derivative(
     r = check_int(r, "derivative order r", 1)
     t = check_t(t, extended)
     probs, utils = scheme.dist.probs, scheme.util.utils
-    m = next(_moments(probs, utils, (r,), _WeightedExponents(utils, t)))
-    return 0.0 - m if r % 2 else m
+    return next(_term_sums(probs, _WeightedExponents(utils, t), ((utils, r),)))
 
 
 def shannon_entropy(
     dist: ProbabilityDistribution, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Entropy -sum_i p_i * log(p_i), in nats or bits."""
-    h = next(_moments(dist.probs, None, (1,)))
+    h = _moment(dist.probs, None, 1)
     return h / math.log(2.0) if base is LogBase.TWO else h
 
 
@@ -294,54 +323,8 @@ def weighted_entropy(
     scheme: UtilityInformationScheme, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Utility-weighted entropy -sum_i u_i * p_i * log(p_i), the first moment."""
-    h = next(_moments(scheme.dist.probs, scheme.util.utils, (1,)))
+    h = _moment(scheme.dist.probs, scheme.util.utils, 1)
     return h / math.log(2.0) if base is LogBase.TWO else h
-
-
-def _moments(
-    probs: Sequence[float],
-    weights: Sequence[float] | None,
-    orders: Sequence[int],
-    exps: _WeightedExponents | None = None,
-) -> Iterator[float]:
-    """sum_i p_i ** e_i * (-w_i * ln p_i) ** r for each r of ``orders``,
-    lazily, with w_i = 1 when no weights and e_i = 1 when no exponents are
-    given; order 0 is the total mass.  The log-weighted kernel: the
-    entropies are its first order, and the r-th derivative of
-    :func:`weighted_igf` is (-1) ** r times it at the weighted exponents.
-    An order whose sum is not finite raises DomainError.
-
-    Zero entries are dropped, and ``a_i = w_i * ln p_i`` and ``p_i ** e_i``
-    built, once for all orders.  Each order sums ``a_i ** r * p_i ** e_i``,
-    negated when r is odd, and exact: CPython raises a negative float to an
-    integer power as the power of its magnitude, negated when r is odd, and
-    fsum rounds -x as it rounds x.  ``0.0 - s`` rather than ``-s`` keeps a
-    sum of zero terms at +0.0.
-    """
-    pows = None
-    for r in orders:
-        if r == 0:
-            yield math.fsum(probs)
-            continue
-        try:
-            if pows is None:
-                if exps is not None and exps.reaches_zero():
-                    _check_zero_powers(probs, exps)
-                a = map(math.log, compress(probs, probs))
-                if weights is not None:
-                    a = map(mul, compress(weights, probs), a)
-                pows = compress(probs, probs)
-                if exps is not None:
-                    pows = map(pow, pows, compress(exps, probs))
-                if len(orders) > 1:  # one order streams both passes
-                    a, pows = list(a), list(pows)
-            # a ** 1 is a, so the first order skips the power pass
-            s = math.fsum(map(mul, a if r == 1 else map(pow, a, repeat(r)), pows))
-        except OverflowError:
-            s = math.inf
-        if not math.isfinite(s):
-            raise _overflow_error(probs, exps or repeat(1.0), weights, r)
-        yield 0.0 - s if r % 2 else s
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
@@ -350,7 +333,7 @@ def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
     Non-negative for every r; r = 0 returns the total mass and r = 1 the
     Shannon entropy.
     """
-    return next(_moments(dist.probs, None, (check_int(r, "moment order r", 0),)))
+    return _moment(dist.probs, None, check_int(r, "moment order r", 0))
 
 
 def weighted_self_information_moment(
@@ -361,7 +344,7 @@ def weighted_self_information_moment(
     Non-negative for every r (the signed variant is ``(-1) ** r`` times
     this); r = 1 recovers the weighted entropy.
     """
-    return next(weighted_self_information_moments(scheme, (r,)))
+    return _moment(scheme.dist.probs, scheme.util.utils, check_int(r, "moment order r", 0))
 
 
 def weighted_self_information_moments(
@@ -374,4 +357,15 @@ def weighted_self_information_moments(
     when it is asked for.
     """
     orders = [check_int(r, "moment order r", 0) for r in orders]
-    return _moments(scheme.dist.probs, scheme.util.utils, orders)
+    utils = scheme.util.utils
+    sums = _term_sums(scheme.dist.probs, None, [(utils if r else None, r) for r in orders])
+    return (0.0 - s if r % 2 else s for r, s in zip(orders, sums))
+
+
+def _moment(probs: Sequence[float], w: Sequence[float] | None, r: int) -> float:
+    """sum_i p_i * (-w_i * ln p_i) ** r, the kernel sum of (w_i * ln p_i) ** r
+    negated for odd r.  Exact: a negative float to an integer power is the
+    power of its magnitude, negated for odd r, and fsum rounds -x as it
+    rounds x; ``0.0 - s`` keeps a sum of no terms at +0.0."""
+    s = next(_term_sums(probs, None, ((w if r else None, r),)))
+    return 0.0 - s if r % 2 else s

@@ -110,9 +110,7 @@ class TestEval:
             capsys, "eval", "--input", str(path), "--measure", "hooda_bhaker",
             "--t", "-2", "--extended-t",
         )
-        assert (code, out, err) == (
-            3, "", "error: non-finite hooda_bhaker value at t = -2.0\n"
-        )
+        assert (code, out, err) == (3, "", "error: term 0 overflows: 1e+308 * 0.5 ** -2.0\n")
 
     def test_extended_t_opens_the_domain(self, capsys, half_half):
         code, out, _ = run(
@@ -1070,11 +1068,11 @@ class TestEscort:
             # the escort's IGF is inf at t = -inf: printed with exit 0, and
             # the identity compared inf with inf or nan
             (["--beta", "0.5", "--t=-inf", "--extended-t"],
-             "non-finite weighted value at t = -inf"),
+             "term 0 overflows: probability 0.39564392373895996, exponent -inf"),
             (["--beta", "0.5", "--t=-inf", "--extended-t", "--verify-identity"],
-             "non-finite weighted value at t = -inf"),
+             "term 0 overflows: probability 0.39564392373895996, exponent -inf"),
             (["--beta", "2", "--t=-inf", "--extended-t", "--verify-identity"],
-             "non-finite weighted value at t = -inf"),
+             "term 0 overflows: probability 0.15517241379310345, exponent -inf"),
             # the escort's IGF is 0 and mass ** inf is inf: rhs was nan
             (["--beta", "0.5", "--t", "inf", "--verify-identity"],
              "escort mass 1.3843825840392416 ** inf overflows"),
@@ -1488,6 +1486,11 @@ class TestJsonPieces:
         "bare_key": '{probabilities: [0.5, 0.5]}',
         "empty_object": "{}",
         "int_past_the_digit_limit": '{"probabilities": [0.5, ' + "9" * 5000 + "]}",
+        # json.loads and the walk raise RecursionError, not ValueError
+        "nested_past_the_stack": "[" * 100_000 + "]" * 100_000,
+        "labels_nested_past_the_stack": (
+            '{"probabilities": [0.5, 0.5], "labels": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        ),
     }
     #: The cases whose whole text goes to json.loads.
     FALLBACK = {
@@ -1495,6 +1498,7 @@ class TestJsonPieces:
         "missing_comma", "bad_number", "non_json_space", "unclosed_array", "duplicate_key",
         "top_level_array", "bom", "trailing_text", "trailing_object_comma", "bad_separator",
         "missing_colon", "bare_key", "empty_object", "int_past_the_digit_limit",
+        "nested_past_the_stack", "labels_nested_past_the_stack",
     }
 
     @pytest.fixture(autouse=True)
@@ -1515,7 +1519,7 @@ class TestJsonPieces:
         def outcome(parse):
             try:
                 return repr(parse(text))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 return f"{type(exc).__name__}: {exc}"
 
         with monkeypatch.context() as patch:
@@ -1583,6 +1587,27 @@ class TestJsonPieces:
             text = text[:at] + new + text[at + old:]
         split, whole, _ = self._parse(monkeypatch, text)
         assert split == whole
+
+
+@pytest.mark.parametrize("where", ["top_level", "labels"])
+@pytest.mark.parametrize("parse", ["serial", "split"])
+def test_json_nested_past_the_stack_is_exit_2(capsys, monkeypatch, tmp_path, forks, where, parse):
+    # json.loads raises RecursionError, which is not a ValueError: it ended
+    # the process with a traceback and exit 1
+    deep = "[" * 100_000 + "]" * 100_000
+    text = deep if where == "top_level" else '{"probabilities": [0.5, 0.5], "labels": ' + deep + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(RecursionError) as info:
+        json.loads(text)
+    argv = ["normalize", "--input", str(path)]
+    if parse == "split":
+        monkeypatch.setattr(cli, "_SPLIT_PARSE", -1)
+        got = run(capsys, *argv)
+    else:
+        got = _serial(monkeypatch, run, capsys, *argv)
+    assert got == (2, "", f"error: {path} is not valid JSON: {info.value}\n")
+    assert forks == []
 
 
 @pytest.mark.parametrize("condition", ["small", "one_cpu", "no_fork", "thread"])

@@ -38,7 +38,7 @@ from igf import (
     weighted_self_information_moments,
 )
 from igf.cli import Measure
-from igf.generating_functions import _WeightedExponents, _moments, curve_grid
+from igf.generating_functions import _WeightedExponents, _term_sums, curve_grid
 
 LN2 = 0.6931471805599453
 
@@ -335,8 +335,14 @@ class TestDomainRules:
 
     def test_infinite_t_is_a_real_number(self, half_half):
         assert weighted_igf(half_half, float("inf")) == 0.0
-        assert golomb_igf(half_half.dist, float("-inf"), extended=True) == float("inf")
-        assert hooda_bhaker_igf(half_half, float("-inf"), extended=True) == float("inf")
+        # 0.5 ** -inf is inf without an OverflowError, and inf was returned
+        message = "term 0 overflows: probability 0.5, exponent -inf"
+        with pytest.raises(DomainError) as info:
+            golomb_igf(half_half.dist, float("-inf"), extended=True)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            hooda_bhaker_igf(half_half, float("-inf"), extended=True)
+        assert str(info.value) == message
 
     def test_a_derivative_past_the_float_range_is_a_domain_error(self):
         # (1001 * ln 0.5) ** 3 * 0.5 ** -1000 is -inf without an
@@ -351,13 +357,25 @@ class TestDomainRules:
 def _defined_fsum(probs, exps, term):
     """math.fsum of term(i) over the positive entries, or None where the sum
     is undefined: a zero probability under an exponent <= 0, or a term or
-    total too large for a float."""
+    total too large for a float or not finite."""
     if any(p == 0.0 and e <= 0.0 for p, e in zip(probs, exps)):
         return None
     try:
-        return math.fsum(term(i) for i, p in enumerate(probs) if p > 0.0)
+        s = math.fsum(term(i) for i, p in enumerate(probs) if p > 0.0)
     except OverflowError:
         return None
+    return s if math.isfinite(s) else None
+
+
+def _collect(values):
+    """The repr of each value up to the first DomainError, then its message."""
+    got = []
+    try:
+        for v in values:
+            got.append(repr(v))
+    except DomainError as exc:
+        got.append(str(exc))
+    return got
 
 
 def _assert_defined_fsum(evaluate, probs, exps, term):
@@ -412,12 +430,15 @@ class TestWeightedExponents:
 
 
 class TestPowerSumKernel:
-    """Every measure built on the shared power-sum kernel equals, exactly,
+    """Every measure built on the one term kernel equals, exactly,
     the fsum of its defining per-term expression, and raises DomainError
     where that expression is undefined."""
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_schemes(), st.floats(-4.0, 8.0), st.integers(1, 3))
+    # (2 ln p) * p ** -1 is -inf at the smallest normal p without an
+    # OverflowError: the derivative raises, and -inf is no value
+    @example(case=([0.0, 2.2250738585072014e-308, 0.0625], [0.5, 2.0, 1.0]), t=0.0, r=1)
     def test_t_measures(self, case, t, r):
         probs, utils = case
         scheme = make_scheme(probs, utils, generalized=True)
@@ -470,26 +491,26 @@ class TestPowerSumKernel:
         st.sampled_from([None, 1.0, 1e100, 1e152, 1e305]),
         st.lists(st.integers(0, 8), min_size=1, max_size=9),
     )
-    # a point mass sums odd orders to zero, which must stay +0.0
+    # a point mass sums every order r >= 1 to zero, which must be +0.0
     @example(case=([0.0, 1.0], [2.0, 3.0]), scale=None, orders=[0, 1, 2, 3])
     @example(case=([1.0], [3.0]), scale=1.0, orders=[5, 1])
     # 3e305 * ln 5e-324 is -inf without an OverflowError; inf was the sum
     @example(case=([5e-324, 0.0625], [3.0, 1.0]), scale=1e305, orders=[1])
     def test_moments_share_one_log_pass(self, case, scale, orders):
-        # every order of the one-pass moments equals (repr: sign of zero
-        # included) the fsum of its defining per-term expression; an order
-        # whose (u ln p) ** r overflows or is not finite raises the error
-        # naming the first such term and ends the iteration there, and a
-        # sum that is not finite raises too
+        # every order of one kernel call at e = 1 equals (repr: sign of
+        # zero included) the fsum of its defining per-term expression; an
+        # order whose (w ln p) ** r overflows or is not finite raises the
+        # error naming the first such term and ends the iteration there,
+        # and a sum that is not finite raises too
         probs, utils = case
         weights = None if scale is None else [u * scale for u in utils]
 
         def per_order(r):
-            if r == 0:
-                return math.fsum(probs)
             terms = []
             for i, (p, w) in enumerate(zip(probs, weights or [1.0] * len(probs))):
-                if p:
+                if r == 0:
+                    terms.append(w * p)
+                elif p:
                     try:
                         a = (w * math.log(p)) ** r
                     except OverflowError:
@@ -503,18 +524,36 @@ class TestPowerSumKernel:
                 s = math.inf
             if not math.isfinite(s):
                 raise DomainError("the sum of the terms overflows")
-            return 0.0 - s if r % 2 else s
+            return s
 
-        def collect(values):
-            got = []
-            try:
-                for v in values:
-                    got.append(repr(v))
-            except DomainError as exc:
-                got.append(str(exc))
-            return got
+        specs = [(weights, r) for r in orders]
+        assert _collect(_term_sums(probs, None, specs)) == _collect(map(per_order, orders))
 
-        assert collect(_moments(probs, weights, orders)) == collect(map(per_order, orders))
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _sparse_schemes(),
+        st.one_of(st.none(), st.floats(-4.0, 8.0), st.floats(-4.0, 8.0).map(lambda t: [t])),
+        st.lists(
+            st.tuples(st.sampled_from([None, 1.0, 1e100, 1e305]), st.integers(0, 6)),
+            min_size=1, max_size=6,
+        ),
+    )
+    # 8e305 * 0.5 ** -10 is inf without an OverflowError: the weighted
+    # order 0 raises after the unit one gave its value
+    @example(case=([0.5, 0.5], [8.0, 1.0]), exps=-10.0, drawn=[(None, 0), (1e305, 0)])
+    def test_many_specs_equal_one_call_each(self, case, exps, drawn):
+        # one call shares its pass of powers across specs, drops the zeros
+        # from its orders r > 0 only, and builds one log list per weight
+        # vector; its values (repr) and first error are those of one call
+        # per spec.  A one-element list stands for the weighted exponents
+        probs, utils = case
+        if isinstance(exps, list):
+            exps = _WeightedExponents(utils, exps[0])
+        vectors = {scale: None if scale is None else [u * scale for u in utils]
+                   for scale, _ in drawn}
+        specs = [(vectors[scale], r) for scale, r in drawn]
+        got = _collect(_term_sums(probs, exps, specs))
+        assert got == _collect(next(_term_sums(probs, exps, [spec])) for spec in specs)
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_schemes())
@@ -573,9 +612,8 @@ def _pointwise_curve(scheme, t_min, t_max, steps, measures, extended):
     for k in range(steps):
         t = t_max if k == steps - 1 else t_min + k * step
         values = tuple(evaluate[m](t) for m in measures)
-        for m, v in zip(measures, values):
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite {m.value} value at t = {t}")
+        # a value that is not finite raises in the kernel
+        assert all(map(math.isfinite, values))
         rows.append((t, values))
     return rows
 
@@ -597,7 +635,8 @@ def _outcome(compute):
 @st.composite
 def _curve_cases(draw):
     """Sparse schemes under unit, constant or varied utilities, the seven
-    measure subsets, and grids reaching below t = 1 and below t = 0."""
+    measure subsets in any order, and grids reaching below t = 1 and below
+    t = 0."""
     probs, utils = draw(_sparse_schemes())
     kind = draw(st.sampled_from(["varied", "unit", "constant"]))
     if kind == "unit":
@@ -611,7 +650,7 @@ def _curve_cases(draw):
         t_min,
         t_max,
         draw(st.integers(2, 12)),
-        draw(st.sampled_from(_MEASURE_SETS)),
+        draw(st.sampled_from(_MEASURE_SETS).flatmap(st.permutations)),
         t_min < 1.0 or draw(st.booleans()),
     )
 
@@ -623,6 +662,10 @@ class TestCurveGrid:
 
     @settings(max_examples=300, deadline=None)
     @given(_curve_cases())
+    # Golomb and Hooda-Bhaker share a pass whose Hooda-Bhaker sum overflows,
+    # but the weighted IGF between them raises first in the pointwise loop
+    @example(case=(make_scheme([0.5, 0.5], [1.5e308, 1.4e308]), 0.5, 1.0, 2,
+                   (Measure.GOLOMB, Measure.WEIGHTED, Measure.HOODA_BHAKER), True))
     def test_equals_pointwise_calls(self, case):
         got = _outcome(lambda: _grid_curve(*case))
         assert got == _outcome(lambda: _pointwise_curve(*case))
@@ -630,8 +673,7 @@ class TestCurveGrid:
     @pytest.mark.parametrize(
         "utils, measure, message",
         [
-            ([1e308, 1e308], Measure.HOODA_BHAKER,
-             "non-finite hooda_bhaker value at t = -2.0"),
+            ([1e308, 1e308], Measure.HOODA_BHAKER, "term 0 overflows: 1e+308 * 0.5 ** -2.0"),
             ([3e307, 3e307], Measure.HOODA_BHAKER, "the sum of the terms overflows"),
             ([1e3, 1.0], Measure.WEIGHTED, "term 0 overflows"),
         ],
@@ -778,7 +820,7 @@ class TestOnePointCurve:
         scheme = make_scheme([0.5, 0.5], [1e308, 1e308])
         with pytest.raises(DomainError) as info:
             _one_point(Measure.HOODA_BHAKER, scheme, -2.0, extended=True)
-        assert str(info.value) == "non-finite hooda_bhaker value at t = -2.0"
+        assert str(info.value) == "term 0 overflows: 1e+308 * 0.5 ** -2.0"
 
     def test_measure_must_be_a_measure(self):
         scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
