@@ -309,11 +309,11 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
 
     The header is found first; the rows after it are parsed in chunks of
     about _CSV_CHUNK characters, each cut just after a newline, so no list
-    of every row is held.  Each chunk goes through the C pass of
+    of every row is held.  Each chunk is read whole by
     :func:`_parse_csv_chunk`, above _SPLIT_PARSE characters every other
     one in a forked child (see :func:`_split_map`).  This process takes the
-    values in order and reads each chunk the C pass refused with
-    :func:`_parse_csv_rows`, whose messages name the row.
+    values in order; the first chunk that names a bad row ends the parse
+    with a message that numbers the row in the whole file.
     """
     probs: list[float] = []
     utils: list[float] = []
@@ -321,12 +321,11 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     cpus = _split_cpus(len(text), _SPLIT_PARSE)
     parsed = _split_map(partial(_parse_csv_chunk, text), spans, cpus)
     try:
-        for (start, end), values in zip(spans, parsed):
-            if values is None:
-                _parse_csv_rows(text[start:end].splitlines(), path, probs, utils)
-            else:
-                probs += values[0]
-                utils += values[1]
+        for chunk_probs, chunk_utils, error in parsed:
+            probs += chunk_probs
+            utils += chunk_utils
+            if error is not None:
+                raise ValidationError(f"{path}: row {len(probs) + 1} {error}")
     finally:
         parsed.close()
     return {"probabilities": probs, "utilities": utils}
@@ -354,51 +353,47 @@ def _csv_header_end(text: str) -> int:
     return 0
 
 
-def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list] | None:
+def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list, str | None]:
     """The probabilities and utilities of the CSV rows in ``text[start:end]``
-    converted in C, or None if the C pass refuses them.
+    up to the first bad one, and the message of that row after its number.
 
     Blank rows are dropped; when every other row holds one comma, the cells
-    are split and converted by ``float``.  ``float`` strips the whitespace
-    ``str.strip`` does, except U+001F, which it refuses, so whenever every
-    cell converts the values equal those of the per-row code.  Another
-    count of commas, or a cell ``float`` refuses, is a refusal.
+    are split and converted in C by ``float``.  ``float`` strips the
+    whitespace ``str.strip`` does, except U+001F, which it refuses, so when
+    every cell converts the values equal those of :func:`_parse_csv_rows`.
+    Another count of commas, or a cell ``float`` refuses, a U+001F one
+    included, goes to that loop, which strips it.
     """
     rows = text[span[0]:span[1]].splitlines()
     commas = set(map(str.count, rows, repeat(",")))
     if 0 in commas:
         rows = list(filter(str.strip, rows))
         commas = set(map(str.count, rows, repeat(",")))
-    if not commas <= {1}:
-        return None
-    cells = ",".join(rows).split(",") if rows else []
-    try:
-        return list(map(float, cells[0::2])), list(map(float, cells[1::2]))
-    except ValueError:
-        return None
+    if commas <= {1}:
+        cells = ",".join(rows).split(",") if rows else []
+        try:
+            return list(map(float, cells[0::2])), list(map(float, cells[1::2])), None
+        except ValueError:
+            pass
+    return _parse_csv_rows(rows)
 
 
-def _parse_csv_rows(
-    rows: list[str], path: str, probs: list[float], utils: list[float]
-) -> None:
-    """Append the values of ``rows``, CSV rows without a header, to
-    ``probs`` and ``utils`` row by row; the first bad row raises
-    ValidationError.  Blank rows are skipped, and rows are numbered on
-    from those already in ``probs``."""
+def _parse_csv_rows(rows: list[str]) -> tuple[list, list, str | None]:
+    """:func:`_parse_csv_chunk` of ``rows``, CSV rows without a header, read
+    row by row: blank rows are skipped, and the first bad row stops it."""
+    probs: list[float] = []
+    utils: list[float] = []
     for row in filter(None, map(str.strip, rows)):
         parts = [c.strip() for c in row.split(",")]
         if len(parts) != 2:
-            raise ValidationError(
-                f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
-            )
+            return probs, utils, f"must have two columns (p,u), got {row!r}"
         try:
             p, u = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ValidationError(
-                f"{path}: row {len(probs) + 1} has non-numeric entries: {row!r}"
-            ) from None
+            return probs, utils, f"has non-numeric entries: {row!r}"
         probs.append(p)
         utils.append(u)
+    return probs, utils, None
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -459,20 +454,20 @@ def render_scheme_json(scheme: UtilityInformationScheme) -> str:
     return "".join(_scheme_json_chunks(scheme))
 
 
-#: The parameter flag and kind of each family the CLI names.  The flag
-#: names the ParametricFamily field it sets; the kind's value names the
-#: family's constructor on ParametricFamily.
+#: The parameter flag, kind, flag type and flag help of each family the CLI
+#: names.  The flag names the ParametricFamily field it sets; the kind's
+#: value names the family's constructor on ParametricFamily.
 _FAMILIES = {
-    "uniform": ("--n", FamilyKind.UNIFORM),
-    "geometric": ("--p", FamilyKind.GEOMETRIC),
-    "beta-power": ("--beta", FamilyKind.BETA_POWER),
+    "uniform": ("--n", FamilyKind.UNIFORM, int, "outcome count"),
+    "geometric": ("--p", FamilyKind.GEOMETRIC, float, "ratio"),
+    "beta-power": ("--beta", FamilyKind.BETA_POWER, float, "exponent"),
 }
 
 
 def _family_from_args(args: argparse.Namespace) -> ParametricFamily:
     name = args.family
-    wanted, kind = _FAMILIES[name]
-    for flag, _ in _FAMILIES.values():
+    wanted, kind, _, _ = _FAMILIES[name]
+    for flag, *_ in _FAMILIES.values():
         present = getattr(args, flag[2:]) is not None
         if flag == wanted and not present:
             raise ValidationError(f"family {name!r} requires {flag}")
@@ -524,7 +519,7 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
     if args.input is not None and args.family is not None:
         raise ValidationError("give either --input or --family, not both")
     if args.input is not None:
-        for flag in ("--n", "--p", "--beta", "--u", "--truncation"):
+        for flag in [flag for flag, *_ in _FAMILIES.values()] + ["--u", "--truncation"]:
             if getattr(args, flag[2:]) is not None:
                 raise ValidationError(f"{flag} needs --family, not --input")
         return _load_scheme(args.input, args.format)
@@ -597,9 +592,12 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     pair = escort_transform(scheme.dist, args.beta)
     if args.t is not None:
         escort_scheme = constant_utility_scheme(pair.normalized, u)
-        [(value,)] = curve_values(
-            escort_scheme, (args.t,), (Measure.WEIGHTED,), extended=args.extended_t
-        )
+        try:
+            [(value,)] = curve_values(
+                escort_scheme, (args.t,), (Measure.WEIGHTED,), extended=args.extended_t
+            )
+        except DomainError as exc:  # its terms are not the file's
+            raise DomainError(f"escort distribution: {exc}") from None
     if args.verify_identity:
         report = verify_scaling_identity(
             scheme.dist, u, args.beta, args.t, extended=args.extended_t, escort=(pair, value)
@@ -650,9 +648,8 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="outcome count for the uniform family")
-    parser.add_argument("--p", type=float, help="ratio for the geometric family")
-    parser.add_argument("--beta", type=float, help="exponent for the beta-power family")
+    for name, (flag, _, parse, what) in _FAMILIES.items():
+        parser.add_argument(flag, type=parse, help=f"{what} for the {name} family")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -288,7 +288,8 @@ def constant_utility_scheme(
     dist: ProbabilityDistribution, u: float
 ) -> UtilityInformationScheme:
     """Pair a distribution with the constant utility vector (u, u, ...)."""
-    return UtilityInformationScheme(dist, UtilityDistribution((float(u),) * len(dist)))
+    (u,) = _as_float_tuple((u,), "utility")
+    return UtilityInformationScheme(dist, UtilityDistribution((u,) * len(dist)))
 
 
 class FamilyKind(Enum):

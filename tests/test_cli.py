@@ -1066,13 +1066,17 @@ class TestEscort:
         "argv, message",
         [
             # the escort's IGF is inf at t = -inf: printed with exit 0, and
-            # the identity compared inf with inf or nan
+            # the identity compared inf with inf or nan.  The term is the
+            # escort distribution's, not the file's
             (["--beta", "0.5", "--t=-inf", "--extended-t"],
-             "term 0 overflows: probability 0.39564392373895996, exponent -inf"),
+             "escort distribution: term 0 overflows: "
+             "probability 0.39564392373895996, exponent -inf"),
             (["--beta", "0.5", "--t=-inf", "--extended-t", "--verify-identity"],
-             "term 0 overflows: probability 0.39564392373895996, exponent -inf"),
+             "escort distribution: term 0 overflows: "
+             "probability 0.39564392373895996, exponent -inf"),
             (["--beta", "2", "--t=-inf", "--extended-t", "--verify-identity"],
-             "term 0 overflows: probability 0.15517241379310345, exponent -inf"),
+             "escort distribution: term 0 overflows: "
+             "probability 0.15517241379310345, exponent -inf"),
             # the escort's IGF is 0 and mass ** inf is inf: rhs was nan
             (["--beta", "0.5", "--t", "inf", "--verify-identity"],
              "escort mass 1.3843825840392416 ** inf overflows"),
@@ -1258,6 +1262,9 @@ class TestCsvChunks:
     messages of the whole-text per-row reader of ``oracles``; only a chunk
     the C pass refuses goes to the per-row code."""
 
+    #: Whether a forked child parses every other chunk.
+    SPLIT = False
+
     CASES = {
         "crlf": "p,u\r\n0.5,1\r\n0.5,2\r\n",
         "cr_only": "p,u\r0.5,1\r0.5,2\r",
@@ -1284,23 +1291,29 @@ class TestCsvChunks:
         "no_trailing_newline", "odd_cells", "header_only", "empty",
     }
 
-    @staticmethod
-    def _calls(monkeypatch) -> list[list[str]]:
-        """The rows of each call of the per-row code, from now on."""
-        rows, calls = cli._parse_csv_rows, []
+    @pytest.fixture
+    def row_loop(self, monkeypatch, tmp_path):
+        """From now on, the rows of each call of the per-row code and
+        whether a forked child made it: each call, in whichever process,
+        appends a line to a file."""
+        log, rows, parent = tmp_path / "row_loop.log", cli._parse_csv_rows, os.getpid()
 
-        def recorded(chunk, *args):
-            calls.append(list(chunk))
-            return rows(chunk, *args)
+        def recorded(chunk):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([chunk, os.getpid() != parent]) + "\n")
+            return rows(chunk)
+
+        def calls():
+            lines = log.read_text().splitlines() if log.exists() else []
+            return [tuple(json.loads(line)) for line in lines]
 
         monkeypatch.setattr(cli, "_parse_csv_rows", recorded)
         return calls
 
-    @classmethod
-    def _parse(cls, monkeypatch, text: str):
-        """The chunked parse of ``text`` or its error, the per-row
-        reader's, and whether the chunked parse called the per-row code."""
-        calls = cls._calls(monkeypatch)
+    @staticmethod
+    def _parse(text: str):
+        """The chunked parse of ``text`` or its error, and the per-row
+        reader's."""
 
         def outcome(parse, error):
             try:
@@ -1311,17 +1324,16 @@ class TestCsvChunks:
         return (
             outcome(cli._parse_csv, ValidationError),
             outcome(oracles.csv_scheme_rows, ValueError),
-            bool(calls),
         )
 
     @pytest.mark.parametrize("name", CASES)
-    def test_matches_the_row_loop(self, monkeypatch, name):
-        chunked, rows, fell_back = self._parse(monkeypatch, self.CASES[name])
+    def test_matches_the_row_loop(self, row_loop, name):
+        chunked, rows = self._parse(self.CASES[name])
         assert chunked == rows
-        assert fell_back == (name not in self.CHUNKED)
+        assert bool(row_loop()) == (name not in self.CHUNKED)
 
     @pytest.mark.parametrize("chunk", range(1, 40))
-    def test_every_cut_matches_the_row_loop(self, monkeypatch, chunk):
+    def test_every_cut_matches_the_row_loop(self, monkeypatch, row_loop, chunk):
         # small chunks put a cut after every row, CRLF and \r-only endings
         # and blank rows included, and start the newline search inside a
         # CRLF pair; some chunks hold only blank rows
@@ -1330,9 +1342,9 @@ class TestCsvChunks:
             " p,u \r\n0.25, 1\r\n\r\n 1e-3 ,2.5\n0.5,3\r0.125,4\r\n"
             "\t\n\n\n\n\n\n\n\n\n\n\n\n0.125,1_0\n\n"
         )
-        chunked, rows, fell_back = self._parse(monkeypatch, text)
+        chunked, rows = self._parse(text)
         assert chunked == rows and "error" not in chunked
-        assert not fell_back
+        assert row_loop() == []
 
     @pytest.mark.parametrize("chunk", range(1, 40))
     @pytest.mark.parametrize("bad", ["0.5,oops", "oops,0.5", "0.5,1,2", "p,u"])
@@ -1340,19 +1352,19 @@ class TestCsvChunks:
         # a bad row in any chunk, after rows some chunks parsed in part
         monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
         text = f" p,u \r\n0.25, 1\r\n\r\n 1e-3 ,2.5\n0.5,3\r0.125,4\r\n\n{bad}\n0.125,1\n"
-        chunked, rows, _ = self._parse(monkeypatch, text)
+        chunked, rows = self._parse(text)
         assert chunked == rows and chunked.startswith("error: f.csv: row 5 ")
 
     @pytest.mark.parametrize("chunk", [1, 4, 16])
     def test_a_header_after_blank_chunks_is_the_header(self, monkeypatch, chunk):
         monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
         text = "\n" * 40 + "p,u\n0.5,1\n0.5,2\n"
-        chunked, rows, _ = self._parse(monkeypatch, text)
+        chunked, rows = self._parse(text)
         assert chunked == rows and "error" not in chunked
 
     @pytest.mark.parametrize("chunk", [1, 4, 16])
     @pytest.mark.parametrize("first", [" probability , utility ", "0.75,1"])
-    def test_blank_chunks_then_the_first_row(self, monkeypatch, chunk, first):
+    def test_blank_chunks_then_the_first_row(self, monkeypatch, row_loop, chunk, first):
         # the header is the first row that is not blank, found before any
         # chunk is parsed; blank rows of every line ending fill more than
         # one chunk ahead of it, and a refused chunk follows
@@ -1361,34 +1373,38 @@ class TestCsvChunks:
         assert text.index(first) > 2 * chunk
         body = text.index("0.125,1") if "p" in first else 0
         assert cli._csv_header_end(text) == body
-        chunked, rows, fell_back = self._parse(monkeypatch, text)
-        assert chunked == rows and "error" not in chunked and fell_back
+        chunked, rows = self._parse(text)
+        assert chunked == rows and "error" not in chunked
+        [(refused, _)] = row_loop()
+        assert "0.125\x1f,3" in refused
 
-    def test_the_row_loop_reparses_from_the_failing_chunk_only(self, monkeypatch):
+    def test_the_row_loop_reparses_from_the_failing_chunk_only(self, monkeypatch, row_loop):
         # it re-parsed the whole text: 3.6 s and 232 MB instead of 2.2 s and
         # 148 MB for a 975k-row file with one bad last row
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "0.5,1\n" * 100 + "0.5,oops\n"
-        calls = self._calls(monkeypatch)
+        last = len(list(cli._csv_chunks(text, len("p,u\n")))) - 1
         with pytest.raises(ValidationError) as info:
             cli._parse_csv(text, "f.csv")
         assert str(info.value) == "f.csv: row 101 has non-numeric entries: '0.5,oops'"
-        assert len(calls) == 1 and calls[0][-1] == "0.5,oops"
-        chunk = "\n".join(calls[0]) + "\n"
+        [(rows, by_child)] = row_loop()
+        assert rows[-1] == "0.5,oops" and by_child == (self.SPLIT and last % 2 == 1)
+        chunk = "\n".join(rows) + "\n"
         assert text.endswith(chunk) and len(chunk) < 80
 
-    def test_only_the_refused_chunk_is_read_row_by_row(self, monkeypatch):
+    def test_only_the_refused_chunk_is_read_row_by_row(self, monkeypatch, row_loop):
         # the C pass refuses the U+001F cell of chunk 2 and takes chunks 3
-        # to 5 back; the per-row code had read every row from chunk 2 on
+        # to 5 back; the per-row code had read every row from chunk 2 on.
+        # Split, the child reads chunk 2 itself: it had sent it back
+        # unread, and this process read it
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
         text = text.replace("0.0010,4", "0.0010\x1f,4")
         assert cli._csv_header_end(text) == len("p,u\n")
         chunks = [text[a:b].splitlines() for a, b in cli._csv_chunks(text, len("p,u\n"))]
         assert len(chunks) == 5 and "0.0010\x1f,4" in chunks[1]
-        calls = self._calls(monkeypatch)
         assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
-        assert calls == [chunks[1]]
+        assert row_loop() == [(chunks[1], self.SPLIT)]
 
     def test_a_bad_first_row_stops_the_row_loop(self, monkeypatch):
         # the row loop listed every row of the text before it named row 1:
@@ -1423,11 +1439,23 @@ class TestCsvChunks:
             2, "", f"error: {path}: row {count + 1} {message}\n"
         )
 
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5,x", "has non-numeric entries: '0.5,x'"),
+        ("0.5,1,2", "must have two columns (p,u), got '0.5,1,2'"),
+    ])
+    def test_a_chunk_returns_the_rows_before_its_bad_row(self, bad, message):
+        # the chunk's values and the message after the row number; the rows
+        # after the bad one are not read
+        text = f"0.5,1\n\n 0.25 ,2\n{bad}\n0.25,oops\n"
+        assert cli._parse_csv_chunk(text, (0, len(text))) == ([0.5, 0.25], [1.0, 2.0], message)
+
 
 class TestCsvChunksSplit(TestCsvChunks):
     """The same values, messages and row numbers while a forked child
-    parses every other chunk, whatever the text's length: a chunk the child
-    refuses is read row by row by this process, in order."""
+    parses every other chunk, whatever the text's length: a chunk the C
+    pass refuses in the child is read row by row by the child."""
+
+    SPLIT = True
 
     @pytest.fixture(autouse=True)
     def split(self, monkeypatch, forks):
@@ -1445,6 +1473,63 @@ class TestCsvChunksSplit(TestCsvChunks):
         )
         assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
         assert forks == [1] and len(spans) == 5 and here == spans[0::2]
+
+
+#: Whitespace that ``str.strip`` strips; blank rows also take line breaks
+#: of ``str.splitlines`` other than ``\n`` and ``\r``.
+_csv_pads = st.sampled_from(["", " ", "\t", "\u3000", "\u2003", "\x1f"])
+_csv_blanks = _csv_pads | st.sampled_from(["\x0b", "\x1c", "\x85", "\u2028", " \x0c\t"])
+
+
+def _csv_rows(values):
+    """Rows of padded ``values`` cells: mostly two, or one to three, or
+    blank."""
+    cells = st.tuples(_csv_pads, values, _csv_pads).map("".join)
+    pairs = st.lists(cells, min_size=2, max_size=2).map(",".join)
+    return st.one_of(pairs, pairs, st.lists(cells, min_size=1, max_size=3).map(",".join), _csv_blanks)
+
+
+_csv_numbers = st.floats().map(repr) | st.sampled_from(
+    ["1_0", "nan", "1e400", "-0.0", "1e-400", "\u0661"]
+)
+#: Lists of ``(row, line ending)``: plain rows, padded rows, or padded rows
+#: with bad cells.
+_csv_lines = st.sampled_from([
+    _csv_numbers.map(lambda x: f"{x},{x}") | _csv_blanks,
+    _csv_rows(_csv_numbers),
+    _csv_rows(_csv_numbers | st.sampled_from(["oops", "", "0x1p-3"])),
+]).flatmap(
+    lambda rows: st.lists(st.tuples(rows, st.sampled_from(["\n", "\r\n", "\r"])), max_size=16)
+)
+
+
+@pytest.mark.parametrize("parse", ["serial", "split"])
+@settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    header=st.sampled_from(["", "p,u", " probability , utility ", "p, u\x1f"]),
+    lines=_csv_lines,
+    ending=st.booleans(),
+    chunk=st.integers(1, 64),
+)
+def test_any_csv_text_and_cut_matches_the_row_loop(
+    monkeypatch, forks, parse, header, lines, ending, chunk
+):
+    # padded, odd and bad cells, blank rows of every line ending, one to
+    # three columns and an optional header, cut into chunks of 1..64
+    # characters; split, a forked child parses every other chunk
+    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    if parse == "split":
+        monkeypatch.setattr(cli, "_SPLIT_PARSE", -1)
+    text = header + "\n" + "".join(row + end for row, end in lines)
+    if lines and not ending:
+        text = text[: -len(lines[-1][1])]
+    chunked, rows = TestCsvChunks._parse(text)
+    assert chunked == rows
+    assert bool(forks) == (parse == "split")
+    _assert_no_child()
 
 
 class TestJsonPieces:

@@ -30,6 +30,7 @@ from igf import (
     UtilityDistribution,
     UtilityInformationScheme,
     ValidationError,
+    constant_utility_scheme,
     make_complete,
     make_generalized,
     make_scheme,
@@ -215,6 +216,23 @@ class TestScheme:
             f"^probability entry {position} is an integer too large for a float$"
         )):
             make_scheme(probs, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "u", ["2", True, None, 0, -1.0, float("nan"), 10**400],
+        ids=["str", "bool", "none", "zero", "negative", "nan", "huge_int"],
+    )
+    def test_a_constant_utility_is_checked_as_a_utility_entry(self, u):
+        # float(u) came first: "2" gave utilities (2.0, 2.0), True gave
+        # (1.0, 1.0), and None and 10**400 raised TypeError and OverflowError
+        with pytest.raises(ValidationError) as entry:
+            UtilityDistribution((u,))
+        with pytest.raises(ValidationError) as constant:
+            constant_utility_scheme(make_complete([0.5, 0.5]), u)
+        assert (constant.type, str(constant.value)) == (entry.type, str(entry.value))
+
+    def test_an_integer_constant_utility_is_a_float(self):
+        scheme = constant_utility_scheme(make_complete([0.5, 0.5]), 2)
+        assert scheme.util.utils == (2.0, 2.0) and type(scheme.util.utils[0]) is float
 
     def test_generalized_flag(self):
         scheme = make_scheme([0.25, 0.25], [1.0, 1.0], generalized=True)
