@@ -25,7 +25,6 @@ from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
     FamilyKind,
     ParametricFamily,
-    UtilityDistribution,
     UtilityInformationScheme,
     constant_utility_scheme,
     realize_family,
@@ -583,10 +582,8 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     # the checks of escort_transform and constant_utility_scheme, made
     # before the file is read
     check_open(args.beta, "escort power beta", 0)
-    if args.u is not None:
-        UtilityDistribution((args.u,))
+    u = 1.0 if args.u is None else check_open(args.u, "constant utility u", 0)
     scheme = _load_scheme(args.input, args.format)
-    u = 1.0 if args.u is None else args.u
     # every value is computed before the first line is printed, so a
     # failing command leaves stdout empty
     pair = escort_transform(scheme.dist, args.beta)

@@ -119,7 +119,7 @@ def uniform_igf(n: int, u: float, t: float) -> float:
     infinite value at t = -inf for n > 1, raise DomainError.
     """
     n = check_int(n, "n", 1)
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     t = check_real(t, "t")
     try:
         value = float(n) ** (u * (1.0 - t))
@@ -139,7 +139,7 @@ def uniform_igf(n: int, u: float, t: float) -> float:
 def uniform_entropy(n: int, u: float) -> float:
     """Weighted entropy of the uniform distribution: u * ln(n)."""
     n = check_int(n, "n", 1)
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     return u * math.log(n)
 
 
@@ -151,7 +151,7 @@ def geometric_igf(p: float, u: float, t: float) -> float:
     for t >= 1.
     """
     p = check_open(p, "geometric ratio p", 0, 1)
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     s = _geometric_exponent(u, check_real(t, "t"))
     if s == 1.0:
         return 1.0  # the total mass, exactly as q / (1 - p) = q / q gives it
@@ -190,7 +190,7 @@ def _geometric_truncation(p: float, u: float, t: float | None) -> int:
 def geometric_entropy(p: float, u: float) -> float:
     """Weighted entropy of the geometric family: -u * (p ln p + q ln q) / q."""
     p = check_open(p, "geometric ratio p", 0, 1)
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     q = 1.0 - p
     return -u * (p * math.log(p) + q * math.log(q)) / q
 
@@ -206,7 +206,7 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
     underflows to 0.
     """
     beta = check_open(beta, "power-law exponent beta", 1)
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     t = check_real(t, "t")
     s = _exponent(u, t)
     if beta * s <= 1.0:
@@ -229,7 +229,7 @@ def beta_power_entropy(beta: float, u: float) -> float:
     term is the mean of beta * ln(i) under the family.
     """
     beta = check_open(beta, "power-law exponent beta", 1)
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     z = zeta(beta)
     return u * (math.log(z) - beta * zeta_derivative(beta) / z)
 
@@ -257,7 +257,7 @@ def direct_sum_value(
     power law to MAX_REALIZED_TERMS terms, the geometric family as far as
     :func:`_geometric_truncation` says.  A family that needs more than
     MAX_REALIZED_TERMS terms raises ValidationError before any is built."""
-    u = check_open(u, "utility u", 0)
+    u = check_open(u, "constant utility u", 0)
     if t is not None:
         t = check_t(t, extended)
     truncation = MAX_REALIZED_TERMS  # the uniform family ignores it

@@ -29,6 +29,7 @@ from .errors import (
     SumNotOne,
     TruncationRequired,
     ValidationError,
+    _read_real,
     check_int,
     check_open,
 )
@@ -99,26 +100,20 @@ class Kind(Enum):
 
 
 def _as_float_tuple(values: Iterable[object], what: str) -> tuple[float, ...]:
-    # a tuple of plain floats comes back as the same object after one C-level
-    # pass over the entry types
+    # plain floats come back as the same tuple; others convert in C once the
+    # reader passes one entry of each type, or the loop names the first bad one
     out = tuple(values)
     if set(map(type, out)) <= {float}:
         return out
-    for x in out:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValidationError(f"{what} entries must be numbers, got {x!r}")
     try:
-        return tuple(map(float, out))
-    except OverflowError:
-        # an int too large for a float; the loop names the first one
-        for i, x in enumerate(out):
-            try:
-                float(x)
-            except OverflowError:
-                raise ValidationError(
-                    f"{what} entry {i} is an integer too large for a float"
-                ) from None
-        raise
+        if None not in [_read_real(x, what) for x in dict(zip(map(type, out), out)).values()]:
+            return tuple(map(float, out))
+    except (OverflowError, ValidationError):
+        pass
+    for i, x in enumerate(out):
+        if _read_real(x, f"{what} entry {i}", ValidationError) is None:
+            raise ValidationError(f"{what} entries must be numbers, got {x!r}")
+    return tuple(map(float, out))
 
 
 class ProbabilityDistribution(_Frozen):
@@ -288,7 +283,7 @@ def constant_utility_scheme(
     dist: ProbabilityDistribution, u: float
 ) -> UtilityInformationScheme:
     """Pair a distribution with the constant utility vector (u, u, ...)."""
-    (u,) = _as_float_tuple((u,), "utility")
+    u = check_open(u, "constant utility u", 0)
     return UtilityInformationScheme(dist, UtilityDistribution((u,) * len(dist)))
 
 

@@ -5,8 +5,8 @@ inputs (bad vectors, bad parameters, bad files) and :class:`DomainError`
 covers evaluation points outside a function's mathematical domain.  The CLI
 maps the first family to exit code 2 and the second to exit code 3.
 
-The checkers at the end validate scalar parameters, one per kind of
-parameter, and raise :class:`InvalidParameter`; ``check_t`` raises
+The checkers at the end, one per kind of scalar parameter and all over one
+number reader, raise :class:`InvalidParameter`; ``check_t`` raises
 :class:`DomainError` for a t below the default domain.
 """
 
@@ -67,15 +67,22 @@ class DomainError(IGFError, ValueError):
     """The evaluation point lies outside the function's valid domain."""
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _read_real(value: object, name: str, error: type = InvalidParameter) -> float | None:
+    """``value`` as a float if it is an int or a float but not a bool, else
+    None; an int too large for a float raises ``error`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is an integer too large for a float") from None
 
 
 def check_real(value: object, name: str) -> float:
     """``value`` as a float: any real number but NaN (both infinities pass)."""
-    if not _is_number(value) or math.isnan(value):
+    if (x := _read_real(value, name)) is None or math.isnan(x):
         raise InvalidParameter(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    return x
 
 
 def check_t(t: object, extended: bool) -> float:
@@ -99,6 +106,6 @@ def check_int(value: object, name: str, lo: int) -> int:
 
 def check_open(value: object, name: str, lo: float, hi: float = math.inf) -> float:
     """``value`` as a float, a real number strictly between ``lo`` and ``hi``."""
-    if not _is_number(value) or not lo < value < hi:
+    if (x := _read_real(value, name)) is None or not lo < x < hi:
         raise InvalidParameter(f"{name} must lie in ({lo}, {hi}), got {value!r}")
-    return float(value)
+    return x

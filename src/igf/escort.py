@@ -48,8 +48,8 @@ class EscortPair(_Frozen):
     beta: float
 
     def __init__(self, normalized: ProbabilityDistribution, mass: float, beta: float) -> None:
-        if not (mass > 0.0 and math.isfinite(mass)):
-            raise ValidationError(f"escort mass must be positive, got {mass!r}")
+        mass = check_open(mass, "escort mass", 0)
+        beta = check_open(beta, "escort power beta", 0)
         total = normalized.total
         if not (abs(total - 1.0) <= 1e-12):
             raise ValidationError(
@@ -140,8 +140,8 @@ def verify_scaling_identity(
     The two sides are computed along independent code paths (direct powered
     sum versus escort normalization followed by the weighted IGF).  They are
     declared in agreement when |lhs - rhs| <= SCALING_IDENTITY_RTOL *
-    max(1, |lhs|).  A caller that already holds the escort pair of ``dist``
-    under ``beta`` and its weighted IGF at (u, t) passes both as
+    max(|lhs|, |rhs|).  A caller that already holds the escort pair of
+    ``dist`` under ``beta`` and its weighted IGF at (u, t) passes both as
     ``escort=(pair, escort_igf)``, and neither is built again.  A powered
     sum or a ``mass ** s`` that is not finite raises DomainError.
     """
@@ -161,5 +161,5 @@ def verify_scaling_identity(
         raise DomainError(f"escort mass {pair.mass!r} ** {s!r} overflows")
     rhs = escort_igf * scale
     abs_diff = abs(lhs - rhs)
-    passed = abs_diff <= SCALING_IDENTITY_RTOL * max(1.0, abs(lhs))
+    passed = abs_diff <= SCALING_IDENTITY_RTOL * max(abs(lhs), abs(rhs))
     return ScalingIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff, passed=passed)

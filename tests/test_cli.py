@@ -1024,9 +1024,8 @@ class TestEscort:
         assert "--t" in err
 
     def test_failed_verification_is_exit_4(self, capsys, eight_two, monkeypatch):
-        # both sides agree to ~1e-15 on anything this CLI can reach, so a
-        # genuine FAIL is not constructible from inputs; fake the report to
-        # pin the exit-code wiring
+        # a faked report pins the exit-code wiring on its own; the real FAIL
+        # below depends on how far the two sides drift apart
         import igf.cli as cli_module
 
         monkeypatch.setattr(
@@ -1042,6 +1041,20 @@ class TestEscort:
         )
         assert code == 4
         assert out.splitlines()[-1] == "FAIL"
+
+    def test_an_identity_that_fails_is_exit_4(self, capsys, tmp_path):
+        # rhs underflows to 0 while lhs is 6.7e-117: the identity was
+        # compared with an absolute floor of 1e-10 below 1 and passed
+        path = tmp_path / "three_seven.json"
+        path.write_text(json.dumps({"probabilities": [0.3, 0.7]}))
+        code, out, err = run(
+            capsys, "escort", "--input", str(path), "--beta", "0.5", "--t", "1500",
+            "--verify-identity",
+        )
+        assert (code, err) == (4, "")
+        assert out.splitlines()[-4:] == [
+            "lhs: 6.66085547667e-117", "rhs: 0", "abs_diff: 6.660855e-117", "FAIL",
+        ]
 
     def test_bad_beta_is_exit_2(self, capsys, eight_two):
         code, _, _ = run(capsys, "escort", "--input", eight_two, "--beta", "0")
@@ -2204,7 +2217,7 @@ class TestFlagsBeforeInput:
         (["escort", "--input", "big.json", "--beta", "0"],
          "escort power beta must lie in (0, inf), got 0.0"),
         (["escort", "--input", "big.json", "--beta", "2", "--t", "2", "--u", "-1"],
-         "utilities must be positive finite numbers, got -1.0"),
+         "constant utility u must lie in (0, inf), got -1.0"),
     ])
     def test_flag_error_first(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -2227,6 +2240,21 @@ class TestFlagsBeforeInput:
     ])
     def test_t_and_grid_errors_first(self, capsys, argv, code, message):
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--family", "uniform", "--n", "4", "--u", "-1", "--out", "c.csv"],
+    ["escort", "--input", "three_seven.json", "--beta", "2", "--t", "2", "--u", "-1"],
+    ["closed-form", "uniform", "--n", "4", "--u", "-1", "--t", "2"],
+])
+def test_a_bad_constant_u_has_one_message(capsys, tmp_path, monkeypatch, argv):
+    # the first two said "utilities must be positive finite numbers"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "three_seven.json").write_text(json.dumps({"probabilities": [0.3, 0.7]}))
+    assert run(capsys, *argv) == (
+        2, "", "error: constant utility u must lie in (0, inf), got -1.0\n"
+    )
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_a_grid_above_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
@@ -2434,8 +2462,8 @@ class TestProcessEntry:
         assert _run_process("-c", CONSOLE_SCRIPT, *argv) == expected
 
     def test_failed_verification_is_exit_4(self, capsys, monkeypatch, eight_two):
-        # a FAIL is not constructible from inputs, so the report is faked
-        # as in TestEscort, here and in the script
+        # the report is faked as in TestEscort, here and in the script, so
+        # the exit code does not rest on how the two sides round
         argv = ["escort", "--input", eight_two, "--beta", "2", "--t", "2", "--verify-identity"]
         monkeypatch.setattr(
             cli,

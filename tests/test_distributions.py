@@ -218,21 +218,44 @@ class TestScheme:
             make_scheme(probs, [1.0, 1.0])
 
     @pytest.mark.parametrize(
-        "u", ["2", True, None, 0, -1.0, float("nan"), 10**400],
+        "u, message",
+        [
+            ("2", "constant utility u must lie in (0, inf), got '2'"),
+            (True, "constant utility u must lie in (0, inf), got True"),
+            (None, "constant utility u must lie in (0, inf), got None"),
+            (0, "constant utility u must lie in (0, inf), got 0"),
+            (-1.0, "constant utility u must lie in (0, inf), got -1.0"),
+            (float("nan"), "constant utility u must lie in (0, inf), got nan"),
+            (10**400, "constant utility u is an integer too large for a float"),
+        ],
         ids=["str", "bool", "none", "zero", "negative", "nan", "huge_int"],
     )
-    def test_a_constant_utility_is_checked_as_a_utility_entry(self, u):
+    def test_a_constant_utility_is_checked_as_a_scalar(self, u, message):
         # float(u) came first: "2" gave utilities (2.0, 2.0), True gave
         # (1.0, 1.0), and None and 10**400 raised TypeError and OverflowError
-        with pytest.raises(ValidationError) as entry:
-            UtilityDistribution((u,))
-        with pytest.raises(ValidationError) as constant:
+        with pytest.raises(InvalidParameter) as excinfo:
             constant_utility_scheme(make_complete([0.5, 0.5]), u)
-        assert (constant.type, str(constant.value)) == (entry.type, str(entry.value))
+        assert str(excinfo.value) == message
 
     def test_an_integer_constant_utility_is_a_float(self):
         scheme = constant_utility_scheme(make_complete([0.5, 0.5]), 2)
         assert scheme.util.utils == (2.0, 2.0) and type(scheme.util.utils[0]) is float
+
+    def test_entries_convert_in_c_or_are_named(self):
+        floats = (0.5, 0.5)
+        assert make_complete(floats).probs is floats
+        probs = make_complete([1, 0.0]).probs
+        assert probs == (1.0, 0.0) and set(map(type, probs)) == {float}
+        utils = UtilityDistribution(np.array([1.0, 2.0])).utils
+        assert utils == (1.0, 2.0) and set(map(type, utils)) == {float}
+        for bad, message in [
+            ([np.float64(1.0), True, "2"], "utility entries must be numbers, got True"),
+            ([np.float64(1.0), 2, -(10**400)],
+             "utility entry 2 is an integer too large for a float"),
+        ]:
+            with pytest.raises(ValidationError) as excinfo:
+                UtilityDistribution(bad)
+            assert (excinfo.type, str(excinfo.value)) == (ValidationError, message)
 
     def test_generalized_flag(self):
         scheme = make_scheme([0.25, 0.25], [1.0, 1.0], generalized=True)

@@ -248,6 +248,17 @@ class TestScalingIdentity:
             assert report.passed
             assert report.abs_diff <= 1e-10 * max(1.0, abs(report.lhs))
 
+    def test_a_side_far_below_one_is_compared_relatively(self):
+        # rhs underflows to 0 while lhs is 6.7e-117; against max(1, |lhs|)
+        # their difference passed as below 1e-10
+        report = verify_scaling_identity(make_complete([0.3, 0.7]), 1.0, 0.5, 1500.0)
+        assert report.lhs == pytest.approx(6.66085547667e-117, rel=1e-11)
+        assert (report.rhs, report.passed) == (0.0, False)
+
+    def test_two_sides_that_are_both_zero_agree(self):
+        report = verify_scaling_identity(make_complete([0.3, 0.7]), 1.0, 2.0, 2000.0)
+        assert (report.lhs, report.rhs, report.passed) == (0.0, 0.0, True)
+
     @pytest.mark.parametrize(
         "beta, t, message",
         [
