@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from functools import partial
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, Collection, Iterator, Sequence
 
 from .closed_forms import closed_form_value, direct_sum_value
@@ -209,11 +209,22 @@ def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
 #: Characters of a scheme file above which it is parsed by two processes
 #: (see :func:`_split_map`), 24 MiB: measured, see the README.
 _SPLIT_PARSE = 24 << 20
-#: Characters of CSV text per chunk of :func:`_parse_csv`, some 50k rows of
-#: 17-digit values; also about the size of a piece of a JSON number array.
+#: Characters per piece of :func:`_cuts`: a chunk of CSV text, some 50k
+#: rows of 17-digit values, or a piece of a JSON number array.
 _CSV_CHUNK = 1 << 21
 _CSV_HEADERS = ("p,u", "probability,utility")
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _cuts(text: str, sep: str, start: int, end: int, size: int = 0) -> Iterator[tuple[int, int]]:
+    """The ``(start, end)`` spans of consecutive pieces of ``text[start:end]``
+    of about ``size`` (default _CSV_CHUNK) characters, each cut just after
+    a ``sep`` or at ``end``."""
+    size = size or _CSV_CHUNK
+    while start < end:
+        cut = text.find(sep, start + size, end) + 1 or end
+        yield start, cut
+        start = cut
 
 
 def _parse_json(text: str) -> object:
@@ -223,12 +234,12 @@ def _parse_json(text: str) -> object:
     ``JSONDecoder.raw_decode``.  A value that starts with ``[`` and holds
     no ``"``, ``[`` or ``{`` before its first ``]`` is a flat array: its
     elements are numbers or constants, which hold no comma, so its commas
-    are exactly its separators.  Such an array is cut at commas into pieces
-    of about _CSV_CHUNK characters, and each piece is parsed by
-    ``json.loads("[" + piece + "]")`` in this process or a forked child.
-    The array is valid if and only if every piece is a valid non-empty
-    array, and its elements are then the pieces' elements in order.  Any
-    other value is parsed in place.  On anything else (a top level that is
+    are exactly its separators.  Such an array is cut by :func:`_cuts`
+    after commas, which each piece but the last drops, and each piece is
+    parsed by ``json.loads("[" + piece + "]")`` in this process or a forked
+    child.  The array is valid if and only if every piece is a valid
+    non-empty array, and its elements are then the pieces' elements in
+    order.  Any other value is parsed in place.  On anything else (a top level that is
     not an object, a duplicate key, a bad separator, trailing text, a piece
     that fails or is empty) the whole text goes to ``json.loads``, which
     gives its value or its error.
@@ -276,12 +287,7 @@ def _json_walk(text: str) -> tuple[dict, list]:
         close = text.find("]", i) if text[i:i + 1] == "[" else -1
         if close > 0 and all(text.find(c, i + 1, close) < 0 for c in '"[{'):
             doc[key] = []
-            start = i + 1
-            while start <= close:
-                cut = text.find(",", start + _CSV_CHUNK, close)
-                end = close if cut < 0 else cut
-                pieces.append((key, (start, end)))
-                start = end + 1
+            pieces += [(key, (a, b - (b < close))) for a, b in _cuts(text, ",", i + 1, close)]
             i = close + 1
         else:
             doc[key], i = decode(text, i)
@@ -306,9 +312,9 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     """The scheme document of CSV ``text``: a ``p,u`` row per outcome,
     after an optional header row, the first row that is not blank.
 
-    The header is found first; the rows after it are parsed in chunks of
-    about _CSV_CHUNK characters, each cut just after a newline, so no list
-    of every row is held.  Each chunk is read whole by
+    The header is found first; the rows after it are parsed in the chunks
+    of :func:`_cuts`, each cut just after a newline, so no list of every
+    row is held.  Each chunk is read whole by
     :func:`_parse_csv_chunk`, above _SPLIT_PARSE characters every other
     one in a forked child (see :func:`_split_map`).  This process takes the
     values in order; the first chunk that names a bad row ends the parse
@@ -316,7 +322,7 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     """
     probs: list[float] = []
     utils: list[float] = []
-    spans = list(_csv_chunks(text, _csv_header_end(text)))
+    spans = list(_cuts(text, "\n", _csv_header_end(text), len(text)))
     cpus = _split_cpus(len(text), _SPLIT_PARSE)
     parsed = _split_map(partial(_parse_csv_chunk, text), spans, cpus)
     try:
@@ -330,21 +336,10 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     return {"probabilities": probs, "utilities": utils}
 
 
-def _csv_chunks(text: str, start: int = 0, size: int = 0) -> Iterator[tuple[int, int]]:
-    """The ``(start, end)`` spans of consecutive pieces of ``text[start:]``
-    of about ``size`` (default _CSV_CHUNK) characters, each cut just after
-    a newline."""
-    size = size or _CSV_CHUNK
-    while start < len(text):
-        end = text.find("\n", start + size) + 1 or len(text)
-        yield start, end
-        start = end
-
-
 def _csv_header_end(text: str) -> int:
     """Where the rows after the header begin: just past the first row of
     ``text`` that is not blank if that row is a header, else 0."""
-    for start, end in _csv_chunks(text, 0, 64):
+    for start, end in _cuts(text, "\n", 0, len(text), 64):
         for row in text[start:end].splitlines(keepends=True):
             start += len(row)
             if row.strip():
@@ -410,34 +405,35 @@ def _render_floats(values: Sequence[float], digits: int, sep: str, lead: str = "
 _RENDER_CHUNK = 65536
 
 
-def _render_slice(piece: tuple[Sequence[float], int], digits: int, sep: str) -> str:
-    """``_render_floats`` of ``vector[start:start + _RENDER_CHUNK]``, for
-    ``piece = (vector, start)``, after ``sep`` unless ``start`` is 0."""
-    vector, start = piece
-    return _render_floats(vector[start:start + _RENDER_CHUNK], digits, sep, sep if start else "")
+def _render_slice(piece: tuple[str, Sequence[float], int, int], digits: int, sep: str) -> str:
+    """``_render_floats(vector[start:stop], digits, sep, lead)`` for
+    ``piece = (lead, vector, start, stop)``."""
+    lead, vector, start, stop = piece
+    return _render_floats(vector[start:stop], digits, sep, lead)
 
 
-def _render_slices(vectors: Sequence[Sequence[float]], digits: int, sep: str) -> Iterator[str]:
-    """The text of ``_render_floats(vector, digits, sep)`` for each of
-    ``vectors`` in pieces, vector after vector: the renderings of its
-    consecutive slices of _RENDER_CHUNK entries, so that no text of a whole
-    vector is built.  More than one slice of entries in all is rendered by
-    two processes (see :func:`_split_map`)."""
-    slices = [(v, start) for v in vectors for start in range(0, len(v), _RENDER_CHUNK)]
+def _render_slices(
+    vectors: Sequence[tuple[str, Sequence[float]]], digits: int, sep: str
+) -> Iterator[str]:
+    """The text of ``_render_floats(vector, digits, sep, lead)`` for each
+    ``(lead, vector)`` of ``vectors`` in pieces: the renderings of its
+    consecutive slices of _RENDER_CHUNK entries, each after ``sep`` but the
+    first, so that no text of a whole vector is built.  More than one slice
+    of entries in all is rendered by two processes (see :func:`_split_map`)."""
+    size = _RENDER_CHUNK
+    slices = [
+        (sep if i else lead, v, i, i + size) for lead, v in vectors for i in range(0, len(v), size)
+    ]
     render = partial(_render_slice, digits=digits, sep=sep)
-    yield from _split_map(render, slices, _split_cpus(sum(map(len, vectors)), _RENDER_CHUNK))
+    yield from _split_map(render, slices, _split_cpus(sum(len(v) for _, v in vectors), size))
 
 
 def _scheme_json_chunks(scheme: UtilityInformationScheme) -> Iterator[str]:
     """The text of :func:`render_scheme_json` in pieces."""
-    vectors = {"probabilities": scheme.dist.probs, "utilities": scheme.util.utils}
-    texts = _render_slices(list(vectors.values()), 17, ", ")
-    yield "{\n"
-    for key, values in vectors.items():
-        yield f'  "{key}": ['
-        yield from islice(texts, -(-len(values) // _RENDER_CHUNK))
-        yield "],\n"
-    yield f'  "kind": {json.dumps(scheme.dist.kind.value)}'
+    leads = '{\n  "probabilities": [', '],\n  "utilities": ['
+    vectors = scheme.dist.probs, scheme.util.utils
+    yield from _render_slices(list(zip(leads, vectors)), 17, ", ")
+    yield f'],\n  "kind": {json.dumps(scheme.dist.kind.value)}'
     if scheme.labels is not None:
         labels = ", ".join(json.dumps(lab) for lab in scheme.labels)
         yield f',\n  "labels": [{labels}]'
@@ -599,8 +595,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
         report = verify_scaling_identity(
             scheme.dist, u, args.beta, args.t, extended=args.extended_t, escort=(pair, value)
         )
-    sys.stdout.write("escort: ")
-    sys.stdout.writelines(_render_slices([pair.normalized.probs], args.digits, " "))
+    sys.stdout.writelines(_render_slices([("escort: ", pair.normalized.probs)], args.digits, " "))
     sys.stdout.write("\n")
     print(f"mass: {_fmt(pair.mass, args.digits)}")
     if args.t is not None:

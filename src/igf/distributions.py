@@ -317,13 +317,16 @@ class ParametricFamily(_Frozen):
         beta: float | None = None,
     ) -> None:
         if kind is FamilyKind.UNIFORM:
-            check_int(n, "uniform family n", 1)
+            own, n = "n", check_int(n, "uniform family n", 1)
         elif kind is FamilyKind.GEOMETRIC:
-            p = check_open(p, "geometric family p", 0, 1)
+            own, p = "p", check_open(p, "geometric family p", 0, 1)
         elif kind is FamilyKind.BETA_POWER:
-            beta = check_open(beta, "power-law family beta", 1)
+            own, beta = "beta", check_open(beta, "power-law family beta", 1)
         else:
             raise InvalidParameter(f"unknown family kind {kind!r}")
+        for name, value in zip(self._fields[1:], (n, p, beta)):
+            if name != own and value is not None:
+                raise InvalidParameter(f"the {kind.value} family takes no {name}, got {value!r}")
         self._set(kind, n, p, beta)
 
     @classmethod

@@ -48,6 +48,8 @@ class EscortPair(_Frozen):
     beta: float
 
     def __init__(self, normalized: ProbabilityDistribution, mass: float, beta: float) -> None:
+        if not isinstance(normalized, ProbabilityDistribution):
+            raise ValidationError("escort distribution must be a ProbabilityDistribution")
         mass = check_open(mass, "escort mass", 0)
         beta = check_open(beta, "escort power beta", 0)
         total = normalized.total

@@ -1396,7 +1396,7 @@ class TestCsvChunks:
         # 148 MB for a 975k-row file with one bad last row
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "0.5,1\n" * 100 + "0.5,oops\n"
-        last = len(list(cli._csv_chunks(text, len("p,u\n")))) - 1
+        last = len(list(cli._cuts(text, "\n", len("p,u\n"), len(text)))) - 1
         with pytest.raises(ValidationError) as info:
             cli._parse_csv(text, "f.csv")
         assert str(info.value) == "f.csv: row 101 has non-numeric entries: '0.5,oops'"
@@ -1414,7 +1414,7 @@ class TestCsvChunks:
         text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
         text = text.replace("0.0010,4", "0.0010\x1f,4")
         assert cli._csv_header_end(text) == len("p,u\n")
-        chunks = [text[a:b].splitlines() for a, b in cli._csv_chunks(text, len("p,u\n"))]
+        chunks = [text[a:b].splitlines() for a, b in cli._cuts(text, "\n", len("p,u\n"), len(text))]
         assert len(chunks) == 5 and "0.0010\x1f,4" in chunks[1]
         assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
         assert row_loop() == [(chunks[1], self.SPLIT)]
@@ -1479,7 +1479,7 @@ class TestCsvChunksSplit(TestCsvChunks):
     def test_the_child_parses_every_other_chunk(self, monkeypatch, forks):
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
-        spans = list(cli._csv_chunks(text, len("p,u\n")))
+        spans = list(cli._cuts(text, "\n", len("p,u\n"), len(text)))
         chunk, here = cli._parse_csv_chunk, []
         monkeypatch.setattr(
             cli, "_parse_csv_chunk", lambda t, span: here.append(span) or chunk(t, span)
@@ -1567,6 +1567,8 @@ class TestJsonPieces:
         "object_in_array": '{"probabilities": [{}, 0.5]}',
         "string_in_array": '{"probabilities": ["0.5,1", 0.5]}',
         "empty_array": '{"probabilities": [ ], "utilities": []}',
+        # no piece: the walk's value is the document
+        "exactly_empty_array": '{"probabilities": []}',
         "double_comma": '{"probabilities": [0.5,,0.5]}',
         "trailing_comma": '{"probabilities": [0.5,0.5,]}',
         "leading_comma": '{"probabilities": [,0.5,0.5]}',
@@ -1637,6 +1639,18 @@ class TestJsonPieces:
         path.write_text(self.CASES[name], encoding="utf-8")
         argv = ["normalize", "--input", str(path)]
         assert run(capsys, *argv) == _serial(monkeypatch, run, capsys, *argv)
+
+    @pytest.mark.parametrize("text, pieces", [
+        ('{"probabilities": [0.5,0.25,0.125,0.0625]}', ["0.5,0.25", "0.125", "0.0625"]),
+        # the last cut lands on the final comma, which its piece keeps
+        ('{"probabilities": [0.5,0.25,0.125,]}', ["0.5,0.25", "0.125,"]),
+        ('{"probabilities": [ ]}', [" "]),
+        ('{"probabilities": []}', []),
+    ])
+    def test_a_piece_cut_before_the_end_drops_its_comma(self, text, pieces):
+        doc, spans = cli._json_walk(text)
+        assert doc == {"probabilities": []}
+        assert [text[a:b] for _, (a, b) in spans] == pieces
 
     def test_the_child_parses_every_other_piece(self, monkeypatch, forks):
         probs, utils = _random_scheme(40, seed=4)
@@ -2388,6 +2402,22 @@ def test_cli_imports_no_private_name_and_no_math():
             modules.append(node.module)
     assert [name for name in bound if name.startswith("_")] == []
     assert "math" not in modules and "math" not in bound
+
+
+def test_each_piece_size_has_one_reader():
+    # the CSV chunk size cut CSV rows and, in a second loop, JSON arrays;
+    # the render slice size was read again to count each vector's slices
+    readers: dict[str, set] = {"_CSV_CHUNK": set(), "_RENDER_CHUNK": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                readers.get(child.id, set()).add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
+    assert readers == {"_CSV_CHUNK": {"_cuts"}, "_RENDER_CHUNK": {"_render_slices"}}
 
 
 def test_import_igf_leaves_the_cli_unloaded():

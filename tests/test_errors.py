@@ -12,6 +12,7 @@ from igf import (
     InvalidParameter,
     Measure,
     ParametricFamily,
+    ValidationError,
     beta_power_entropy,
     beta_power_igf,
     closed_form_value,
@@ -116,3 +117,27 @@ def test_escort_pair_holds_floats():
     pair = EscortPair(DIST, 1, 2)
     assert (pair.mass, pair.beta) == (1.0, 2.0)
     assert (type(pair.mass), type(pair.beta)) == (float, float)
+
+
+@pytest.mark.parametrize("normalized", [(0.5, 0.5), None, SCHEME])
+def test_escort_pair_takes_only_a_distribution(normalized):
+    # it read normalized.total and leaked AttributeError
+    with pytest.raises(ValidationError) as excinfo:
+        EscortPair(normalized, 1.0, 2.0)
+    assert str(excinfo.value) == "escort distribution must be a ProbabilityDistribution"
+
+
+@pytest.mark.parametrize("kind, own, name, value", [
+    (FamilyKind.UNIFORM, dict(n=3), "p", "x"),
+    (FamilyKind.UNIFORM, dict(n=3), "beta", 2.0),
+    (FamilyKind.GEOMETRIC, dict(p=0.5), "n", 3),
+    (FamilyKind.GEOMETRIC, dict(p=0.5), "beta", 0),
+    (FamilyKind.BETA_POWER, dict(beta=2.0), "p", 0.5),
+    (FamilyKind.BETA_POWER, dict(beta=2.0), "n", False),
+])
+def test_a_family_takes_no_field_of_another_kind(kind, own, name, value):
+    # each was built, held the stray field and was unequal to its twin
+    with pytest.raises(InvalidParameter) as excinfo:
+        ParametricFamily(kind, **own, **{name: value})
+    assert str(excinfo.value) == f"the {kind.value} family takes no {name}, got {value!r}"
+    assert ParametricFamily(kind, **own, **{name: None}) == ParametricFamily(kind, **own)
