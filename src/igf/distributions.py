@@ -51,7 +51,7 @@ class _Frozen:
     order; ``__init__`` sets each slot once through ``_set`` and any later
     assignment or deletion raises ``FrozenInstanceError``.
     ``__reduce__`` rebuilds through ``__init__``, so copies and pickles are
-    validated again.
+    validated again, and a slot that is not a field starts afresh.
     """
 
     __slots__ = ()
@@ -129,7 +129,7 @@ class ProbabilityDistribution(_Frozen):
         positive and at most 1 (plus the same slack).
     """
 
-    __slots__ = ("probs", "kind", "total")
+    __slots__ = ("probs", "kind", "total", "_logs")
     _fields = ("probs", "kind")
 
     probs: tuple[float, ...]
@@ -137,6 +137,9 @@ class ProbabilityDistribution(_Frozen):
     #: Exactly rounded sum of the entries, as validated; not a field, so it
     #: takes no part in ``==``, ``hash`` or ``repr``.
     total: float
+    #: ``ln p_i`` over the nonzero entries, or ``None`` until the first
+    #: log-weighted sum fills it; not a field either.
+    _logs: list[float] | None
 
     def __init__(self, probs: Iterable[float], kind: Kind) -> None:
         probs = _as_float_tuple(probs, "probability")
@@ -181,7 +184,7 @@ class ProbabilityDistribution(_Frozen):
                 raise AllZeroProbabilities(
                     "generalized distribution must have positive total mass"
                 )
-        self._set(probs, kind, total)
+        self._set(probs, kind, total, None)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -219,11 +222,15 @@ class UtilityInformationScheme(_Frozen):
     computation and are only carried through serialization.
     """
 
-    __slots__ = _fields = ("dist", "util", "labels")
+    __slots__ = ("dist", "util", "labels", "_logs")
+    _fields = ("dist", "util", "labels")
 
     dist: ProbabilityDistribution
     util: UtilityDistribution
     labels: tuple[str, ...] | None
+    #: ``u_i * ln p_i`` over the nonzero entries, or ``None`` until the
+    #: first log-weighted sum fills it; not a field.
+    _logs: list[float] | None
 
     def __init__(
         self,
@@ -246,7 +253,7 @@ class UtilityInformationScheme(_Frozen):
                 raise LengthMismatch(
                     f"{len(dist)} probabilities but {len(labels)} labels"
                 )
-        self._set(dist, util, labels)
+        self._set(dist, util, labels, None)
 
     def __len__(self) -> int:
         return len(self.dist)

@@ -32,6 +32,7 @@ from .distributions import (
     MAX_REALIZED_TERMS,
     ProbabilityDistribution,
     UtilityInformationScheme,
+    _setattr,
 )
 from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
@@ -76,28 +77,52 @@ class _WeightedExponents:
         return self.t < 1.0 and _exponent(max(self.utils), self.t) <= 0.0
 
 
+_LogOwner = ProbabilityDistribution | UtilityInformationScheme
+
+
+def _log_weights(owner: _LogOwner) -> list[float]:
+    """``a_i = w_i * ln p_i`` over the nonzero entries of ``owner``: w_i = 1
+    for a distribution and u_i for a scheme.  The first call builds the
+    list into the owner's ``_logs`` slot and every later one returns it."""
+    logs = owner._logs
+    if logs is None:
+        if isinstance(owner, UtilityInformationScheme):
+            probs = owner.dist.probs
+            logs = list(map(mul, compress(owner.util.utils, probs),
+                            map(math.log, compress(probs, probs))))
+        else:
+            logs = list(map(math.log, compress(owner.probs, owner.probs)))
+        _setattr(owner, "_logs", logs)
+    return logs
+
+
 def _term_sums(
     probs: Sequence[float],
     exps: float | _WeightedExponents | None,
-    specs: Sequence[tuple[Sequence[float] | None, int]] = ((None, 0),),
+    specs: Sequence[tuple[Sequence[float] | _LogOwner | None, int]] = ((None, 0),),
 ) -> Iterator[float]:
     """math.fsum of c_i * p_i ** e_i for each spec ``(w, r)`` of ``specs``,
     lazily, over one pass of powers: the one kernel of every measure.
 
-    ``c_i`` is ``w_i`` for r = 0 and ``(w_i * ln p_i) ** r`` for r >= 1; a
-    ``None`` weight vector stands for w_i = 1.  ``exps`` is one float
-    exponent for every entry, the per-entry weighted exponents, or ``None``
-    for e_i = 1, which takes no power.  A zero probability adds nothing
-    while its exponent is positive; under an exponent <= 0 it raises
+    For r = 0, ``c_i`` is ``w_i``, and a ``None`` weight vector stands for
+    w_i = 1.  For r >= 1, ``w`` is the distribution or scheme whose entries
+    ``probs`` are, and ``c_i`` is ``a_i ** r`` over its cached
+    :func:`_log_weights`; ``a ** 1`` is taken as ``a``.  ``exps`` is one
+    float exponent for every entry, the per-entry weighted exponents, or
+    ``None`` for e_i = 1, which takes no power.  An exponent of exactly 1.0,
+    and the weighted ones at t = 1 (``1 - u * 0.0`` is 1.0 for every finite
+    u), are that case too: ``p ** 1.0 == p``.  A zero probability adds
+    nothing while its exponent is positive; under an exponent <= 0 it raises
     DomainError.  Only exponents that reach 0 or below need that scan,
     which no t >= 1 gives.  An order r > 0 drops the zero entries, which
-    have no log; fsum ignores the exact zeros they would add.  The powers,
-    and ``a_i = w_i * ln p_i`` once per weight vector, are shared by every
-    spec, and ``a ** 1`` is taken as ``a``.  A sum that is not finite
-    raises the DomainError of :func:`_overflow_error`.
+    have no log; fsum ignores the exact zeros they would add.  The powers
+    are shared by every spec.  A sum that is not finite raises the
+    DomainError of :func:`_overflow_error`.
     """
     if isinstance(exps, float):
-        scan, exps = exps <= 0.0, repeat(exps)
+        scan, exps = exps <= 0.0, None if exps == 1.0 else repeat(exps)
+    elif exps is not None and exps.t == 1.0:
+        scan, exps = False, None
     else:
         scan = exps is not None and exps.reaches_zero()
     if scan:
@@ -107,7 +132,6 @@ def _term_sums(
     many = len(specs) > 1  # one spec streams every pass
     pows = probs if exps is None else None
     kept = None  # the powers of the nonzero entries
-    logs: dict[int, Iterable[float]] = {}
     for w, r in specs:
         try:
             if pows is None:
@@ -115,12 +139,7 @@ def _term_sums(
                 if many:
                     pows = list(pows)
             if r:
-                a = logs.get(id(w))
-                if a is None:
-                    a = map(math.log, compress(probs, probs))
-                    if w is not None:
-                        a = map(mul, compress(w, probs), a)
-                    logs[id(w)] = a = list(a) if many else a
+                a = _log_weights(w)
                 if kept is None:
                     kept = compress(pows, probs)
                     kept = list(kept) if many else kept
@@ -136,7 +155,10 @@ def _term_sums(
 
 
 def _overflow_error(
-    probs: Sequence[float], exps: Iterable[float] | None, w: Sequence[float] | None, r: int
+    probs: Sequence[float],
+    exps: Iterable[float] | None,
+    w: Sequence[float] | _LogOwner | None,
+    r: int,
 ) -> DomainError:
     """The DomainError for a :func:`_term_sums` sum of spec ``(w, r)`` that
     is not finite: it names the first term that is not, and its factor, or
@@ -144,6 +166,8 @@ def _overflow_error(
     # Python raises OverflowError for finite operands with huge results,
     # which only extended-domain evaluations and extreme utilities reach;
     # p ** -inf and a product past the float range are +-inf instead
+    if r:
+        w = w.util.utils if isinstance(w, UtilityInformationScheme) else None
     ones = repeat(1.0)
     ws = ones if w is None else w
     for i, (p, e, wi) in enumerate(zip(probs, ones if exps is None else exps, ws)):
@@ -171,9 +195,10 @@ def weighted_igf(
 ) -> float:
     """Evaluate sum_i p_i ** (1 - u_i * (1 - t)).
 
-    Equals the total probability mass at t = 1 (so exactly 1 for complete
-    schemes) and reduces to :func:`golomb_igf` when every utility is 1.
-    Non-increasing and convex in t for t >= 1.
+    Equals ``scheme.dist.total`` at t = 1, which for a complete scheme is
+    within COMPLETENESS_TOL of 1, not always exactly 1, and reduces to
+    :func:`golomb_igf` when every utility is 1.  Non-increasing and convex
+    in t for t >= 1.
     """
     t = check_t(t, extended)
     return next(_term_sums(scheme.dist.probs, _WeightedExponents(scheme.util.utils, t)))
@@ -301,30 +326,38 @@ def weighted_igf_derivative(
     """r-th t-derivative of :func:`weighted_igf`, computed analytically.
 
     Each surviving term is ``(u_i * ln p_i) ** r * p_i ** (1 - u_i * (1 - t))``.
-    At t = 1 the value equals ``(-1) ** r`` times the r-th weighted
-    self-information moment; in particular minus the first derivative at
-    t = 1 is the weighted entropy.
+    At t = 1 the value equals (``==``) ``(-1) ** r`` times the r-th weighted
+    self-information moment, the same sum with no power taken; in
+    particular minus the first derivative at t = 1 is the weighted entropy.
     """
     r = check_int(r, "derivative order r", 1)
     t = check_t(t, extended)
-    probs, utils = scheme.dist.probs, scheme.util.utils
-    return next(_term_sums(probs, _WeightedExponents(utils, t), ((utils, r),)))
+    exps = _WeightedExponents(scheme.util.utils, t)
+    return next(_term_sums(scheme.dist.probs, exps, ((scheme, r),)))
+
+
+def _log_unit(base: LogBase) -> float:
+    """ln of ``base``, the divisor that takes nats to its unit; a ``base``
+    that is not a :class:`LogBase` raises InvalidParameter."""
+    if not isinstance(base, LogBase):
+        raise InvalidParameter(f"unknown log base {base!r}; expected a LogBase")
+    return math.log(2.0) if base is LogBase.TWO else 1.0
 
 
 def shannon_entropy(
     dist: ProbabilityDistribution, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Entropy -sum_i p_i * log(p_i), in nats or bits."""
-    h = _moment(dist.probs, None, 1)
-    return h / math.log(2.0) if base is LogBase.TWO else h
+    unit = _log_unit(base)
+    return _moment(dist, 1) / unit
 
 
 def weighted_entropy(
     scheme: UtilityInformationScheme, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Utility-weighted entropy -sum_i u_i * p_i * log(p_i), the first moment."""
-    h = _moment(scheme.dist.probs, scheme.util.utils, 1)
-    return h / math.log(2.0) if base is LogBase.TWO else h
+    unit = _log_unit(base)
+    return _moment(scheme, 1) / unit
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
@@ -333,7 +366,7 @@ def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
     Non-negative for every r; r = 0 returns the total mass and r = 1 the
     Shannon entropy.
     """
-    return _moment(dist.probs, None, check_int(r, "moment order r", 0))
+    return _moment(dist, check_int(r, "moment order r", 0))
 
 
 def weighted_self_information_moment(
@@ -344,7 +377,7 @@ def weighted_self_information_moment(
     Non-negative for every r (the signed variant is ``(-1) ** r`` times
     this); r = 1 recovers the weighted entropy.
     """
-    return _moment(scheme.dist.probs, scheme.util.utils, check_int(r, "moment order r", 0))
+    return _moment(scheme, check_int(r, "moment order r", 0))
 
 
 def weighted_self_information_moments(
@@ -357,15 +390,23 @@ def weighted_self_information_moments(
     when it is asked for.
     """
     orders = [check_int(r, "moment order r", 0) for r in orders]
-    utils = scheme.util.utils
-    sums = _term_sums(scheme.dist.probs, None, [(utils if r else None, r) for r in orders])
-    return (0.0 - s if r % 2 else s for r, s in zip(orders, sums))
+    sums = _term_sums(scheme.dist.probs, None, [(scheme, r) for r in orders if r])
+    return (_signed(next(sums), r) if r else scheme.dist.total for r in orders)
 
 
-def _moment(probs: Sequence[float], w: Sequence[float] | None, r: int) -> float:
-    """sum_i p_i * (-w_i * ln p_i) ** r, the kernel sum of (w_i * ln p_i) ** r
-    negated for odd r.  Exact: a negative float to an integer power is the
-    power of its magnitude, negated for odd r, and fsum rounds -x as it
-    rounds x; ``0.0 - s`` keeps a sum of no terms at +0.0."""
-    s = next(_term_sums(probs, None, ((w if r else None, r),)))
+def _moment(owner: _LogOwner, r: int) -> float:
+    """sum_i p_i * (-w_i * ln p_i) ** r, with w_i = 1 for a distribution and
+    u_i for a scheme.  Order 0 is the total mass, the same fsum of the same
+    tuple that validation took."""
+    dist = owner.dist if isinstance(owner, UtilityInformationScheme) else owner
+    if not r:
+        return dist.total
+    return _signed(next(_term_sums(dist.probs, None, ((owner, r),))), r)
+
+
+def _signed(s: float, r: int) -> float:
+    """The kernel sum ``s`` of (w_i * ln p_i) ** r as a moment: negated for
+    odd r.  Exact: a negative float to an integer power is the power of its
+    magnitude, negated for odd r, and fsum rounds -x as it rounds x;
+    ``0.0 - s`` keeps a sum of no terms at +0.0."""
     return 0.0 - s if r % 2 else s

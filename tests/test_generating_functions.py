@@ -8,6 +8,7 @@ populations so failures reproduce.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,15 @@ class TestPointValues:
         for h in (shannon_entropy(point.dist), weighted_entropy(point, LogBase.TWO)):
             assert math.copysign(1.0, h) == 1.0
 
+    @pytest.mark.parametrize("base", ["2", 2, None], ids=["str", "int", "none"])
+    def test_a_base_that_is_not_a_log_base_is_refused(self, half_half, base):
+        # it was taken for the natural base: "2" gave nats, not bits
+        message = rf"^unknown log base {re.escape(repr(base))}; expected a LogBase$"
+        with pytest.raises(InvalidParameter, match=message):
+            shannon_entropy(half_half.dist, base)
+        with pytest.raises(InvalidParameter, match=message):
+            weighted_entropy(half_half, base)
+
     def test_moments(self, half_half):
         dist = make_complete([0.5, 0.5])
         assert self_information_moment(dist, 0) == 1.0
@@ -121,6 +131,17 @@ class TestPointValues:
 
 
 class TestNormalizationAndReduction:
+    def test_t1_and_order_0_are_the_total_mass(self):
+        # a complete scheme sums to 1 within COMPLETENESS_TOL, not exactly
+        scheme = make_scheme([0.5, 0.5 + 1e-10], [1.0, 1.0])
+        total = scheme.dist.total
+        assert total == 1.0000000001
+        assert weighted_igf(scheme, 1.0) == golomb_igf(scheme.dist, 1.0) == total
+        assert hooda_bhaker_igf(scheme, 1.0) == total
+        assert self_information_moment(scheme.dist, 0) == total
+        assert weighted_self_information_moment(scheme, 0) == total
+        assert list(weighted_self_information_moments(scheme, [0, 1, 0]))[::2] == [total] * 2
+
     def test_complete_schemes_evaluate_to_one_at_t1(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -165,13 +186,13 @@ class TestDerivativeLinks:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_signed_derivatives_match_moments(self, r):
+        # exactly: at t = 1 both are one sum over the scheme's log list
         rng = np.random.default_rng(11)
         for _ in range(100):
             probs, utils = oracles.random_scheme(rng)
             scheme = make_scheme(probs, utils)
             lhs = (-1.0) ** r * weighted_igf_derivative(scheme, 1.0, r)
-            rhs = weighted_self_information_moment(scheme, r)
-            assert abs(lhs - rhs) <= 1e-10
+            assert lhs == weighted_self_information_moment(scheme, r)
 
     def test_derivative_matches_direct_oracle_away_from_one(self, half_half):
         for t in (1.0, 1.7, 2.0, 3.0):
@@ -378,6 +399,15 @@ def _collect(values):
     return got
 
 
+def _log_owner(probs, weights):
+    """The owner of the log list ``w_i * ln p_i`` that a kernel spec of
+    order r >= 1 reads: the distribution for unit weights (``None``), else
+    a scheme whose utilities are the weights."""
+    if weights is None:
+        return make_generalized(probs)
+    return make_scheme(probs, weights, generalized=True)
+
+
 def _assert_defined_fsum(evaluate, probs, exps, term):
     expected = _defined_fsum(probs, exps, term)
     if expected is None:
@@ -501,9 +531,12 @@ class TestPowerSumKernel:
         # zero included) the fsum of its defining per-term expression; an
         # order whose (w ln p) ** r overflows or is not finite raises the
         # error naming the first such term and ends the iteration there,
-        # and a sum that is not finite raises too
+        # and a sum that is not finite raises too.  The orders r >= 1 read
+        # the log list of the distribution (w = 1) or of a scheme whose
+        # utilities are the weights
         probs, utils = case
         weights = None if scale is None else [u * scale for u in utils]
+        owner = _log_owner(probs, weights)
 
         def per_order(r):
             terms = []
@@ -526,7 +559,7 @@ class TestPowerSumKernel:
                 raise DomainError("the sum of the terms overflows")
             return s
 
-        specs = [(weights, r) for r in orders]
+        specs = [(owner if r else weights, r) for r in orders]
         assert _collect(_term_sums(probs, None, specs)) == _collect(map(per_order, orders))
 
     @settings(max_examples=300, deadline=None)
@@ -542,16 +575,17 @@ class TestPowerSumKernel:
     # order 0 raises after the unit one gave its value
     @example(case=([0.5, 0.5], [8.0, 1.0]), exps=-10.0, drawn=[(None, 0), (1e305, 0)])
     def test_many_specs_equal_one_call_each(self, case, exps, drawn):
-        # one call shares its pass of powers across specs, drops the zeros
-        # from its orders r > 0 only, and builds one log list per weight
-        # vector; its values (repr) and first error are those of one call
+        # one call shares its pass of powers across specs and drops the
+        # zeros from its orders r > 0 only, which read one cached log list
+        # per owner; its values (repr) and first error are those of one call
         # per spec.  A one-element list stands for the weighted exponents
         probs, utils = case
         if isinstance(exps, list):
             exps = _WeightedExponents(utils, exps[0])
         vectors = {scale: None if scale is None else [u * scale for u in utils]
                    for scale, _ in drawn}
-        specs = [(vectors[scale], r) for scale, r in drawn]
+        owners = {scale: _log_owner(probs, w) for scale, w in vectors.items()}
+        specs = [(owners[scale] if r else vectors[scale], r) for scale, r in drawn]
         got = _collect(_term_sums(probs, exps, specs))
         assert got == _collect(next(_term_sums(probs, exps, [spec])) for spec in specs)
 
@@ -592,6 +626,77 @@ class TestPowerSumKernel:
         with pytest.raises(DomainError, match="entry 0"):
             evaluate(scheme, 0.0)
         assert math.isfinite(evaluate(scheme, 1e-9))
+
+
+_CACHED_CALLS = {
+    "shannon": lambda s: shannon_entropy(s.dist),
+    "shannon bits": lambda s: shannon_entropy(s.dist, LogBase.TWO),
+    "weighted": weighted_entropy,
+    "weighted bits": lambda s: weighted_entropy(s, LogBase.TWO),
+    "moments": lambda s: _collect(weighted_self_information_moments(s, range(6))),
+    **{f"moment {r}": lambda s, r=r: self_information_moment(s.dist, r) for r in range(5)},
+    **{f"weighted moment {r}": lambda s, r=r: weighted_self_information_moment(s, r)
+       for r in range(5)},
+    **{f"derivative {r} at {t}": lambda s, r=r, t=t: weighted_igf_derivative(s, t, r)
+       for r in (1, 2, 3) for t in (1.0, 2.0)},
+}
+
+
+class TestLogWeightCache:
+    """Every log-weighted sum reads the list ``w_i * ln p_i`` that its
+    distribution or scheme holds once built, and gives what a fresh owner
+    gives; the powers at t = 1 are the probabilities themselves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_schemes(), st.sampled_from([1.0, 1e305]),
+           st.permutations(sorted(_CACHED_CALLS)))
+    def test_every_call_order_gives_the_values_of_a_fresh_scheme(self, case, scale, order):
+        # a utility scale of 1e305 makes u ln p overflow for small p, so
+        # errors are compared too
+        probs, utils = case
+        utils = [u * scale for u in utils]
+        scheme = make_scheme(probs, utils, generalized=True)
+        for name in order:
+            fresh = make_scheme(probs, utils, generalized=True)
+            call = _CACHED_CALLS[name]
+            assert repr(_outcome(lambda: call(scheme))) == repr(_outcome(lambda: call(fresh))), name
+
+    @pytest.mark.parametrize(
+        "call, r",
+        [
+            (weighted_entropy, 1),
+            (lambda s: weighted_self_information_moment(s, 2), 2),
+            (lambda s: weighted_igf_derivative(s, 1.0, 3), 3),
+            (lambda s: list(weighted_self_information_moments(s, range(4))), 1),
+        ],
+    )
+    def test_an_overflowing_order_raises_again(self, call, r):
+        # 1e308 * ln 0.1 is -inf, and the cached list keeps it
+        scheme = make_scheme([0.1, 0.9], [1e308, 1.0])
+        for _ in range(2):
+            with pytest.raises(DomainError) as info:
+                call(scheme)
+            assert str(info.value) == f"term 0 overflows: (1e+308 * ln 0.1) ** {r}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_schemes(), st.sampled_from(["varied", "unit", "constant"]))
+    def test_t1_sums_the_powers_p_to_the_one(self, case, kind):
+        # no power is taken at t = 1; the sums equal those of p ** 1.0, in
+        # the pointwise calls and in curves that start at t = 1
+        probs, utils = case
+        if kind != "varied":
+            utils = [1.0 if kind == "unit" else utils[0]] * len(probs)
+        scheme = make_scheme(probs, utils, generalized=True)
+        expected = (
+            math.fsum(p ** (1.0 - u * (1.0 - 1.0)) for p, u in zip(probs, utils)),
+            math.fsum(p**1.0 for p in probs),
+            math.fsum(u * p**1.0 for p, u in zip(probs, utils)),
+        )
+        assert (
+            weighted_igf(scheme, 1.0), golomb_igf(scheme.dist, 1.0), hooda_bhaker_igf(scheme, 1.0)
+        ) == expected
+        for ts in ([1.0], [1.0, 2.0]):
+            assert curve_values(scheme, ts, list(Measure))[0] == expected
 
 
 _MEASURE_SETS = [

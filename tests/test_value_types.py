@@ -124,6 +124,22 @@ def test_copies_are_equal(name, duplicate):
     assert repr(twin) == repr(value)
 
 
+@pytest.mark.parametrize("name", ["ProbabilityDistribution", "UtilityInformationScheme"])
+def test_the_log_list_is_no_field(name):
+    # a log-weighted sum fills the slot; it takes no part in equality,
+    # hash, repr or pickles, and copies start without it
+    from igf import shannon_entropy, weighted_entropy
+
+    filled, fresh = TYPES[name][0](), TYPES[name][0]()
+    (shannon_entropy if name == "ProbabilityDistribution" else weighted_entropy)(filled)
+    assert filled._logs is not None and fresh._logs is None
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == TYPES[name][2]
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
+    for twin in (copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+        assert twin._logs is None
+
+
 def test_copies_keep_the_total():
     dist = ProbabilityDistribution((0.1, 0.2, 0.7), Kind.COMPLETE)
     for twin in (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))):
