@@ -356,14 +356,16 @@ def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list, str 
     whitespace ``str.strip`` does, except U+001F, which it refuses, so when
     every cell converts the values equal those of :func:`_parse_csv_rows`.
     Another count of commas, or a cell ``float`` refuses, a U+001F one
-    included, goes to that loop, which strips it.
+    included, goes to that loop, which strips it.  So does a chunk that
+    holds ``_`` or is not ASCII, which ``float`` would read.
     """
-    rows = text[span[0]:span[1]].splitlines()
+    chunk = text[span[0]:span[1]]
+    rows = chunk.splitlines()
     commas = set(map(str.count, rows, repeat(",")))
     if 0 in commas:
         rows = list(filter(str.strip, rows))
         commas = set(map(str.count, rows, repeat(",")))
-    if commas <= {1}:
+    if commas <= {1} and chunk.isascii() and "_" not in chunk:
         cells = ",".join(rows).split(",") if rows else []
         try:
             return list(map(float, cells[0::2])), list(map(float, cells[1::2])), None
@@ -374,17 +376,24 @@ def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list, str 
 
 def _parse_csv_rows(rows: list[str]) -> tuple[list, list, str | None]:
     """:func:`_parse_csv_chunk` of ``rows``, CSV rows without a header, read
-    row by row: blank rows are skipped, and the first bad row stops it."""
+    row by row: blank rows are skipped, and the first bad row stops it.  A
+    number is ASCII and holds no ``_``, as in JSON, though ``float`` reads
+    both; a row that is not ASCII is named unstripped."""
     probs: list[float] = []
     utils: list[float] = []
-    for row in filter(None, map(str.strip, rows)):
+    for line in rows:
+        row = line.strip()
+        if not row:
+            continue
         parts = [c.strip() for c in row.split(",")]
         if len(parts) != 2:
             return probs, utils, f"must have two columns (p,u), got {row!r}"
         try:
+            if "_" in row or not line.isascii():
+                raise ValueError
             p, u = float(parts[0]), float(parts[1])
         except ValueError:
-            return probs, utils, f"has non-numeric entries: {row!r}"
+            return probs, utils, f"has non-numeric entries: {row if line.isascii() else line!r}"
         probs.append(p)
         utils.append(u)
     return probs, utils, None

@@ -16,8 +16,8 @@ Conventions: outcomes with zero probability contribute nothing (0 * log 0 and
 optional base-2 conversion on output, and sums are accumulated with
 ``math.fsum`` so 1e-12 tolerances stay honest for vectors up to 1e6 entries.
 By default t must be at least 1; passing ``extended=True`` lifts that and
-allows any t for which every term is defined.  A sum that is not finite
-raises DomainError naming the first term that is not, or else the sum.
+allows any t for which every term is defined.  A sum that fails raises
+DomainError naming its first undefined or non-finite term, or the sum.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import compress, repeat
-from operator import mul, sub
+from operator import mul, not_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import (
@@ -112,12 +112,12 @@ def _term_sums(
     ``None`` for e_i = 1, which takes no power.  An exponent of exactly 1.0,
     and the weighted ones at t = 1 (``1 - u * 0.0`` is 1.0 for every finite
     u), are that case too: ``p ** 1.0 == p``.  A zero probability adds
-    nothing while its exponent is positive; under an exponent <= 0 it raises
-    DomainError.  Only exponents that reach 0 or below need that scan,
-    which no t >= 1 gives.  An order r > 0 drops the zero entries, which
-    have no log; fsum ignores the exact zeros they would add.  The powers
-    are shared by every spec.  A sum that is not finite raises the
-    DomainError of :func:`_overflow_error`.
+    nothing while its exponent is positive; under an exponent <= 0 it has
+    no term, and the first sum raises.  Only exponents that reach 0 or
+    below need that test, which no t >= 1 gives.  An order r > 0 drops the
+    zero entries, which have no log; fsum ignores the exact zeros they
+    would add.  The powers are shared by every spec.  A sum that is not
+    finite raises too: the DomainError of :func:`_audit`, or of the sum.
     """
     if isinstance(exps, float):
         scan, exps = exps <= 0.0, None if exps == 1.0 else repeat(exps)
@@ -125,10 +125,10 @@ def _term_sums(
         scan, exps = False, None
     else:
         scan = exps is not None and exps.reaches_zero()
-    if scan:
-        for i, (p, e) in enumerate(zip(probs, exps)):
-            if p == 0.0 and e <= 0.0:
-                raise DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
+    # the smallest exponent of a zero entry, in C: the walk in Python runs
+    # only when some zero entry has no term
+    if scan and min(compress(exps, map(not_, probs)), default=1.0) <= 0.0:
+        raise _audit(probs, exps, *specs[0])
     many = len(specs) > 1  # one spec streams every pass
     pows = probs if exps is None else None
     kept = None  # the powers of the nonzero entries
@@ -150,19 +150,20 @@ def _term_sums(
         except OverflowError:
             s = math.inf
         if not math.isfinite(s):
-            raise _overflow_error(probs, exps, w, r)
+            raise _audit(probs, exps, w, r) or DomainError("the sum of the terms overflows")
         yield s
 
 
-def _overflow_error(
+def _audit(
     probs: Sequence[float],
     exps: Iterable[float] | None,
     w: Sequence[float] | _LogOwner | None,
     r: int,
-) -> DomainError:
-    """The DomainError for a :func:`_term_sums` sum of spec ``(w, r)`` that
-    is not finite: it names the first term that is not, and its factor, or
-    the product of its factors, that is not, or else the sum."""
+) -> DomainError | None:
+    """The DomainError of the first term of a :func:`_term_sums` sum of
+    spec ``(w, r)``, in index order, that is undefined (a zero probability
+    under an exponent <= 0) or not finite, naming the factor, or the
+    product of factors, that is not; None if every term is finite."""
     # Python raises OverflowError for finite operands with huge results,
     # which only extended-domain evaluations and extreme utilities reach;
     # p ** -inf and a product past the float range are +-inf instead
@@ -171,6 +172,8 @@ def _overflow_error(
     ones = repeat(1.0)
     ws = ones if w is None else w
     for i, (p, e, wi) in enumerate(zip(probs, ones if exps is None else exps, ws)):
+        if p == 0.0 and e <= 0.0:
+            return DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
         try:
             power = p**e
         except OverflowError:
@@ -187,7 +190,7 @@ def _overflow_error(
                 return DomainError(f"term {i} overflows: ({wi!r} * ln {p!r}) ** {r}{tail}")
         elif not r and not math.isfinite(wi * power):
             return DomainError(f"term {i} overflows: {wi!r} * {p!r} ** {e!r}")
-    return DomainError("the sum of the terms overflows")
+    return None
 
 
 def weighted_igf(

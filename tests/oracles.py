@@ -132,16 +132,92 @@ def beta_power_entropy_direct(
     return float(-np.sum(u * probs * np.log(probs)))
 
 
+#: Decimal digits of the mpmath references below.
+MPMATH_DPS = 50
+
+
+def zeta_mp(beta: float):
+    """zeta(beta) for beta > 1, as an mpmath number of MPMATH_DPS digits.
+
+    This and the references below import mpmath when called, so this
+    module imports without it; their tests skip where it is missing."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        return mpmath.zeta(beta)
+
+
+def zeta_derivative_mp(beta: float):
+    """d(zeta)/d(beta) at beta > 1, in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        return mpmath.zeta(beta, 1, 1)
+
+
+def geometric_igf_mp(p: float, u: float, t: float):
+    """The geometric family's weighted IGF q**s / (1 - p**s), in mpmath, with
+    q = 1 - p exact, not the float it rounds to, and s = 1 - u * (1 - t)."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        big_p = mpmath.mpf(p)
+        q = mpmath.fsub(1, big_p, exact=True)
+        s = 1 - mpmath.mpf(u) * (1 - mpmath.mpf(t))
+        return q**s / (1 - big_p**s)
+
+
+def geometric_entropy_mp(p: float, u: float):
+    """The geometric family's weighted entropy -u * (p ln p + q ln q) / q,
+    in mpmath, with q = 1 - p exact."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        big_p = mpmath.mpf(p)
+        q = mpmath.fsub(1, big_p, exact=True)
+        return -u * (big_p * mpmath.log(big_p) + q * mpmath.log(q)) / q
+
+
+def beta_power_igf_mp(beta: float, u: float, t: float):
+    """The power-law family's weighted IGF zeta(beta * s) / zeta(beta) ** s,
+    in mpmath, with s = 1 - u * (1 - t)."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        s = 1 - mpmath.mpf(u) * (1 - mpmath.mpf(t))
+        return mpmath.zeta(beta * s) / mpmath.zeta(beta) ** s
+
+
+def beta_power_entropy_mp(beta: float, u: float):
+    """The power-law family's weighted entropy
+    u * (ln zeta(beta) - beta * zeta'(beta) / zeta(beta)), in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        z = mpmath.zeta(beta)
+        return u * (mpmath.log(z) - beta * mpmath.zeta(beta, 1, 1) / z)
+
+
+def relative_error(value: float, reference) -> float:
+    """|value - reference| / |reference| for an mpmath reference: the
+    difference is taken against all its digits, not its float rounding."""
+    return float(abs((value - reference) / reference))
+
+
 def csv_scheme_rows(text: str, path: str) -> dict[str, list[float]]:
     """The scheme document of CSV ``text``, read row by row over the whole
     text: blank rows skipped, the first other row skipped when it is a
     header, every other row two cells that ``float`` takes after
-    ``str.strip``.  A bad row raises ValueError naming its number as the
-    ``igf`` CLI's message does."""
+    ``str.strip``, in a row that is ASCII and holds no ``_``.  A bad row
+    raises ValueError naming its number as the ``igf`` CLI's message does,
+    and a row that is not ASCII as it is, unstripped."""
     probs: list[float] = []
     utils: list[float] = []
     header = True
-    for row in filter(None, map(str.strip, text.splitlines())):
+    for line in text.splitlines():
+        row = line.strip()
+        if not row:
+            continue
         if header:
             header = False
             if row.replace(" ", "") in ("p,u", "probability,utility"):
@@ -152,10 +228,13 @@ def csv_scheme_rows(text: str, path: str) -> dict[str, list[float]]:
                 f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
             )
         try:
+            if "_" in row or not line.isascii():
+                raise ValueError
             p, u = float(parts[0]), float(parts[1])
         except ValueError:
+            shown = row if line.isascii() else line
             raise ValueError(
-                f"{path}: row {len(probs) + 1} has non-numeric entries: {row!r}"
+                f"{path}: row {len(probs) + 1} has non-numeric entries: {shown!r}"
             ) from None
         probs.append(p)
         utils.append(u)

@@ -1284,18 +1284,24 @@ class TestCsvChunks:
         "blank_at_start": "\n \np,u\n0.5,1\n0.5,2\n",
         "blank_in_middle": "p,u\n0.5,1\n\n\t\n0.5,2\n",
         "blank_at_end": "p,u\n0.5,1\n0.5,2\n\n  \n",
-        "cell_whitespace": "p,u\n 0.5 ,\t1 \n\u20030.5,2\u3000\n",
+        "cell_whitespace": "p,u\n 0.5 ,\t1 \n\t0.5,2  \n",
         "long_header": "probability,utility\n0.5,1\n0.5,2\n",
         "spaced_header": " p , u \n0.5,1\n0.5,2\n",
         "no_header": "0.5,1\n0.5,2\n",
         "no_trailing_newline": "p,u\n0.5,1\n0.5,2",
-        "odd_cells": "p,u\n1_0,nan\ninf,1e400\n-0.0,1e-400\n",
+        "odd_cells": "p,u\n10,nan\ninf,1e400\n-0.0,1e-400\n",
         "header_only": "p,u\n",
         "empty": "",
         # str.strip strips U+001F and float() does not
         "unit_separator": "p,u\n0.5\x1f,1\n0.5,2\n",
         "header_not_first": "0.5,1\np,u\n",
         "three_columns": "p,u\n0.5,1,2\n",
+        # float() reads digit groups and non-ASCII digits and whitespace,
+        # which JSON refuses; a blank row stays blank, whatever it holds
+        "digit_group": "p,u\n0.5,1_0\n0.5,1\n",
+        "non_ascii_digits": "p,u\n\u0660.\u0665,\uff11\n",
+        "non_ascii_whitespace": "p,u\n0.5,1\n\u20030.5,2\u3000\n",
+        "non_ascii_blank": "p,u\n0.5,1\n\u3000\n0.5,2\n",
     }
     #: The cases the chunked pass parses without the per-row code.
     CHUNKED = {
@@ -1353,7 +1359,7 @@ class TestCsvChunks:
         monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
         text = (
             " p,u \r\n0.25, 1\r\n\r\n 1e-3 ,2.5\n0.5,3\r0.125,4\r\n"
-            "\t\n\n\n\n\n\n\n\n\n\n\n\n0.125,1_0\n\n"
+            "\t\n\n\n\n\n\n\n\n\n\n\n\n0.125,10\n\n"
         )
         chunked, rows = self._parse(text)
         assert chunked == rows and "error" not in chunked
@@ -1461,6 +1467,22 @@ class TestCsvChunks:
         # after the bad one are not read
         text = f"0.5,1\n\n 0.25 ,2\n{bad}\n0.25,oops\n"
         assert cli._parse_csv_chunk(text, (0, len(text))) == ([0.5, 0.25], [1.0, 2.0], message)
+
+    @pytest.mark.parametrize("lead", [0, 2])
+    @pytest.mark.parametrize("bad, then", [("0.5,1_0", "0.5,1"), ("٠.٥,１", "")])
+    def test_a_number_json_refuses_exits_2(self, monkeypatch, capsys, row_loop, tmp_path,
+                                           lead, bad, then):
+        # float() read 1_0 as 10 and the Arabic-Indic 0.5 and fullwidth 1
+        # as 0.5 and 1.0, and normalize exited 0; two rows ahead put the bad
+        # one in the second 8-character chunk, which split, the child reads
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 8)
+        path = tmp_path / "scheme.csv"
+        path.write_text("0.25,1\n" * lead + f"{bad}\n{then}\n", encoding="utf-8")
+        assert run(capsys, "normalize", "--input", str(path), "--format", "csv") == (
+            2, "", f"error: {path}: row {lead + 1} has non-numeric entries: {bad!r}\n"
+        )
+        [(rows, by_child)] = row_loop()
+        assert rows[0] == bad and by_child == (self.SPLIT and lead > 0)
 
 
 class TestCsvChunksSplit(TestCsvChunks):

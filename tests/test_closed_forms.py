@@ -130,17 +130,13 @@ class TestZetaAgainstMpmath:
 
     @pytest.mark.parametrize("beta", MPMATH_BETAS)
     def test_zeta_budget(self, beta):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            ref = float(mpmath.zeta(beta))
-        assert abs(zeta(beta) - ref) <= 1e-12
+        pytest.importorskip("mpmath")
+        assert abs(zeta(beta) - oracles.zeta_mp(beta)) <= 1e-12
 
     @pytest.mark.parametrize("beta", [b for b in MPMATH_BETAS if b >= 1.01])
     def test_derivative_budget(self, beta):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            ref = float(mpmath.zeta(beta, derivative=1))
-        assert abs(zeta_derivative(beta) - ref) <= 1e-10
+        pytest.importorskip("mpmath")
+        assert abs(zeta_derivative(beta) - oracles.zeta_derivative_mp(beta)) <= 1e-10
 
 
 class TestUniform:
@@ -211,12 +207,9 @@ class TestGeometric:
     )
     def test_no_cancellation_near_one_against_mpmath(self, p, u, t):
         # 1 - p**s cancels as p nears 1: it cost 5e-10 relative at p = 1 - 1e-9
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            big_p, s = mpmath.mpf(p), 1 - mpmath.mpf(u) * (1 - mpmath.mpf(t))
-            ref = (1 - big_p) ** s / (1 - big_p**s)
-            rel = abs((geometric_igf(p, u, t) - ref) / ref)
-        assert rel <= 4e-16
+        pytest.importorskip("mpmath")
+        ref = oracles.geometric_igf_mp(p, u, t)
+        assert oracles.relative_error(geometric_igf(p, u, t), ref) <= 4e-16
 
     def test_divergent_exponent_raises(self):
         # u=2, t=0.4 gives s = 1 - 2*0.6 = -0.2; u=2, t=0.5 gives s = 0
@@ -238,6 +231,13 @@ class TestGeometric:
         for p in (0.1, 0.5, 0.9):
             for u in (0.5, 1.0, 3.0):
                 assert geometric_entropy(p, u) > 0.0
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_entropy_budget_against_mpmath(self, p):
+        # a few roundings of -u * (p ln p + q ln q) / q: 8 ulps of the value
+        pytest.importorskip("mpmath")
+        ref = oracles.geometric_entropy_mp(p, 2.0)
+        assert oracles.relative_error(geometric_entropy(p, 2.0), ref) <= 8 * 2.0**-52
 
     def test_entropy_consistent_with_realized_family(self):
         realized = realize_family(ParametricFamily.geometric(0.5), truncation=60)
@@ -304,11 +304,10 @@ class TestBetaPower:
 
     def test_overflowing_normalizer_power_against_mpmath(self):
         # zeta(2) ** 1430 is past the float range, the quotient is subnormal
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            ref = float(mpmath.zeta(2860) / mpmath.zeta(2) ** 1430)
+        pytest.importorskip("mpmath")
+        ref = oracles.beta_power_igf_mp(2.0, 1.0, 1430.0)
         assert 0.0 < ref < 2.2250738585072014e-308
-        assert beta_power_igf(2.0, 1.0, 1430.0) == pytest.approx(ref, rel=1e-12)
+        assert oracles.relative_error(beta_power_igf(2.0, 1.0, 1430.0), ref) <= 1e-12
 
     def test_divergent_transformed_series_raises(self):
         # beta=1.5, u=2, t=0.8 gives s = 0.6 and beta*s = 0.9
@@ -326,6 +325,17 @@ class TestBetaPower:
         assert beta_power_entropy(2.0, 1.0) == pytest.approx(
             BETA_POWER_ENTROPY_2_1, abs=1e-10
         )
+
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, 6.0])
+    def test_entropy_budget_against_mpmath(self, beta):
+        # the README's zeta and zeta' budgets carried through
+        # u * (ln z - beta * z' / z), and 8 ulps of the value
+        pytest.importorskip("mpmath")
+        u = 2.5
+        z, d = oracles.zeta_mp(beta), oracles.zeta_derivative_mp(beta)
+        ref = oracles.beta_power_entropy_mp(beta, u)
+        budget = u * (1e-12 * abs(1 / z + beta * d / z**2) + 1e-10 * beta / z)
+        assert abs(beta_power_entropy(beta, u) - ref) <= budget + 8 * 2.0**-52 * abs(ref)
 
     def test_entropy_linear_in_u(self):
         assert beta_power_entropy(2.0, 3.0) == 3.0 * beta_power_entropy(2.0, 1.0)

@@ -435,6 +435,49 @@ def _sparse_schemes(draw):
     return probs, utils
 
 
+_BIG_UTILITY = st.one_of(
+    st.floats(0.1, 8.0), st.floats(8.0, 1e308), st.sampled_from([1e100, 1e300, 1e308])
+)
+
+
+def _first_fault(probs, exps, weights, r):
+    """The repr of the fsum of c_i * p_i ** e_i, with c_i = w_i (1 for no
+    weights) for r = 0 and (w_i * ln p_i) ** r over the nonzero entries
+    otherwise; or the message of its first term, in index order, that is
+    undefined (a zero probability under an exponent <= 0) or not finite,
+    naming what is not; or else of the sum."""
+    terms = []
+    for i, (p, e) in enumerate(zip(probs, exps)):
+        w = 1.0 if weights is None else weights[i]
+        if p == 0.0 and e <= 0.0:
+            return f"zero probability at entry {i} with exponent {e} <= 0"
+        try:
+            power = p**e
+        except OverflowError:
+            power = math.inf
+        if not math.isfinite(power):
+            return f"term {i} overflows: probability {p!r}, exponent {e!r}"
+        if not r:
+            if not math.isfinite(w * power):
+                return f"term {i} overflows: {w!r} * {p!r} ** {e!r}"
+            terms.append(w * power)
+        elif p:
+            try:
+                factor = (w * math.log(p)) ** r
+            except OverflowError:
+                factor = math.inf
+            if not math.isfinite(factor):
+                return f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}"
+            if not math.isfinite(factor * power):
+                return f"term {i} overflows: ({w!r} * ln {p!r}) ** {r} * {p!r} ** {e!r}"
+            terms.append(factor * power)
+    try:
+        s = math.fsum(terms)
+    except OverflowError:
+        s = math.inf
+    return repr(s) if math.isfinite(s) else "the sum of the terms overflows"
+
+
 class TestWeightedExponents:
     """The exponent stream repeats the float operations of the per-entry
     expression, and its zero test agrees with the smallest exponent."""
@@ -626,6 +669,65 @@ class TestPowerSumKernel:
         with pytest.raises(DomainError, match="entry 0"):
             evaluate(scheme, 0.0)
         assert math.isfinite(evaluate(scheme, 1e-9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _sparse_schemes().flatmap(lambda case: st.tuples(
+            st.just(case[0]), st.lists(_BIG_UTILITY, min_size=len(case[0]), max_size=len(case[0]))
+        )),
+        st.floats(-4.0, 8.0),
+        st.integers(1, 3),
+        st.floats(0.1, 4.0),
+        st.floats(0.2, 4.0),
+    )
+    # a zero under exponent -2 at entry 1 and an earlier power past the
+    # float range: the zero was named, whatever came before it
+    @example(case=([1e-300, 0.0, 1.0], [1.0, 1.0, 1.0]), t=-2.0, r=1, u=1.0, beta=1.0)
+    # 1e308 * 0.5 ** -1 is inf without an OverflowError, before the zero
+    @example(case=([0.5, 0.0, 0.5], [1e308, 1.0, 1.0]), t=-1.0, r=1, u=1.0, beta=1.0)
+    def test_the_first_undefined_term_names_the_error(self, case, t, r, u, beta):
+        # every t-caller returns the fsum of its terms or raises the error
+        # of the first term, in index order, that is undefined or not
+        # finite, else of the sum
+        probs, utils = case
+        scheme = make_scheme(probs, utils, generalized=True)
+        w_exps = [1.0 - v * (1.0 - t) for v in utils]
+        t_exps = [t] * len(probs)
+        e = beta * (1.0 - u * (1.0 - t))
+        calls = [
+            (lambda: weighted_igf(scheme, t, extended=True), w_exps, None, 0),
+            (lambda: golomb_igf(scheme.dist, t, extended=True), t_exps, None, 0),
+            (lambda: hooda_bhaker_igf(scheme, t, extended=True), t_exps, utils, 0),
+            (lambda: weighted_igf_derivative(scheme, t, r, extended=True), w_exps, utils, r),
+            (lambda: unnormalized_power_igf(scheme.dist, u, beta, t, extended=True),
+             [e] * len(probs), None, 0),
+        ]
+        for evaluate, exps, weights, order in calls:
+            try:
+                got = repr(evaluate())
+            except DomainError as exc:
+                got = str(exc)
+            assert got == _first_fault(probs, exps, weights, order)
+
+    @pytest.mark.parametrize("evaluate, expected", [
+        (lambda s: weighted_igf(s, 0.5, extended=True), math.fsum([0.5**-1.0, 0.5**0.5])),
+        (lambda s: weighted_igf_derivative(s, 0.5, 1, extended=True),
+         math.fsum([4.0 * math.log(0.5) * 0.5**-1.0, 1.0 * math.log(0.5) * 0.5**0.5])),
+        (lambda s: golomb_igf(make_generalized([0.5, 0.25]), -1.0, extended=True), 6.0),
+        (lambda s: unnormalized_power_igf(make_generalized([0.5]), 2.0, 1.0, 0.0, extended=True),
+         2.0),
+    ], ids=["weighted", "derivative", "golomb", "power"])
+    def test_no_walk_while_every_zero_has_a_term(self, monkeypatch, evaluate, expected):
+        # t = 0.5 puts the exponent of the u = 4 entry at -1 and that of the
+        # zero entry at 0.5, and the Golomb and raw power sums have negative
+        # exponents and no zero: the test in C clears each, and no Python
+        # walk over the terms runs
+        def walk(*args):
+            raise AssertionError("the terms were walked")
+
+        monkeypatch.setattr("igf.generating_functions._audit", walk)
+        scheme = make_scheme([0.0, 0.5, 0.5], [1.0, 4.0, 1.0])
+        assert evaluate(scheme) == expected
 
 
 _CACHED_CALLS = {
