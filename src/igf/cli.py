@@ -236,13 +236,13 @@ def _parse_json(text: str) -> object:
     elements are numbers or constants, which hold no comma, so its commas
     are exactly its separators.  Such an array is cut by :func:`_cuts`
     after commas, which each piece but the last drops, and each piece is
-    parsed by ``json.loads("[" + piece + "]")`` in this process or a forked
-    child.  The array is valid if and only if every piece is a valid
-    non-empty array, and its elements are then the pieces' elements in
-    order.  Any other value is parsed in place.  On anything else (a top level that is
-    not an object, a duplicate key, a bad separator, trailing text, a piece
-    that fails or is empty) the whole text goes to ``json.loads``, which
-    gives its value or its error.
+    parsed by :func:`_parse_json_piece`, which also reads CSV chunks, in
+    this process or a forked child.  The array is valid if and only if
+    every piece is a valid non-empty array, and its elements are then the
+    pieces' elements in order.  Any other value is parsed in place.  On
+    anything else (a top level that is not an object, a duplicate key, a
+    bad separator, trailing text, a piece that fails or is empty) the whole
+    text goes to ``json.loads``, which gives its value or its error.
     """
     cpus = _split_cpus(len(text), _SPLIT_PARSE)
     if not cpus:
@@ -254,7 +254,7 @@ def _parse_json(text: str) -> object:
     parts = _split_map(partial(_parse_json_piece, text), [span for _, span in pieces], cpus)
     try:
         for (key, _), part in zip(pieces, parts):
-            if part is None:
+            if not part:
                 break
             doc[key] += part
         else:
@@ -299,16 +299,17 @@ def _json_walk(text: str) -> tuple[dict, list]:
     return doc, pieces
 
 
-def _parse_json_piece(text: str, span: tuple[int, int]) -> list | None:
-    """The elements of ``text[start:end]`` read as the inside of a JSON
-    array, or None if it is not a valid non-empty one."""
+def _parse_json_piece(text: str, span: tuple[int, int] | None = None) -> list | None:
+    """The elements of ``text[start:end]``, or of all of ``text`` without a
+    ``span``, read as the inside of a JSON array, or None if that array is
+    not valid JSON (nested past the stack included)."""
     try:
-        return json.loads("[" + text[span[0]:span[1]] + "]") or None
-    except ValueError:
+        return json.loads("[" + (text if span is None else text[span[0]:span[1]]) + "]")
+    except (ValueError, RecursionError):
         return None
 
 
-def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
+def _parse_csv(text: str, path: str) -> dict[str, list]:
     """The scheme document of CSV ``text``: a ``p,u`` row per outcome,
     after an optional header row, the first row that is not blank.
 
@@ -320,8 +321,8 @@ def _parse_csv(text: str, path: str) -> dict[str, list[float]]:
     values in order; the first chunk that names a bad row ends the parse
     with a message that numbers the row in the whole file.
     """
-    probs: list[float] = []
-    utils: list[float] = []
+    probs: list = []
+    utils: list = []
     spans = list(_cuts(text, "\n", _csv_header_end(text), len(text)))
     cpus = _split_cpus(len(text), _SPLIT_PARSE)
     parsed = _split_map(partial(_parse_csv_chunk, text), spans, cpus)
@@ -351,51 +352,43 @@ def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list, str 
     """The probabilities and utilities of the CSV rows in ``text[start:end]``
     up to the first bad one, and the message of that row after its number.
 
-    Blank rows are dropped; when every other row holds one comma, the cells
-    are split and converted in C by ``float``.  ``float`` strips the
-    whitespace ``str.strip`` does, except U+001F, which it refuses, so when
-    every cell converts the values equal those of :func:`_parse_csv_rows`.
-    Another count of commas, or a cell ``float`` refuses, a U+001F one
-    included, goes to that loop, which strips it.  So does a chunk that
-    holds ``_`` or is not ASCII, which ``float`` would read.
+    Blank rows are dropped; when every other row holds one comma, the rows
+    joined by commas are read by :func:`_parse_json_piece`, as a piece of a
+    JSON array.  The rows are each two JSON numbers exactly when that array
+    is valid and holds only ints and floats, since a bracket, brace or quote
+    gives another element or invalid JSON; the cells then read as they do
+    in a JSON document.  Otherwise :func:`_parse_csv_rows` finds the bad row.
     """
-    chunk = text[span[0]:span[1]]
-    rows = chunk.splitlines()
+    rows = text[span[0]:span[1]].splitlines()
     commas = set(map(str.count, rows, repeat(",")))
     if 0 in commas:
         rows = list(filter(str.strip, rows))
         commas = set(map(str.count, rows, repeat(",")))
-    if commas <= {1} and chunk.isascii() and "_" not in chunk:
-        cells = ",".join(rows).split(",") if rows else []
-        try:
-            return list(map(float, cells[0::2])), list(map(float, cells[1::2])), None
-        except ValueError:
-            pass
+    cells = _parse_json_piece(",".join(rows)) if commas <= {1} else None
+    if cells is not None and set(map(type, cells)) <= {int, float}:
+        return cells[0::2], cells[1::2], None
     return _parse_csv_rows(rows)
 
 
 def _parse_csv_rows(rows: list[str]) -> tuple[list, list, str | None]:
     """:func:`_parse_csv_chunk` of ``rows``, CSV rows without a header, read
-    row by row: blank rows are skipped, and the first bad row stops it.  A
-    number is ASCII and holds no ``_``, as in JSON, though ``float`` reads
-    both; a row that is not ASCII is named unstripped."""
-    probs: list[float] = []
-    utils: list[float] = []
+    row by row with the same reader: blank rows are skipped, and the first
+    bad row stops it.  An ASCII row is named without the spaces and tabs
+    around it, any other row as it is."""
+    probs: list = []
+    utils: list = []
     for line in rows:
         row = line.strip()
         if not row:
             continue
-        parts = [c.strip() for c in row.split(",")]
-        if len(parts) != 2:
+        if row.count(",") != 1:
             return probs, utils, f"must have two columns (p,u), got {row!r}"
-        try:
-            if "_" in row or not line.isascii():
-                raise ValueError
-            p, u = float(parts[0]), float(parts[1])
-        except ValueError:
-            return probs, utils, f"has non-numeric entries: {row if line.isascii() else line!r}"
-        probs.append(p)
-        utils.append(u)
+        cells = _parse_json_piece(line)
+        if cells is None or not set(map(type, cells)) <= {int, float}:
+            shown = line.strip(" \t") if line.isascii() else line
+            return probs, utils, f"has non-numeric entries: {shown!r}"
+        probs.append(cells[0])
+        utils.append(cells[1])
     return probs, utils, None
 
 

@@ -188,11 +188,14 @@ def _geometric_truncation(p: float, u: float, t: float | None) -> int:
 
 
 def geometric_entropy(p: float, u: float) -> float:
-    """Weighted entropy of the geometric family: -u * (p ln p + q ln q) / q."""
+    """Weighted entropy of the geometric family: -u * (p ln p + q ln q) / q.
+
+    ``ln q`` is ``log1p(-p)``, since ``1 - p`` rounds: ``log(1 - p)`` is
+    off by 2.4e-5 relative at p = 1e-14."""
     p = check_open(p, "geometric ratio p", 0, 1)
     u = check_open(u, "constant utility u", 0)
     q = 1.0 - p
-    return -u * (p * math.log(p) + q * math.log(q)) / q
+    return -u * (p * math.log(p) + q * math.log1p(-p)) / q
 
 
 def beta_power_igf(beta: float, u: float, t: float) -> float:

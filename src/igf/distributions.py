@@ -412,6 +412,7 @@ def scheme_from_dict(doc: Mapping[str, object]) -> UtilityInformationScheme:
     Expected shape: ``{"probabilities": [...], "utilities": [...]?,
     "kind": "complete"|"generalized"?, "labels": [...]?}``.  Missing
     utilities default to 1 everywhere; missing kind defaults to complete.
+    A key that is present takes no default, so a ``null`` is refused.
     Unknown keys are rejected so typos do not pass silently.
     """
     if not isinstance(doc, Mapping):
@@ -425,10 +426,8 @@ def scheme_from_dict(doc: Mapping[str, object]) -> UtilityInformationScheme:
     if not isinstance(probs, (list, tuple)):
         raise ValidationError('"probabilities" must be an array')
 
-    utils = doc.get("utilities")
-    if utils is None:
-        utils = [1.0] * len(probs)
-    elif not isinstance(utils, (list, tuple)):
+    utils = doc["utilities"] if "utilities" in doc else [1.0] * len(probs)
+    if not isinstance(utils, (list, tuple)):
         raise ValidationError('"utilities" must be an array')
 
     kind = doc.get("kind", "complete")
@@ -436,7 +435,7 @@ def scheme_from_dict(doc: Mapping[str, object]) -> UtilityInformationScheme:
         raise ValidationError(f'"kind" must be "complete" or "generalized", got {kind!r}')
 
     labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, (list, tuple)):
+    if "labels" in doc and not isinstance(labels, (list, tuple)):
         raise ValidationError('"labels" must be an array of strings')
 
     return make_scheme(

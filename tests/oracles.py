@@ -8,6 +8,7 @@ under test, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable, Sequence
 
@@ -204,15 +205,16 @@ def relative_error(value: float, reference) -> float:
     return float(abs((value - reference) / reference))
 
 
-def csv_scheme_rows(text: str, path: str) -> dict[str, list[float]]:
+def csv_scheme_rows(text: str, path: str) -> dict[str, list]:
     """The scheme document of CSV ``text``, read row by row over the whole
     text: blank rows skipped, the first other row skipped when it is a
-    header, every other row two cells that ``float`` takes after
-    ``str.strip``, in a row that is ASCII and holds no ``_``.  A bad row
-    raises ValueError naming its number as the ``igf`` CLI's message does,
-    and a row that is not ASCII as it is, unstripped."""
-    probs: list[float] = []
-    utils: list[float] = []
+    header, every other row two cells that are each a JSON number padded by
+    JSON whitespace, read by ``json.loads`` as in a JSON document.  A bad
+    row raises ValueError naming its number as the ``igf`` CLI's message
+    does; an ASCII row is named without the spaces and tabs around it, any
+    other row as it is."""
+    probs: list = []
+    utils: list = []
     header = True
     for line in text.splitlines():
         row = line.strip()
@@ -222,17 +224,17 @@ def csv_scheme_rows(text: str, path: str) -> dict[str, list[float]]:
             header = False
             if row.replace(" ", "") in ("p,u", "probability,utility"):
                 continue
-        parts = [c.strip() for c in row.split(",")]
+        parts = row.split(",")
         if len(parts) != 2:
             raise ValueError(
                 f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
             )
         try:
-            if "_" in row or not line.isascii():
+            p, u = (json.loads(cell) for cell in line.split(","))
+            if not all(type(x) in (int, float) for x in (p, u)):
                 raise ValueError
-            p, u = float(parts[0]), float(parts[1])
-        except ValueError:
-            shown = row if line.isascii() else line
+        except (ValueError, RecursionError):
+            shown = line.strip(" \t") if line.isascii() else line
             raise ValueError(
                 f"{path}: row {len(probs) + 1} has non-numeric entries: {shown!r}"
             ) from None

@@ -239,11 +239,12 @@ class TestEval:
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_nan_probability_is_one_error_in_csv_and_json(self, capsys, tmp_path, position):
         probs = ["0.25", "0.5", "0.25"]
-        probs[position] = "nan"
+        # JSON's constant, in both formats
+        probs[position] = "NaN"
         csv_path = tmp_path / "scheme.csv"
         csv_path.write_text("".join(f"{p},1\n" for p in probs))
         json_path = tmp_path / "scheme.json"
-        json_path.write_text('{"probabilities": [' + ", ".join(probs).replace("nan", "NaN") + "]}")
+        json_path.write_text('{"probabilities": [' + ", ".join(probs) + "]}")
         for path, fmt in ((csv_path, "csv"), (json_path, "json")):
             code, _, err = run(
                 capsys, "eval", "--input", str(path), "--format", fmt, "--t", "2"
@@ -1131,6 +1132,14 @@ class TestNormalize:
             '}\n'
         )
 
+    def test_a_null_array_is_exit_2(self, capsys, tmp_path):
+        # a null utilities read as all ones, and normalize exited 0
+        path = tmp_path / "scheme.json"
+        path.write_text('{"probabilities": [0.5, 0.5], "utilities": null, "labels": null}')
+        assert run(capsys, "normalize", "--input", str(path)) == (
+            2, "", 'error: "utilities" must be an array\n'
+        )
+
     def test_round_trip_is_byte_stable_and_value_exact(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
         path.write_text(
@@ -1273,7 +1282,7 @@ class TestChunkedRendering:
 class TestCsvChunks:
     """The chunked CSV parser gives the values and the row-numbered
     messages of the whole-text per-row reader of ``oracles``; only a chunk
-    the C pass refuses goes to the per-row code."""
+    that holds a bad row goes to the per-row code."""
 
     #: Whether a forked child parses every other chunk.
     SPLIT = False
@@ -1289,16 +1298,23 @@ class TestCsvChunks:
         "spaced_header": " p , u \n0.5,1\n0.5,2\n",
         "no_header": "0.5,1\n0.5,2\n",
         "no_trailing_newline": "p,u\n0.5,1\n0.5,2",
+        # JSON's constants and ints, which float() also read; float()'s
+        # spellings "nan" and "inf" are refused
+        "json_odd_cells": "p,u\n10,NaN\n-Infinity,1e400\n-0,1e-400\n-0.0,5e-324\n",
         "odd_cells": "p,u\n10,nan\ninf,1e400\n-0.0,1e-400\n",
         "header_only": "p,u\n",
         "empty": "",
-        # str.strip strips U+001F and float() does not
+        # str.strip strips U+001F, which is not JSON whitespace
         "unit_separator": "p,u\n0.5\x1f,1\n0.5,2\n",
+        "unit_separator_at_the_end": "p,u\n0.5,1\x1f\n0.5,2\n",
         "header_not_first": "0.5,1\np,u\n",
         "three_columns": "p,u\n0.5,1,2\n",
-        # float() reads digit groups and non-ASCII digits and whitespace,
-        # which JSON refuses; a blank row stays blank, whatever it holds
+        # float() reads digit groups, non-ASCII digits and whitespace and
+        # other spellings, which JSON refuses; a blank row stays blank,
+        # whatever it holds
         "digit_group": "p,u\n0.5,1_0\n0.5,1\n",
+        "lenient_spellings": "p,u\n0.5,1\n.5,+1\n",
+        "leading_zero": "p,u\n0.5,01\n",
         "non_ascii_digits": "p,u\n\u0660.\u0665,\uff11\n",
         "non_ascii_whitespace": "p,u\n0.5,1\n\u20030.5,2\u3000\n",
         "non_ascii_blank": "p,u\n0.5,1\n\u3000\n0.5,2\n",
@@ -1307,7 +1323,7 @@ class TestCsvChunks:
     CHUNKED = {
         "crlf", "cr_only", "blank_at_start", "blank_in_middle", "blank_at_end",
         "cell_whitespace", "long_header", "spaced_header", "no_header",
-        "no_trailing_newline", "odd_cells", "header_only", "empty",
+        "no_trailing_newline", "json_odd_cells", "header_only", "empty", "non_ascii_blank",
     }
 
     @pytest.fixture
@@ -1351,6 +1367,24 @@ class TestCsvChunks:
         assert chunked == rows
         assert bool(row_loop()) == (name not in self.CHUNKED)
 
+    @pytest.mark.parametrize("name", CASES)
+    def test_the_row_walk_runs_only_on_a_bad_row(self, monkeypatch, name):
+        # the chunked cases are the texts the per-row oracle reads whole,
+        # and they parse with the per-row code raising
+        text = self.CASES[name]
+        try:
+            expected = oracles.csv_scheme_rows(text, "f.csv")
+        except ValueError:
+            assert name not in self.CHUNKED
+            return
+        assert name in self.CHUNKED
+
+        def refused(rows):
+            raise AssertionError(f"the per-row code read {rows!r}")
+
+        monkeypatch.setattr(cli, "_parse_csv_rows", refused)
+        assert cli._parse_csv(text, "f.csv") == expected
+
     @pytest.mark.parametrize("chunk", range(1, 40))
     def test_every_cut_matches_the_row_loop(self, monkeypatch, row_loop, chunk):
         # small chunks put a cut after every row, CRLF and \r-only endings
@@ -1393,7 +1427,8 @@ class TestCsvChunks:
         body = text.index("0.125,1") if "p" in first else 0
         assert cli._csv_header_end(text) == body
         chunked, rows = self._parse(text)
-        assert chunked == rows and "error" not in chunked
+        message = f"row {2 if body else 3} has non-numeric entries: '0.125\\x1f,3'"
+        assert chunked == rows == "error: f.csv: " + message
         [(refused, _)] = row_loop()
         assert "0.125\x1f,3" in refused
 
@@ -1412,17 +1447,19 @@ class TestCsvChunks:
         assert text.endswith(chunk) and len(chunk) < 80
 
     def test_only_the_refused_chunk_is_read_row_by_row(self, monkeypatch, row_loop):
-        # the C pass refuses the U+001F cell of chunk 2 and takes chunks 3
-        # to 5 back; the per-row code had read every row from chunk 2 on.
-        # Split, the child reads chunk 2 itself: it had sent it back
-        # unread, and this process read it
+        # the U+001F cell of chunk 2 is refused and ends the parse; the
+        # per-row code had read every row from chunk 2 on.  Split, the child
+        # reads chunk 2 itself: it had sent it back unread, and this
+        # process read it
         monkeypatch.setattr(cli, "_CSV_CHUNK", 64)
         text = "p,u\n" + "".join(f"0.{k:04d},{k % 7 + 1}\n" for k in range(1, 37))
         text = text.replace("0.0010,4", "0.0010\x1f,4")
         assert cli._csv_header_end(text) == len("p,u\n")
         chunks = [text[a:b].splitlines() for a, b in cli._cuts(text, "\n", len("p,u\n"), len(text))]
         assert len(chunks) == 5 and "0.0010\x1f,4" in chunks[1]
-        assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
+        chunked, rows = self._parse(text)
+        message = "row 10 has non-numeric entries: '0.0010\\x1f,4'"
+        assert chunked == rows == "error: f.csv: " + message
         assert row_loop() == [(chunks[1], self.SPLIT)]
 
     def test_a_bad_first_row_stops_the_row_loop(self, monkeypatch):
@@ -1469,11 +1506,14 @@ class TestCsvChunks:
         assert cli._parse_csv_chunk(text, (0, len(text))) == ([0.5, 0.25], [1.0, 2.0], message)
 
     @pytest.mark.parametrize("lead", [0, 2])
-    @pytest.mark.parametrize("bad, then", [("0.5,1_0", "0.5,1"), ("٠.٥,１", "")])
+    @pytest.mark.parametrize("bad, then", [
+        ("0.5,1_0", "0.5,1"), ("٠.٥,１", ""), (".5,+1", "0.5,1"), ("inf,1", ""),
+    ])
     def test_a_number_json_refuses_exits_2(self, monkeypatch, capsys, row_loop, tmp_path,
                                            lead, bad, then):
-        # float() read 1_0 as 10 and the Arabic-Indic 0.5 and fullwidth 1
-        # as 0.5 and 1.0, and normalize exited 0; two rows ahead put the bad
+        # float() read 1_0 as 10, the Arabic-Indic 0.5 and fullwidth 1 as
+        # 0.5 and 1.0, and .5, +1 and inf, and normalize exited 0 on the
+        # first three; two rows ahead put the bad
         # one in the second 8-character chunk, which split, the child reads
         monkeypatch.setattr(cli, "_CSV_CHUNK", 8)
         path = tmp_path / "scheme.csv"
@@ -1487,8 +1527,8 @@ class TestCsvChunks:
 
 class TestCsvChunksSplit(TestCsvChunks):
     """The same values, messages and row numbers while a forked child
-    parses every other chunk, whatever the text's length: a chunk the C
-    pass refuses in the child is read row by row by the child."""
+    parses every other chunk, whatever the text's length: a chunk that
+    holds a bad row in the child is read row by row by the child."""
 
     SPLIT = True
 
@@ -1510,8 +1550,9 @@ class TestCsvChunksSplit(TestCsvChunks):
         assert forks == [1] and len(spans) == 5 and here == spans[0::2]
 
 
-#: Whitespace that ``str.strip`` strips; blank rows also take line breaks
-#: of ``str.splitlines`` other than ``\n`` and ``\r``.
+#: Whitespace that ``str.strip`` strips, of which JSON's are the space and
+#: the tab; blank rows also take line breaks of ``str.splitlines`` other
+#: than ``\n`` and ``\r``.
 _csv_pads = st.sampled_from(["", " ", "\t", "\u3000", "\u2003", "\x1f"])
 _csv_blanks = _csv_pads | st.sampled_from(["\x0b", "\x1c", "\x85", "\u2028", " \x0c\t"])
 
@@ -1524,8 +1565,13 @@ def _csv_rows(values):
     return st.one_of(pairs, pairs, st.lists(cells, min_size=1, max_size=3).map(",".join), _csv_blanks)
 
 
-_csv_numbers = st.floats().map(repr) | st.sampled_from(
-    ["1_0", "nan", "1e400", "-0.0", "1e-400", "\u0661"]
+_csv_numbers = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(
+        ["1_0", "nan", "NaN", "-Infinity", "1e400", "-0", "-0.0", "1E-400", ".5", "+1", "01",
+         "\u0661"]
+    ),
 )
 #: Lists of ``(row, line ending)``: plain rows, padded rows, or padded rows
 #: with bad cells.
@@ -1565,6 +1611,50 @@ def test_any_csv_text_and_cut_matches_the_row_loop(
     assert chunked == rows
     assert bool(forks) == (parse == "split")
     _assert_no_child()
+
+
+#: The (column, cell) pairs of test_a_csv_file_reads_as_its_json_twin whose
+#: scheme is valid: the others are refused by the reader or the scheme.
+_VALID_TWINS = {("p", "-0"), ("p", "5e-324"), ("u", "1"), ("u", "1E5"), ("u", "5e-324")}
+
+
+@pytest.mark.parametrize("column", ["p", "u"])
+@pytest.mark.parametrize("cell", [
+    "-0", "1", "1E5", "5e-324", "1e400", "NaN", ".5", "+1", "01", "1.", "inf", "0x1p-3",
+])
+def test_a_csv_file_reads_as_its_json_twin(capsys, tmp_path, column, cell):
+    # a CSV file and the JSON document whose arrays hold its cells give the
+    # same values, bit for bit, and normalize gives the same exit code and
+    # output; float() read -0 as -0.0, where JSON's int 0 is 0.0, and read
+    # .5, +1, 01, 1. and inf, which JSON refuses
+    rows = [("1", "1"), (cell, "1")] if column == "p" else [("0.5", cell), ("0.5", "1")]
+    csv_text = "p,u\n" + "".join(f"{p},{u}\n" for p, u in rows)
+    probs, utils = (", ".join(cells) for cells in zip(*rows))
+    json_text = f'{{"probabilities": [{probs}], "utilities": [{utils}]}}'
+    try:
+        expected = repr(json.loads(json_text))
+    except ValueError:
+        expected = None
+    try:
+        assert repr(cli._parse_csv(csv_text, "s.csv")) == expected
+    except ValidationError:
+        assert expected is None
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    csv_path.write_text(csv_text)
+    json_path.write_text(json_text)
+    code, out, _ = run(capsys, "normalize", "--input", str(json_path))
+    assert (code == 0) == ((column, cell) in _VALID_TWINS)
+    assert run(capsys, "normalize", "--input", str(csv_path), "--format", "csv")[:2] == (code, out)
+
+
+def test_csv_nested_past_the_stack_is_exit_2(capsys, tmp_path):
+    # the row reaches json.loads, which raises RecursionError, not ValueError
+    row = "[" * 100_000 + ",1"
+    path = tmp_path / "deep.csv"
+    path.write_text(f"p,u\n{row}\n0.5,1\n")
+    assert run(capsys, "normalize", "--input", str(path), "--format", "csv") == (
+        2, "", f"error: {path}: row 1 has non-numeric entries: {row!r}\n"
+    )
 
 
 class TestJsonPieces:

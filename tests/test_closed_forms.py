@@ -232,9 +232,10 @@ class TestGeometric:
             for u in (0.5, 1.0, 3.0):
                 assert geometric_entropy(p, u) > 0.0
 
-    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("p", [1e-14, 1e-10, 1e-6, 0.1, 0.25, 0.5, 0.75, 0.9])
     def test_entropy_budget_against_mpmath(self, p):
-        # a few roundings of -u * (p ln p + q ln q) / q: 8 ulps of the value
+        # a few roundings of -u * (p ln p + q ln q) / q: 8 ulps of the value;
+        # ln q as log(1 - p) was off by 2.4e-5 relative at p = 1e-14
         pytest.importorskip("mpmath")
         ref = oracles.geometric_entropy_mp(p, 2.0)
         assert oracles.relative_error(geometric_entropy(p, 2.0), ref) <= 8 * 2.0**-52

@@ -386,6 +386,16 @@ class TestSchemeDocuments:
         with pytest.raises(ValidationError):
             scheme_from_dict({"utilities": [1.0]})
 
+    @pytest.mark.parametrize("key, message", [
+        ("utilities", '"utilities" must be an array'),
+        ("labels", '"labels" must be an array of strings'),
+    ])
+    def test_null_is_not_a_missing_key(self, key, message):
+        # a null utilities read as all ones, and a null labels as none
+        with pytest.raises(ValidationError) as info:
+            scheme_from_dict({"probabilities": [0.5, 0.5], key: None})
+        assert str(info.value) == message
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
             scheme_from_dict({"probabilities": [1.0], "kind": "partial"})
