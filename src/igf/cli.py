@@ -382,14 +382,19 @@ def _parse_csv_rows(rows: list[str]) -> tuple[list, list, str | None]:
         if not row:
             continue
         if row.count(",") != 1:
-            return probs, utils, f"must have two columns (p,u), got {row!r}"
+            return probs, utils, f"must have two columns (p,u), got {_shown_row(row)}"
         cells = _parse_json_piece(line)
         if cells is None or not set(map(type, cells)) <= {int, float}:
             shown = line.strip(" \t") if line.isascii() else line
-            return probs, utils, f"has non-numeric entries: {shown!r}"
+            return probs, utils, f"has non-numeric entries: {_shown_row(shown)}"
         probs.append(cells[0])
         utils.append(cells[1])
     return probs, utils, None
+
+
+def _shown_row(row: str) -> str:
+    """``row`` as an error names it: its repr, cut after 80 characters."""
+    return repr(row) if len(row) <= 80 else f"{row[:80]!r}... ({len(row)} characters)"
 
 
 def _fmt(value: float, digits: int) -> str:

@@ -156,8 +156,10 @@ def geometric_igf(p: float, u: float, t: float) -> float:
     if s == 1.0:
         return 1.0  # the total mass, exactly as q / (1 - p) = q / q gives it
     q = 1.0 - p
-    # expm1 keeps the digits that 1 - p**s cancels away as p nears 1
-    return q**s / -math.expm1(s * math.log(p))
+    # q**s multiplies the rounding of 1 - p by s: an inexact q (Sterbenz makes
+    # 1 - q exact) gives way to log1p; expm1 keeps the digits 1 - p**s cancels
+    power = q**s if 1.0 - q == p else math.exp(s * math.log1p(-p))
+    return power / -math.expm1(s * math.log(p))
 
 
 def _geometric_exponent(u: float, t: float) -> float:

@@ -129,7 +129,7 @@ class ProbabilityDistribution(_Frozen):
         positive and at most 1 (plus the same slack).
     """
 
-    __slots__ = ("probs", "kind", "total", "_logs")
+    __slots__ = ("probs", "kind", "total")
     _fields = ("probs", "kind")
 
     probs: tuple[float, ...]
@@ -137,9 +137,6 @@ class ProbabilityDistribution(_Frozen):
     #: Exactly rounded sum of the entries, as validated; not a field, so it
     #: takes no part in ``==``, ``hash`` or ``repr``.
     total: float
-    #: ``ln p_i`` over the nonzero entries, or ``None`` until the first
-    #: log-weighted sum fills it; not a field either.
-    _logs: list[float] | None
 
     def __init__(self, probs: Iterable[float], kind: Kind) -> None:
         probs = _as_float_tuple(probs, "probability")
@@ -184,7 +181,7 @@ class ProbabilityDistribution(_Frozen):
                 raise AllZeroProbabilities(
                     "generalized distribution must have positive total mass"
                 )
-        self._set(probs, kind, total, None)
+        self._set(probs, kind, total)
 
     def __len__(self) -> int:
         return len(self.probs)

@@ -33,6 +33,7 @@ from .distributions import (
     ProbabilityDistribution,
     UtilityInformationScheme,
     _setattr,
+    constant_utility_scheme,
 )
 from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
@@ -77,35 +78,29 @@ class _WeightedExponents:
         return self.t < 1.0 and _exponent(max(self.utils), self.t) <= 0.0
 
 
-_LogOwner = ProbabilityDistribution | UtilityInformationScheme
-
-
-def _log_weights(owner: _LogOwner) -> list[float]:
-    """``a_i = w_i * ln p_i`` over the nonzero entries of ``owner``: w_i = 1
-    for a distribution and u_i for a scheme.  The first call builds the
-    list into the owner's ``_logs`` slot and every later one returns it."""
-    logs = owner._logs
+def _log_weights(scheme: UtilityInformationScheme) -> list[float]:
+    """``a_i = u_i * ln p_i`` over the nonzero entries of ``scheme``.  The
+    first call builds the list into the scheme's ``_logs`` slot and every
+    later one returns it."""
+    logs = scheme._logs
     if logs is None:
-        if isinstance(owner, UtilityInformationScheme):
-            probs = owner.dist.probs
-            logs = list(map(mul, compress(owner.util.utils, probs),
-                            map(math.log, compress(probs, probs))))
-        else:
-            logs = list(map(math.log, compress(owner.probs, owner.probs)))
-        _setattr(owner, "_logs", logs)
+        probs = scheme.dist.probs
+        logs = list(map(mul, compress(scheme.util.utils, probs),
+                        map(math.log, compress(probs, probs))))
+        _setattr(scheme, "_logs", logs)
     return logs
 
 
 def _term_sums(
     probs: Sequence[float],
     exps: float | _WeightedExponents | None,
-    specs: Sequence[tuple[Sequence[float] | _LogOwner | None, int]] = ((None, 0),),
+    specs: Sequence[tuple[Sequence[float] | UtilityInformationScheme | None, int]] = ((None, 0),),
 ) -> Iterator[float]:
     """math.fsum of c_i * p_i ** e_i for each spec ``(w, r)`` of ``specs``,
     lazily, over one pass of powers: the one kernel of every measure.
 
     For r = 0, ``c_i`` is ``w_i``, and a ``None`` weight vector stands for
-    w_i = 1.  For r >= 1, ``w`` is the distribution or scheme whose entries
+    w_i = 1.  For r >= 1, ``w`` is the scheme whose probabilities
     ``probs`` are, and ``c_i`` is ``a_i ** r`` over its cached
     :func:`_log_weights`; ``a ** 1`` is taken as ``a``.  ``exps`` is one
     float exponent for every entry, the per-entry weighted exponents, or
@@ -157,7 +152,7 @@ def _term_sums(
 def _audit(
     probs: Sequence[float],
     exps: Iterable[float] | None,
-    w: Sequence[float] | _LogOwner | None,
+    w: Sequence[float] | UtilityInformationScheme | None,
     r: int,
 ) -> DomainError | None:
     """The DomainError of the first term of a :func:`_term_sums` sum of
@@ -167,10 +162,8 @@ def _audit(
     # Python raises OverflowError for finite operands with huge results,
     # which only extended-domain evaluations and extreme utilities reach;
     # p ** -inf and a product past the float range are +-inf instead
-    if r:
-        w = w.util.utils if isinstance(w, UtilityInformationScheme) else None
     ones = repeat(1.0)
-    ws = ones if w is None else w
+    ws = w.util.utils if r else ones if w is None else w
     for i, (p, e, wi) in enumerate(zip(probs, ones if exps is None else exps, ws)):
         if p == 0.0 and e <= 0.0:
             return DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
@@ -350,9 +343,8 @@ def _log_unit(base: LogBase) -> float:
 def shannon_entropy(
     dist: ProbabilityDistribution, base: LogBase = LogBase.NATURAL
 ) -> float:
-    """Entropy -sum_i p_i * log(p_i), in nats or bits."""
-    unit = _log_unit(base)
-    return _moment(dist, 1) / unit
+    """Entropy -sum_i p_i * log(p_i), in nats or bits: the weighted one at u = 1."""
+    return weighted_entropy(constant_utility_scheme(dist, 1.0), base)
 
 
 def weighted_entropy(
@@ -360,16 +352,16 @@ def weighted_entropy(
 ) -> float:
     """Utility-weighted entropy -sum_i u_i * p_i * log(p_i), the first moment."""
     unit = _log_unit(base)
-    return _moment(scheme, 1) / unit
+    return weighted_self_information_moment(scheme, 1) / unit
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
     """r-th moment of self-information, sum_i p_i * (-log p_i) ** r.
 
-    Non-negative for every r; r = 0 returns the total mass and r = 1 the
-    Shannon entropy.
+    The weighted moment at u = 1, non-negative for every r; r = 0 returns
+    the total mass and r = 1 the Shannon entropy.
     """
-    return _moment(dist, check_int(r, "moment order r", 0))
+    return weighted_self_information_moment(constant_utility_scheme(dist, 1.0), r)
 
 
 def weighted_self_information_moment(
@@ -378,9 +370,12 @@ def weighted_self_information_moment(
     """r-th weighted moment, sum_i p_i * (-u_i * log p_i) ** r.
 
     Non-negative for every r (the signed variant is ``(-1) ** r`` times
-    this); r = 1 recovers the weighted entropy.
+    this); r = 0 returns the total mass and r = 1 the weighted entropy.
     """
-    return _moment(scheme, check_int(r, "moment order r", 0))
+    r = check_int(r, "moment order r", 0)
+    if not r:
+        return scheme.dist.total
+    return _signed(next(_term_sums(scheme.dist.probs, None, ((scheme, r),))), r)
 
 
 def weighted_self_information_moments(
@@ -395,16 +390,6 @@ def weighted_self_information_moments(
     orders = [check_int(r, "moment order r", 0) for r in orders]
     sums = _term_sums(scheme.dist.probs, None, [(scheme, r) for r in orders if r])
     return (_signed(next(sums), r) if r else scheme.dist.total for r in orders)
-
-
-def _moment(owner: _LogOwner, r: int) -> float:
-    """sum_i p_i * (-w_i * ln p_i) ** r, with w_i = 1 for a distribution and
-    u_i for a scheme.  Order 0 is the total mass, the same fsum of the same
-    tuple that validation took."""
-    dist = owner.dist if isinstance(owner, UtilityInformationScheme) else owner
-    if not r:
-        return dist.total
-    return _signed(next(_term_sums(dist.probs, None, ((owner, r),))), r)
 
 
 def _signed(s: float, r: int) -> float:

@@ -212,7 +212,12 @@ def csv_scheme_rows(text: str, path: str) -> dict[str, list]:
     JSON whitespace, read by ``json.loads`` as in a JSON document.  A bad
     row raises ValueError naming its number as the ``igf`` CLI's message
     does; an ASCII row is named without the spaces and tabs around it, any
-    other row as it is."""
+    other row as it is, and a row past 80 characters by its first 80 and
+    its length."""
+
+    def shown(row: str) -> str:
+        return repr(row) if len(row) <= 80 else f"{row[:80]!r}... ({len(row)} characters)"
+
     probs: list = []
     utils: list = []
     header = True
@@ -227,16 +232,16 @@ def csv_scheme_rows(text: str, path: str) -> dict[str, list]:
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError(
-                f"{path}: row {len(probs) + 1} must have two columns (p,u), got {row!r}"
+                f"{path}: row {len(probs) + 1} must have two columns (p,u), got {shown(row)}"
             )
         try:
             p, u = (json.loads(cell) for cell in line.split(","))
             if not all(type(x) in (int, float) for x in (p, u)):
                 raise ValueError
         except (ValueError, RecursionError):
-            shown = line.strip(" \t") if line.isascii() else line
+            cut = line.strip(" \t") if line.isascii() else line
             raise ValueError(
-                f"{path}: row {len(probs) + 1} has non-numeric entries: {shown!r}"
+                f"{path}: row {len(probs) + 1} has non-numeric entries: {shown(cut)}"
             ) from None
         probs.append(p)
         utils.append(u)

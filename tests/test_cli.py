@@ -863,13 +863,15 @@ class TestClosedFormExtremes:
         )
 
     def test_check_with_an_underflowing_ratio_power_sums_one_term(self, capsys):
-        # s = inf and q = 1.0: the bound on the terms was inf * 0 = nan
+        # s = inf and q = 1.0: the bound on the terms was inf * 0 = nan.  The
+        # closed form is the limit 0, as (1 - p)**s is for every p > 0; the
+        # direct sum still reads 1, because its q = 1 - p rounds to 1.0
         code, out, err = run(
             capsys, "closed-form", "geometric", "--p", "1e-200", "--u", "2",
             "--t", "1e308", "--check",
         )
         assert (code, out, err) == (
-            0, "closed_form: 1\ndirect: 1\nabs_diff: 0.000000e+00\n", ""
+            0, "closed_form: 0\ndirect: 1\nabs_diff: 1.000000e+00\n", ""
         )
 
     def test_no_point_of_the_sweep_ends_in_a_traceback(self, capsys):
@@ -1309,6 +1311,9 @@ class TestCsvChunks:
         "unit_separator_at_the_end": "p,u\n0.5,1\x1f\n0.5,2\n",
         "header_not_first": "0.5,1\np,u\n",
         "three_columns": "p,u\n0.5,1,2\n",
+        # a bad row past 80 characters is named by its first 80 and its length
+        "long_bad_row": "p,u\n0.5,1\n0.5," + "x" * 80 + "\n",
+        "long_three_columns": "p,u\n0.5,1," + "2" * 80 + "\n",
         # float() reads digit groups, non-ASCII digits and whitespace and
         # other spellings, which JSON refuses; a blank row stays blank,
         # whatever it holds
@@ -1649,11 +1654,13 @@ def test_a_csv_file_reads_as_its_json_twin(capsys, tmp_path, column, cell):
 
 def test_csv_nested_past_the_stack_is_exit_2(capsys, tmp_path):
     # the row reaches json.loads, which raises RecursionError, not ValueError
+    # and the message shows the first 80 characters of the row, not all of it
     row = "[" * 100_000 + ",1"
     path = tmp_path / "deep.csv"
     path.write_text(f"p,u\n{row}\n0.5,1\n")
     assert run(capsys, "normalize", "--input", str(path), "--format", "csv") == (
-        2, "", f"error: {path}: row 1 has non-numeric entries: {row!r}\n"
+        2, "", f"error: {path}: row 1 has non-numeric entries: "
+        f"{'[' * 80!r}... (100002 characters)\n"
     )
 
 

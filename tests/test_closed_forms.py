@@ -203,10 +203,13 @@ class TestGeometric:
     @pytest.mark.parametrize(
         "p, u, t",
         [(1.0 - 1e-9, 1.0, 2.0), (1.0 - 1e-6, 1.0, 1.5), (1.0 - 1e-12, 0.5, 7.0),
-         (1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-20), (0.999, 2.0, 3.0), (0.5, 1.0, 2.0)],
+         (1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-20), (0.999, 2.0, 3.0), (0.5, 1.0, 2.0),
+         (1e-8, 1.0, 1e9), (1e-10, 1.0, 1e12)],
     )
     def test_no_cancellation_near_one_against_mpmath(self, p, u, t):
-        # 1 - p**s cancels as p nears 1: it cost 5e-10 relative at p = 1 - 1e-9
+        # 1 - p**s cancels as p nears 1: it cost 5e-10 relative at p = 1 - 1e-9;
+        # at small p, (1 - p)**s multiplied the rounding of 1 - p by s, 5e-8
+        # relative at p = 1e-8, t = 1e9 and 8.3e-6 at p = 1e-10, t = 1e12
         pytest.importorskip("mpmath")
         ref = oracles.geometric_igf_mp(p, u, t)
         assert oracles.relative_error(geometric_igf(p, u, t), ref) <= 4e-16

@@ -23,6 +23,8 @@ from igf import (
     InvalidParameter,
     LogBase,
     MAX_REALIZED_TERMS,
+    ValidationError,
+    constant_utility_scheme,
     curve_values,
     golomb_igf,
     hooda_bhaker_igf,
@@ -400,12 +402,9 @@ def _collect(values):
 
 
 def _log_owner(probs, weights):
-    """The owner of the log list ``w_i * ln p_i`` that a kernel spec of
-    order r >= 1 reads: the distribution for unit weights (``None``), else
-    a scheme whose utilities are the weights."""
-    if weights is None:
-        return make_generalized(probs)
-    return make_scheme(probs, weights, generalized=True)
+    """The scheme whose log list ``w_i * ln p_i`` a kernel spec of order
+    r >= 1 reads: its utilities are the weights, and 1 for ``None``."""
+    return make_scheme(probs, weights or [1.0] * len(probs), generalized=True)
 
 
 def _assert_defined_fsum(evaluate, probs, exps, term):
@@ -575,8 +574,8 @@ class TestPowerSumKernel:
         # order whose (w ln p) ** r overflows or is not finite raises the
         # error naming the first such term and ends the iteration there,
         # and a sum that is not finite raises too.  The orders r >= 1 read
-        # the log list of the distribution (w = 1) or of a scheme whose
-        # utilities are the weights
+        # the log list of a scheme whose utilities are the weights (1 for
+        # unit weights)
         probs, utils = case
         weights = None if scale is None else [u * scale for u in utils]
         owner = _log_owner(probs, weights)
@@ -620,7 +619,7 @@ class TestPowerSumKernel:
     def test_many_specs_equal_one_call_each(self, case, exps, drawn):
         # one call shares its pass of powers across specs and drops the
         # zeros from its orders r > 0 only, which read one cached log list
-        # per owner; its values (repr) and first error are those of one call
+        # per scheme; its values (repr) and first error are those of one call
         # per spec.  A one-element list stands for the weighted exponents
         probs, utils = case
         if isinstance(exps, list):
@@ -745,9 +744,43 @@ _CACHED_CALLS = {
 
 
 class TestLogWeightCache:
-    """Every log-weighted sum reads the list ``w_i * ln p_i`` that its
-    distribution or scheme holds once built, and gives what a fresh owner
-    gives; the powers at t = 1 are the probabilities themselves."""
+    """Every log-weighted sum reads the list ``u_i * ln p_i`` that its
+    scheme holds once built, and gives what a fresh scheme gives; the plain
+    entropy and moments are those of unit utilities, and the powers at
+    t = 1 are the probabilities themselves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_schemes())
+    def test_the_plain_calls_are_the_unit_utility_calls(self, case):
+        # values by repr, errors by message: the plain calls have no log
+        # list of their own.  Orders 110 and 200 overflow on tiny entries
+        dist = make_generalized(case[0])
+        unit = constant_utility_scheme(dist, 1.0)
+        calls = [(lambda: shannon_entropy(dist, base), lambda: weighted_entropy(unit, base))
+                 for base in LogBase]
+        calls += [(lambda r=r: self_information_moment(dist, r),
+                   lambda r=r: weighted_self_information_moment(unit, r))
+                  for r in [*range(9), 110, 200]]
+        for plain, weighted in calls:
+            assert repr(_outcome(plain)) == repr(_outcome(weighted))
+
+    def test_a_plain_overflow_names_the_unit_utility(self):
+        with pytest.raises(DomainError) as info:
+            self_information_moment(make_generalized([5e-324, 0.5]), 110)
+        assert str(info.value) == "term 0 overflows: (1.0 * ln 5e-324) ** 110"
+
+    @pytest.mark.parametrize("call, error", [
+        (shannon_entropy, ValidationError),
+        (lambda s: self_information_moment(s, 2), ValidationError),
+        (lambda s: weighted_entropy(s.dist), AttributeError),
+        (lambda s: weighted_self_information_moment(s.dist, 2), AttributeError),
+    ], ids=["shannon", "moment", "weighted", "weighted moment"])
+    def test_a_wrong_owner_gives_no_number(self, call, error):
+        # a scheme is no distribution, and a distribution has no utilities:
+        # neither call returns the other's value
+        scheme = make_scheme([0.5, 0.5], [1.0, 3.0])
+        with pytest.raises(error):
+            call(scheme)
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_schemes(), st.sampled_from([1.0, 1e305]),
