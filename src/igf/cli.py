@@ -23,6 +23,7 @@ from typing import Callable, Collection, Iterator, Sequence
 
 from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
+    MAX_REALIZED_TERMS,
     FamilyKind,
     ParametricFamily,
     UtilityInformationScheme,
@@ -35,6 +36,8 @@ from .escort import escort_transform, verify_scaling_identity
 from .generating_functions import (
     LogBase,
     Measure,
+    check_curve_grid,
+    check_curve_work,
     curve_grid,
     curve_values,
     weighted_entropy,
@@ -50,7 +53,7 @@ MAX_MOMENT_ORDER = 8
 #: splits a curve: measured, see the README.
 _SPLIT_CURVE_WORK = 100_000
 #: Nonzero terms times grid points above which :func:`render_curve_csv`
-#: refuses a curve, up to about 32 s of one CPU: measured, see the README.
+#: refuses a curve, up to about 20-32 s of one CPU: measured, see the README.
 _MAX_CURVE_WORK = 100_000_000
 
 
@@ -168,13 +171,7 @@ def render_curve_csv(
     to a second process (see :func:`_split_map`).
     """
     probs = scheme.dist.probs
-    terms = len(probs) - probs.count(0.0)
-    work = terms * len(ts)
-    if work > _MAX_CURVE_WORK:
-        raise ValidationError(
-            f"a curve of {terms} nonzero terms at {len(ts)} grid points is {work} "
-            f"term-points of work, above the bound of {_MAX_CURVE_WORK}"
-        )
+    work = check_curve_work(len(probs) - probs.count(0.0), len(ts), _MAX_CURVE_WORK)
     h = (len(ts) + 1) // 2
     evaluate = partial(curve_values, scheme, measures=measures, extended=extended)
     halves = _split_map(evaluate, [ts[:h], ts[h:]], _split_cpus(work, _SPLIT_CURVE_WORK))
@@ -527,10 +524,16 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
         return _load_scheme(args.input, args.format)
     if args.family is not None:
         family = _family_from_args(args)
-        if family.kind is FamilyKind.UNIFORM and args.truncation is not None:
-            raise ValidationError("family 'uniform' does not take --truncation")
-        dist = realize_family(family, args.truncation)
-        return constant_utility_scheme(dist, 1.0 if args.u is None else args.u)
+        # the check of constant_utility_scheme, made before the family is built
+        u = 1.0 if args.u is None else check_open(args.u, "constant utility u", 0)
+        if family.kind is FamilyKind.UNIFORM:
+            if args.truncation is not None:
+                raise ValidationError("family 'uniform' does not take --truncation")
+            # each of its n terms is 1 / n > 0; past the cap, realize_family
+            # refuses it
+            if family.n <= MAX_REALIZED_TERMS:
+                check_curve_work(family.n, args.steps, _MAX_CURVE_WORK)
+        return constant_utility_scheme(realize_family(family, args.truncation), u)
     raise ValidationError("curve needs a scheme: pass --input or --family")
 
 
@@ -544,8 +547,11 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         ) from None
     # canonical column order, each measure once
     measures = tuple(m for m in Measure if m in chosen)
+    # the grid is checked first and built last
+    check_curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
+    scheme = _scheme_for_curve(args)
     ts = curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
-    text = render_curve_csv(_scheme_for_curve(args), ts, measures, args.extended_t)
+    text = render_curve_csv(scheme, ts, measures, args.extended_t)
     try:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

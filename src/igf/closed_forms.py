@@ -27,7 +27,7 @@ from .distributions import (
     realize_family,
 )
 from .errors import DomainError, check_int, check_open, check_real, check_t
-from .generating_functions import _exponent, weighted_entropy, weighted_igf
+from .generating_functions import _exponent, _streamed_entropy, weighted_igf
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -269,4 +269,4 @@ def direct_sum_value(
     if family.kind is FamilyKind.GEOMETRIC:
         truncation = _geometric_truncation(family.p, u, t)
     scheme = constant_utility_scheme(realize_family(family, truncation), u)
-    return weighted_entropy(scheme) if t is None else weighted_igf(scheme, t, extended=extended)
+    return _streamed_entropy(scheme) if t is None else weighted_igf(scheme, t, extended=extended)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import compress, repeat
-from operator import mul, not_, sub
+from functools import partial
+from itertools import compress, islice, repeat
+from operator import ge, mul, not_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import (
@@ -35,7 +36,7 @@ from .distributions import (
     _setattr,
     constant_utility_scheme,
 )
-from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
+from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real, check_t
 
 
 class LogBase(Enum):
@@ -78,16 +79,18 @@ class _WeightedExponents:
         return self.t < 1.0 and _exponent(max(self.utils), self.t) <= 0.0
 
 
-def _log_weights(scheme: UtilityInformationScheme) -> list[float]:
+def _log_weights(scheme: UtilityInformationScheme, keep: bool = True) -> Iterable[float]:
     """``a_i = u_i * ln p_i`` over the nonzero entries of ``scheme``.  The
     first call builds the list into the scheme's ``_logs`` slot and every
-    later one returns it."""
+    later one returns it; with ``keep`` false and no list built, they are
+    one lazy pass instead, and the slot stays empty."""
     logs = scheme._logs
     if logs is None:
         probs = scheme.dist.probs
-        logs = list(map(mul, compress(scheme.util.utils, probs),
-                        map(math.log, compress(probs, probs))))
-        _setattr(scheme, "_logs", logs)
+        logs = map(mul, compress(scheme.util.utils, probs), map(math.log, compress(probs, probs)))
+        if keep:
+            logs = list(logs)
+            _setattr(scheme, "_logs", logs)
     return logs
 
 
@@ -95,6 +98,7 @@ def _term_sums(
     probs: Sequence[float],
     exps: float | _WeightedExponents | None,
     specs: Sequence[tuple[Sequence[float] | UtilityInformationScheme | None, int]] = ((None, 0),),
+    keep_logs: bool = True,
 ) -> Iterator[float]:
     """math.fsum of c_i * p_i ** e_i for each spec ``(w, r)`` of ``specs``,
     lazily, over one pass of powers: the one kernel of every measure.
@@ -102,7 +106,8 @@ def _term_sums(
     For r = 0, ``c_i`` is ``w_i``, and a ``None`` weight vector stands for
     w_i = 1.  For r >= 1, ``w`` is the scheme whose probabilities
     ``probs`` are, and ``c_i`` is ``a_i ** r`` over its cached
-    :func:`_log_weights`; ``a ** 1`` is taken as ``a``.  ``exps`` is one
+    :func:`_log_weights`, which one spec streams when ``keep_logs`` is
+    false; ``a ** 1`` is taken as ``a``.  ``exps`` is one
     float exponent for every entry, the per-entry weighted exponents, or
     ``None`` for e_i = 1, which takes no power.  An exponent of exactly 1.0,
     and the weighted ones at t = 1 (``1 - u * 0.0`` is 1.0 for every finite
@@ -134,7 +139,7 @@ def _term_sums(
                 if many:
                     pows = list(pows)
             if r:
-                a = _log_weights(w)
+                a = _log_weights(w, keep_logs or many)
                 if kept is None:
                     kept = compress(pows, probs)
                     kept = list(kept) if many else kept
@@ -215,6 +220,44 @@ def hooda_bhaker_igf(
     return next(_term_sums(scheme.dist.probs, t, ((scheme.util.utils, 0),)))
 
 
+#: Grid points from which :func:`curve_values` sums its passes from sorted
+#: copies of the scheme: measured, see the README.
+_SORTED_CURVE_POINTS = 16
+
+
+def _descending_copies(
+    scheme: UtilityInformationScheme, t_mid: float
+) -> tuple[Sequence[float], Sequence[float], tuple[Sequence[float], ...]] | None:
+    """The probabilities and utilities of the nonzero entries of ``scheme``
+    as contiguous ``array('d')`` copies, largest term first: in descending
+    p for every t-power pass, since p ** e falls as p grows for every
+    e > 0; and, as a second pair for the per-entry weighted pass under
+    varied utilities, in the descending order of its terms at ``t_mid``.
+    None if the entries already come in descending p, as those of the
+    realized families do."""
+    probs, utils = scheme.dist.probs, scheme.util.utils
+    kept = partial(compress, selectors=probs)
+    if all(map(ge, kept(probs), islice(kept(probs), 1, None))):
+        return None
+    from array import array  # a curve that sorts nothing never imports it
+
+    varied = utils.count(utils[0]) != len(utils)
+    if varied:
+        # sorted() takes every key, in entry order, before it moves an entry
+        keys = list(map(pow, kept(probs), _WeightedExponents(kept(utils), t_mid)))
+        weighted = tuple(
+            array("d", sorted(kept(v), key=partial(next, iter(keys)), reverse=True))
+            for v in (probs, utils)
+        )
+        del keys  # before the next copies: the peak is that of one order
+    by_p = array("d", sorted(kept(probs), reverse=True))
+    if not varied:  # a constant utility: one order serves every pass
+        same = array("d", utils[:1]) * len(by_p)
+        return by_p, same, (by_p, same)
+    utils_p = array("d", sorted(kept(utils), key=partial(next, kept(probs)), reverse=True))
+    return by_p, utils_p, weighted
+
+
 def curve_values(
     scheme: UtilityInformationScheme,
     ts: Sequence[float],
@@ -236,7 +279,10 @@ def curve_values(
       when t and every weighted exponent stay positive along the grid: then
       a zero adds exactly 0.0 to an fsum and no term can overflow, so no
       error names an entry index.  One point has nothing to share the copy
-      with, so it sums the scheme as it is.
+      with, so it sums the scheme as it is.  From _SORTED_CURVE_POINTS
+      points on, the copies are the contiguous, sorted ones of
+      :func:`_descending_copies`: fsum is correctly rounded, so the order
+      of the terms moves no bit, and largest first it runs faster.
     * Per t, the measures that share an exponent share one
       :func:`_term_sums` pass.  Golomb and Hooda-Bhaker raise to ``t``; the
       weighted IGF raises to ``1 - u0 * (1 - t)`` under a constant utility
@@ -254,8 +300,16 @@ def curve_values(
     t_low = min(check_real(t, "t") for t in ts)
     # every exponent grows with t, and below t = 1 the weighted one shrinks
     # as u grows, so t_low and the largest utility give the smallest ones
-    if len(ts) > 1 and t_low > 0.0 and not _WeightedExponents(utils, t_low).reaches_zero():
-        probs, utils = list(compress(probs, probs)), list(compress(utils, probs))
+    drop = len(ts) > 1 and t_low > 0.0 and not _WeightedExponents(utils, t_low).reaches_zero()
+    copies = None
+    if drop and len(ts) >= _SORTED_CURVE_POINTS:
+        copies = _descending_copies(scheme, check_real(ts[len(ts) // 2], "t"))
+    if copies:
+        probs, utils, weighted = copies
+    else:
+        if drop:
+            probs, utils = list(compress(probs, probs)), list(compress(utils, probs))
+        weighted = probs, utils  # the entries of the per-entry weighted pass
     u0 = utils[0] if utils.count(utils[0]) == len(utils) else None
     hooda = None if u0 == 1.0 else utils  # None: unit weights
     rows = []
@@ -273,8 +327,8 @@ def curve_values(
         # order sums no later measure first: the first error raised is that
         # of the pointwise loop
         sums = {
-            e: _term_sums(probs, _WeightedExponents(utils, t) if e is None else e,
-                          [(w, 0) for w in ws.values()])
+            e: _term_sums(weighted[0], _WeightedExponents(weighted[1], t), [(None, 0)])
+            if e is None else _term_sums(probs, e, [(w, 0) for w in ws.values()])
             for e, ws in passes.items()
         }
         values: dict[tuple[float | None, bool], float] = {}
@@ -294,6 +348,19 @@ def curve_grid(
     MAX_REALIZED_TERMS, both ends finite, t_min below t_max by a finite
     span, and t_min in the t domain (:func:`check_t`).
     """
+    t_min, t_max = check_curve_grid(t_min, t_max, steps, extended)
+    step = (t_max - t_min) / (steps - 1)
+    # pin the endpoint so the grid covers [t_min, t_max] exactly
+    ts = [t_min + k * step for k in range(steps - 1)]
+    ts.append(t_max)
+    return ts
+
+
+def check_curve_grid(
+    t_min: float, t_max: float, steps: int, extended: bool = False
+) -> tuple[float, float]:
+    """The ends of a :func:`curve_grid` as floats, after every check of the
+    grid, which raise as :func:`curve_grid` does."""
     check_int(steps, "steps", 2)
     if steps > MAX_REALIZED_TERMS:
         raise InvalidParameter(f"steps must be at most {MAX_REALIZED_TERMS}, got {steps}")
@@ -309,11 +376,19 @@ def curve_grid(
             f"the span from t_min = {t_min!r} to t_max = {t_max!r} overflows"
         )
     check_t(t_min, extended)
-    step = (t_max - t_min) / (steps - 1)
-    # pin the endpoint so the grid covers [t_min, t_max] exactly
-    ts = [t_min + k * step for k in range(steps - 1)]
-    ts.append(t_max)
-    return ts
+    return t_min, t_max
+
+
+def check_curve_work(terms: int, points: int, bound: int) -> int:
+    """The term-points of a curve of ``terms`` nonzero terms at ``points``
+    grid points; above ``bound`` it raises ValidationError."""
+    work = terms * points
+    if work > bound:
+        raise ValidationError(
+            f"a curve of {terms} nonzero terms at {points} grid points is {work} "
+            f"term-points of work, above the bound of {bound}"
+        )
+    return work
 
 
 def weighted_igf_derivative(
@@ -353,6 +428,13 @@ def weighted_entropy(
     """Utility-weighted entropy -sum_i u_i * p_i * log(p_i), the first moment."""
     unit = _log_unit(base)
     return weighted_self_information_moment(scheme, 1) / unit
+
+
+def _streamed_entropy(scheme: UtilityInformationScheme) -> float:
+    """:func:`weighted_entropy` in nats, bit-equal, of a scheme summed only
+    once: its log weights stream through the sum, and no list of them is
+    kept in ``_logs``."""
+    return _signed(next(_term_sums(scheme.dist.probs, None, ((scheme, 1),), keep_logs=False)), 1)
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:

@@ -40,10 +40,10 @@ from igf import (
     scheme_from_dict,
     weighted_igf,
 )
-from igf import cli, distributions
+from igf import cli, distributions, generating_functions
 from igf.cli import _render_floats, build_parser, main, render_scheme_json
 from igf.distributions import MAX_REALIZED_TERMS, ParametricFamily
-from igf.generating_functions import LogBase, curve_grid
+from igf.generating_functions import LogBase, Measure, curve_grid
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -500,6 +500,45 @@ class TestCurve:
             "1000000000000 term-points of work, above the bound of 100000000\n",
         )
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("n", [1_000_000, 1000])
+    def test_uniform_work_is_refused_before_the_grid_or_family(
+        self, capsys, monkeypatch, tmp_path, n
+    ):
+        # the uniform family's n terms are all nonzero: its work is n times
+        # the steps, refused before the grid (32 MB at a million points) and
+        # the family are built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the grid or the family was built")
+
+        monkeypatch.setattr(cli, "curve_grid", unbuilt)
+        monkeypatch.setattr(cli, "realize_family", unbuilt)
+        out_path = tmp_path / "curve.csv"
+        got = run(
+            capsys, "curve", "--family", "uniform", "--n", str(n), "--steps", "1000000",
+            "--out", str(out_path),
+        )
+        assert got == (
+            2, "",
+            f"error: a curve of {n} nonzero terms at 1000000 grid points is "
+            f"{n * 1_000_000} term-points of work, above the bound of 100000000\n",
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-min", "3", "--t-max", "2"], "need t_min < t_max, got 3.0 and 2.0"),
+        (["--u", "-1"], "constant utility u must lie in (0, inf), got -1.0"),
+        (["--truncation", "5"], "family 'uniform' does not take --truncation"),
+        (["--n", "1000001"],
+         "the realized family needs at least 1000001 terms, above the cap of 1000000"),
+    ])
+    def test_uniform_work_is_checked_after_the_cheaper_errors(
+        self, capsys, tmp_path, flags, message
+    ):
+        # each of these flags also makes a curve too large to compute
+        argv = ["curve", "--family", "uniform", "--n", "1000000", "--steps", "1000000",
+                *flags, "--out", str(tmp_path / "c.csv")]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("bound", [10, 9])
     def test_work_bound_counts_nonzero_terms_times_points(
@@ -2155,6 +2194,10 @@ class TestSplitMap:
         assert len(log.read_text().splitlines() if log.exists() else []) == attempts
 
 
+#: The fewest grid points that curve_values sums from sorted copies.
+K = generating_functions._SORTED_CURVE_POINTS
+
+
 class TestSplitCommands:
     """Curves, normalize and the escort line split between two processes
     only above their thresholds, and print what the serial code prints."""
@@ -2202,6 +2245,29 @@ class TestSplitCommands:
         out.unlink()
         assert run(capsys, *argv) == (0, "", "")
         assert out.read_bytes() == expected and forks == [1]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("steps", [2 * K, 2 * K + 1])
+    def test_each_half_of_a_sorted_curve_is_byte_equal_to_serial(
+        self, monkeypatch, forks, steps
+    ):
+        # both halves have at least K points, so each sums from its own
+        # sorted copies of the scheme; the bytes are those of the unsorted
+        # serial curve too
+        probs, utils = _random_scheme(3000, seed=11)
+        probs[7], probs[8] = 0.0, probs[7] + probs[8]
+        scheme = make_scheme(probs, utils)
+        ts = curve_grid(1.0, 3.0, steps)
+
+        def render(cpus):
+            monkeypatch.setattr(cli, "_split_cpus", lambda work, min_work: cpus)
+            return cli.render_curve_csv(scheme, ts, tuple(Measure), False)
+
+        serial = render(set())
+        assert forks == []
+        assert render({0, 1}) == serial and forks == [1]
+        monkeypatch.setattr(generating_functions, "_SORTED_CURVE_POINTS", steps + 1)
+        assert render(set()) == serial
         _assert_no_child()
 
     #: 2000 terms by 101 points is above the curve threshold.
@@ -2630,6 +2696,25 @@ class TestProcessEntry:
             "igf.cli.console_main()\n"
         )
         assert _run_process("-c", script, *argv) == expected
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_direct_entropy_keeps_no_log_list(self):
+        # the direct side of a power law sums 1e6 terms once; a kept list of
+        # their log weights took the peak from 61 MB to 100 MB.  VmHWM is the
+        # peak of this process image alone: the rusage peak of a child also
+        # counts the test process it was forked from
+        script = (
+            "import sys\n"
+            "from igf.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "[peak] = [line for line in open('/proc/self/status') if line.startswith('VmHWM')]\n"
+            "sys.stderr.write(peak)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["closed-form", "beta-power", "--beta", "2", "--entropy", "--check"]
+        code, _, err = _run_process("-c", script, *argv)
+        assert code == 0
+        assert err.split()[2] == "kB" and int(err.split()[1]) < 70 * 1024
 
     def test_exit_handlers_run_after_the_freeze(self, capsys, half_half):
         # the handler's line reaches stdout: the final flush still runs

@@ -36,6 +36,7 @@ from igf import (
     zeta,
     zeta_derivative,
 )
+from igf import closed_forms
 from igf.distributions import ParametricFamily
 
 LN2 = 0.6931471805599453
@@ -440,6 +441,25 @@ class TestClosedFormAndDirectSum:
         assert str(info.value) == (
             "the realized family needs at least 1048576 terms, above the cap of 1000000"
         )
+
+    @pytest.mark.parametrize("family, u", [
+        (ParametricFamily.uniform(7), 0.5),
+        (ParametricFamily.geometric(0.5), 2.5),
+        (ParametricFamily.beta_power(2.0), 1.0),
+    ])
+    def test_direct_entropy_streams_its_logs(self, monkeypatch, family, u):
+        # the realized scheme is summed once: no list of its 1e6 log
+        # weights (38 MB of peak for beta-power) is kept for later calls
+        schemes = []
+        build = closed_forms.constant_utility_scheme
+        monkeypatch.setattr(
+            closed_forms, "constant_utility_scheme",
+            lambda dist, u: schemes.append(build(dist, u)) or schemes[-1],
+        )
+        value = direct_sum_value(family, u)
+        [scheme] = schemes
+        assert scheme._logs is None
+        assert repr(value) == repr(weighted_entropy(scheme))
 
     def test_geometric_direct_sum_refuses_a_divergent_exponent(self):
         with pytest.raises(DomainError, match="geometric series diverges"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from igf import (
     weighted_self_information_moment,
     weighted_self_information_moments,
 )
+from igf import generating_functions
 from igf.cli import Measure
 from igf.generating_functions import _WeightedExponents, _term_sums, curve_grid
 
@@ -425,10 +427,10 @@ _ENTRY = st.one_of(
 
 
 @st.composite
-def _sparse_schemes(draw):
+def _sparse_schemes(draw, entry=_ENTRY):
     """Generalized schemes with zeros and subnormal entries; the last entry
     keeps the total mass positive."""
-    probs = draw(st.lists(_ENTRY, min_size=0, max_size=12))
+    probs = draw(st.lists(entry, min_size=0, max_size=12))
     probs.append(draw(st.floats(0.01, 1.0 / 16.0)))
     utils = [draw(st.floats(0.1, 8.0)) for _ in probs]
     return probs, utils
@@ -872,12 +874,21 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
+#: Entries of curve schemes: the sparse ones, or terms that stay large
+#: enough to move a sum wherever its entries are paired wrongly.
+_CURVE_ENTRY = st.one_of(_ENTRY, st.floats(1e-3, 1.0 / 16.0))
+#: The fewest grid points that curve_values sums from sorted copies.
+K = generating_functions._SORTED_CURVE_POINTS
+#: Grids on both sides of K.
+_SORTED_STEPS = [K - 1, K, K + 1, 2 * K + 1]
+
+
 @st.composite
 def _curve_cases(draw):
     """Sparse schemes under unit, constant or varied utilities, the seven
     measure subsets in any order, and grids reaching below t = 1 and below
     t = 0."""
-    probs, utils = draw(_sparse_schemes())
+    probs, utils = draw(_sparse_schemes(_CURVE_ENTRY))
     kind = draw(st.sampled_from(["varied", "unit", "constant"]))
     if kind == "unit":
         utils = [1.0] * len(probs)
@@ -889,7 +900,7 @@ def _curve_cases(draw):
         make_scheme(probs, utils, generalized=True),
         t_min,
         t_max,
-        draw(st.integers(2, 12)),
+        draw(st.one_of(st.integers(2, 12), st.sampled_from(_SORTED_STEPS))),
         draw(st.sampled_from(_MEASURE_SETS).flatmap(st.permutations)),
         t_min < 1.0 or draw(st.booleans()),
     )
@@ -1003,6 +1014,113 @@ class TestCurveGrid:
         scheme = make_scheme([0.5, 0.5], [1.0, 2.0])
         with pytest.raises(DomainError, match=r"^t = 0\.5 is below the default domain"):
             curve_values(scheme, [2.0, 0.5], [Measure.WEIGHTED])
+
+
+def _unordered(outcome):
+    """A curve outcome with the entry an error names taken out: the first
+    bad term in index order moves with the entries."""
+    return outcome[0] if isinstance(outcome[0], type) else outcome
+
+
+@st.composite
+def _permuted_curves(draw):
+    """A sparse scheme under varied, unit or constant utilities, the same
+    scheme with its entries permuted, and a grid on either side of K whose
+    t, and weighted exponents, are mostly positive."""
+    probs, utils = draw(_sparse_schemes(_CURVE_ENTRY))
+    kind = draw(st.sampled_from(["varied", "unit", "constant"]))
+    if kind == "unit":
+        utils = [1.0] * len(probs)
+    elif kind == "constant":
+        utils = [draw(st.floats(0.1, 8.0))] * len(probs)
+    order = draw(st.permutations(range(len(probs))))
+    t_min = draw(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(0.01, 6.0)))
+    t_max = t_min + draw(st.one_of(st.just(2.0), st.floats(1e-3, 10.0)))
+    return (
+        make_scheme(probs, utils, generalized=True),
+        make_scheme([probs[i] for i in order], [utils[i] for i in order], generalized=True),
+        curve_grid(t_min, t_max, draw(st.sampled_from([2, 3, *_SORTED_STEPS])), True),
+        draw(st.sampled_from(_MEASURE_SETS)),
+    )
+
+
+class TestSortedCurveCopies:
+    """From K grid points on, curve_values sums each pass from contiguous
+    copies of the nonzero entries, largest term first.  fsum rounds the
+    exact sum of its terms once, so no value depends on their order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_permuted_curves())
+    def test_a_permuted_scheme_has_the_same_curve(self, case):
+        scheme, permuted, ts, measures = case
+
+        def curve(s):
+            return _outcome(lambda: repr(curve_values(s, ts, measures, extended=True)))
+
+        assert _unordered(curve(permuted)) == _unordered(curve(scheme))
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        """The copies each curve_values call builds."""
+        built, build = [], generating_functions._descending_copies
+        monkeypatch.setattr(
+            generating_functions, "_descending_copies",
+            lambda *args: built.append(build(*args)) or built[-1],
+        )
+        return built
+
+    # the zero entry's utility of 2 is the largest: it bounds the weighted
+    # exponents below t = 1, dropped or not
+    SCHEME = make_scheme([0.1, 0.0, 0.4, 0.2, 0.3], [1.0, 2.0, 0.5, 1.5, 1.2])
+
+    # the entries are not in descending p, so every call that may sort does
+    @pytest.mark.parametrize("t_min, steps, built", [
+        (1.0, 1, False),
+        (1.0, 2, False),
+        (1.0, K - 1, False),
+        (1.0, K, True),
+        (1.0, 2 * K + 1, True),
+        (0.6, K, True),  # the smallest exponent is 1 - 2 * 0.4 = 0.2
+        (0.5, K, False),  # 1 - 2 * 0.5 = 0: the zero entry has no term
+        (0.0, K, False),
+        (-1.0, 2 * K + 1, False),
+    ])
+    @pytest.mark.parametrize("measures", [(Measure.WEIGHTED,), tuple(Measure)])
+    def test_built_iff_enough_points_with_positive_exponents(
+        self, copies, t_min, steps, built, measures
+    ):
+        ts = [t_min + 0.1 * k for k in range(steps)]
+        _outcome(lambda: curve_values(self.SCHEME, ts, measures, extended=True))
+        assert len(copies) == built
+
+    @pytest.mark.parametrize("probs", [[0.4, 0.3, 0.2, 0.1, 0.0], [0.4, 0.3, 0.0, 0.3]])
+    def test_entries_in_descending_p_are_summed_as_they_are(self, copies, probs):
+        # as those of the realized families are; ties are in order too
+        scheme = make_scheme(probs, [1.0, 2.0, 0.5, 1.5, 1.2][:len(probs)])
+        ts = [1.0 + 0.1 * k for k in range(K)]
+        rows = curve_values(scheme, ts, tuple(Measure))
+        assert copies == [None]
+        assert rows == [tuple(_one_point(m, scheme, t) for m in Measure) for t in ts]
+
+    @pytest.mark.parametrize("utils", [[1.0, 2.0, 0.5, 1.5, 1.2], [2.0] * 5])
+    def test_the_copies_are_descending_arrays(self, copies, utils):
+        scheme = make_scheme([0.1, 0.0, 0.4, 0.2, 0.3], utils)
+        ts = [1.0 + 0.1 * k for k in range(K)]
+        rows = curve_values(scheme, ts, tuple(Measure))
+        [(probs, weights, (w_probs, w_utils))] = copies
+        assert isinstance(probs, array) and probs.typecode == "d"
+        assert list(probs) == [0.4, 0.3, 0.2, 0.1]
+        if utils[0] == utils[1]:
+            # a constant utility is the same in any order
+            assert list(weights) == [2.0] * 4 and w_probs is probs
+        else:
+            assert list(weights) == [0.5, 1.2, 1.5, 1.0]
+            assert isinstance(w_utils, array) and w_utils.typecode == "d"
+            # in the order of p ** (1 - u * (1 - t)) at the middle t, 1.8
+            terms = [p ** (1.0 - u * (1.0 - ts[K // 2])) for p, u in zip(w_probs, w_utils)]
+            assert terms == sorted(terms, reverse=True)
+            assert sorted(zip(w_probs, w_utils)) == sorted(zip(probs, weights))
+        assert rows == [tuple(_one_point(m, scheme, t) for m in Measure) for t in ts]
 
 
 def _one_point(measure, scheme, t, extended=False):
