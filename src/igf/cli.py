@@ -37,7 +37,6 @@ from .generating_functions import (
     LogBase,
     Measure,
     check_curve_grid,
-    check_curve_work,
     curve_grid,
     curve_values,
     weighted_entropy,
@@ -52,9 +51,18 @@ MAX_MOMENT_ORDER = 8
 #: Nonzero terms times grid points above which :func:`render_curve_csv`
 #: splits a curve: measured, see the README.
 _SPLIT_CURVE_WORK = 100_000
-#: Nonzero terms times grid points above which :func:`render_curve_csv`
+#: Nonzero terms times grid points above which :func:`_check_curve_work`
 #: refuses a curve, up to about 20-32 s of one CPU: measured, see the README.
 _MAX_CURVE_WORK = 100_000_000
+
+
+def _check_curve_work(terms: int, points: int) -> None:
+    """Refuse, with ValidationError, a curve above _MAX_CURVE_WORK term-points."""
+    if terms * points > _MAX_CURVE_WORK:
+        raise ValidationError(
+            f"a curve of {terms} nonzero terms at {points} grid points is {terms * points} "
+            f"term-points of work, above the bound of {_MAX_CURVE_WORK}"
+        )
 
 
 def _split_cpus(work: int, min_work: int) -> Collection[int]:
@@ -165,13 +173,12 @@ def render_curve_csv(
 
     Floats are rendered with ``repr`` (shortest round-trip form) and rows end
     with a bare newline, so identical requests produce byte-identical output.
-    A curve whose nonzero terms times grid points exceed _MAX_CURVE_WORK
-    raises ValidationError before any value is computed.  The grid is
-    evaluated in two halves; above _SPLIT_CURVE_WORK the second half goes
-    to a second process (see :func:`_split_map`).
+    The grid is evaluated in two halves; above _SPLIT_CURVE_WORK nonzero
+    terms times grid points, the second half goes to a second process (see
+    :func:`_split_map`).  This function refuses no curve for its work:
+    ``curve`` checks _MAX_CURVE_WORK before it builds the grid.
     """
-    probs = scheme.dist.probs
-    work = check_curve_work(len(probs) - probs.count(0.0), len(ts), _MAX_CURVE_WORK)
+    work = (len(scheme) - scheme.dist.probs.count(0.0)) * len(ts)
     h = (len(ts) + 1) // 2
     evaluate = partial(curve_values, scheme, measures=measures, extended=extended)
     halves = _split_map(evaluate, [ts[:h], ts[h:]], _split_cpus(work, _SPLIT_CURVE_WORK))
@@ -316,7 +323,7 @@ def _parse_csv(text: str, path: str) -> dict[str, list]:
     :func:`_parse_csv_chunk`, above _SPLIT_PARSE characters every other
     one in a forked child (see :func:`_split_map`).  This process takes the
     values in order; the first chunk that names a bad row ends the parse
-    with a message that numbers the row in the whole file.
+    with a message that numbers it among the rows, header and blanks not counted.
     """
     probs: list = []
     utils: list = []
@@ -454,8 +461,7 @@ def render_scheme_json(scheme: UtilityInformationScheme) -> str:
 
 
 #: The parameter flag, kind, flag type and flag help of each family the CLI
-#: names.  The flag names the ParametricFamily field it sets; the kind's
-#: value names the family's constructor on ParametricFamily.
+#: names.  The flag names the ParametricFamily field it sets.
 _FAMILIES = {
     "uniform": ("--n", FamilyKind.UNIFORM, int, "outcome count"),
     "geometric": ("--p", FamilyKind.GEOMETRIC, float, "ratio"),
@@ -467,12 +473,10 @@ def _family_from_args(args: argparse.Namespace) -> ParametricFamily:
     name = args.family
     wanted, kind, _, _ = _FAMILIES[name]
     for flag, *_ in _FAMILIES.values():
-        present = getattr(args, flag[2:]) is not None
-        if flag == wanted and not present:
-            raise ValidationError(f"family {name!r} requires {flag}")
-        if flag != wanted and present:
-            raise ValidationError(f"family {name!r} does not take {flag}")
-    return getattr(ParametricFamily, kind.value)(getattr(args, wanted[2:]))
+        if (getattr(args, flag[2:]) is not None) != (flag == wanted):
+            verb = "requires" if flag == wanted else "does not take"
+            raise ValidationError(f"family {name!r} {verb} {flag}")
+    return ParametricFamily(kind, **{wanted[2:]: getattr(args, wanted[2:])})
 
 
 def _check_digits(value: str) -> int:
@@ -532,7 +536,7 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
             # each of its n terms is 1 / n > 0; past the cap, realize_family
             # refuses it
             if family.n <= MAX_REALIZED_TERMS:
-                check_curve_work(family.n, args.steps, _MAX_CURVE_WORK)
+                _check_curve_work(family.n, args.steps)
         return constant_utility_scheme(realize_family(family, args.truncation), u)
     raise ValidationError("curve needs a scheme: pass --input or --family")
 
@@ -547,9 +551,10 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         ) from None
     # canonical column order, each measure once
     measures = tuple(m for m in Measure if m in chosen)
-    # the grid is checked first and built last
+    # the grid is checked first and built last, once the work fits
     check_curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
     scheme = _scheme_for_curve(args)
+    _check_curve_work(len(scheme) - scheme.dist.probs.count(0.0), args.steps)
     ts = curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
     text = render_curve_csv(scheme, ts, measures, args.extended_t)
     try:

@@ -140,7 +140,13 @@ def uniform_entropy(n: int, u: float) -> float:
     """Weighted entropy of the uniform distribution: u * ln(n)."""
     n = check_int(n, "n", 1)
     u = check_open(u, "constant utility u", 0)
-    return u * math.log(n)
+    return _finite_entropy("uniform", u, u * math.log(n))
+
+
+def _finite_entropy(family: str, u: float, value: float) -> float:
+    if value == math.inf:
+        raise DomainError(f"{family} entropy overflows: at u = {u!r} it exceeds the float range")
+    return value
 
 
 def geometric_igf(p: float, u: float, t: float) -> float:
@@ -197,7 +203,7 @@ def geometric_entropy(p: float, u: float) -> float:
     p = check_open(p, "geometric ratio p", 0, 1)
     u = check_open(u, "constant utility u", 0)
     q = 1.0 - p
-    return -u * (p * math.log(p) + q * math.log1p(-p)) / q
+    return _finite_entropy("geometric", u, -u * (p * math.log(p) + q * math.log1p(-p)) / q)
 
 
 def beta_power_igf(beta: float, u: float, t: float) -> float:
@@ -236,7 +242,7 @@ def beta_power_entropy(beta: float, u: float) -> float:
     beta = check_open(beta, "power-law exponent beta", 1)
     u = check_open(u, "constant utility u", 0)
     z = zeta(beta)
-    return u * (math.log(z) - beta * zeta_derivative(beta) / z)
+    return _finite_entropy("power-law", u, u * (math.log(z) - beta * zeta_derivative(beta) / z))
 
 
 def closed_form_value(

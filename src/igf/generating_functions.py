@@ -36,7 +36,7 @@ from .distributions import (
     _setattr,
     constant_utility_scheme,
 )
-from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real, check_t
+from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
 
 
 class LogBase(Enum):
@@ -377,18 +377,6 @@ def check_curve_grid(
         )
     check_t(t_min, extended)
     return t_min, t_max
-
-
-def check_curve_work(terms: int, points: int, bound: int) -> int:
-    """The term-points of a curve of ``terms`` nonzero terms at ``points``
-    grid points; above ``bound`` it raises ValidationError."""
-    work = terms * points
-    if work > bound:
-        raise ValidationError(
-            f"a curve of {terms} nonzero terms at {points} grid points is {work} "
-            f"term-points of work, above the bound of {bound}"
-        )
-    return work
 
 
 def weighted_igf_derivative(

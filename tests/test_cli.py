@@ -525,6 +525,32 @@ class TestCurve:
         )
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("source, terms", [
+        (["--input", "SCHEME"], 200),
+        (["--family", "geometric", "--p", "0.5", "--truncation", "1000"], 1000),
+        (["--family", "beta-power", "--beta", "2", "--truncation", "1000"], 1000),
+    ])
+    def test_work_is_refused_before_the_grid_for_every_source(
+        self, capsys, monkeypatch, tmp_path, source, terms
+    ):
+        # the nonzero count needs the scheme, but not the grid (32 MB at a
+        # million points), which is built only once the work fits
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"probabilities": [0.005] * 200 + [0.0]}))
+        monkeypatch.setattr(cli, "curve_grid", unbuilt)
+        out_path = tmp_path / "curve.csv"
+        argv = [str(path) if arg == "SCHEME" else arg for arg in source]
+        got = run(capsys, "curve", *argv, "--steps", "1000000", "--out", str(out_path))
+        assert got == (
+            2, "",
+            f"error: a curve of {terms} nonzero terms at 1000000 grid points is "
+            f"{terms * 1_000_000} term-points of work, above the bound of 100000000\n",
+        )
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--t-min", "3", "--t-max", "2"], "need t_min < t_max, got 3.0 and 2.0"),
         (["--u", "-1"], "constant utility u must lie in (0, inf), got -1.0"),
@@ -872,6 +898,22 @@ class TestClosedFormExtremes:
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: uniform IGF overflows")
+
+    @pytest.mark.parametrize("family", [
+        ("uniform", "--n", "10000000000", "--u", "1e308"),
+        ("geometric", "--p", "0.999999", "--u", "1e308"),
+        ("beta-power", "--beta", "1.0000000000000002", "--u", "1e300"),
+    ])
+    @pytest.mark.parametrize("check", [(), ("--check",)])
+    def test_overflowing_entropy_is_exit_3(self, capsys, family, check):
+        # each printed inf with exit 0
+        code, out, err = run(capsys, "closed-form", *family, "--entropy", *check)
+        name = "power-law" if family[0] == "beta-power" else family[0]
+        assert (code, out, err) == (
+            3, "",
+            f"error: {name} entropy overflows: at u = {float(family[4])!r} it exceeds the "
+            "float range\n",
+        )
 
     def test_uniform_n_past_the_float_range(self, capsys):
         # float(n) overflows; n ** -1 = 1e-400 underflows like any power

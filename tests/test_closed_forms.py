@@ -503,6 +503,30 @@ class TestNormalizationProperty:
         assert beta_power_igf(beta, u, 1.0) == 1.0
 
 
+class TestEntropyOverflow:
+    """An entropy past the float range is a DomainError, as the uniform
+    IGF's value is; each of these returned inf."""
+
+    @pytest.mark.parametrize("entropy, args, family", [
+        (uniform_entropy, (10**10, 1e308), "uniform"),
+        (geometric_entropy, (0.999999, 1e308), "geometric"),
+        (beta_power_entropy, (1.0000000000000002, 1e300), "power-law"),
+    ])
+    def test_is_a_domain_error(self, entropy, args, family):
+        with pytest.raises(DomainError) as info:
+            entropy(*args)
+        assert str(info.value) == (
+            f"{family} entropy overflows: at u = {args[1]!r} it exceeds the float range"
+        )
+
+    def test_the_largest_values_still_pass(self):
+        assert uniform_entropy(2, 1.7e308) == 1.7e308 * math.log(2)
+        assert geometric_entropy(0.5, 1e308) == pytest.approx(2 * LN2 * 1e308, rel=1e-15)
+        assert beta_power_entropy(2.0, 1e308) == pytest.approx(
+            BETA_POWER_ENTROPY_2_1 * 1e308, rel=1e-14
+        )
+
+
 class TestEntropyHomogeneity:
     """Scaling every utility by k scales each entropy by exactly k; checked
     with power-of-two factors so the float scaling itself is exact."""
