@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import truediv
+from typing import Iterator, Sequence
 
 from .distributions import (
     Kind,
@@ -25,7 +26,6 @@ from .distributions import (
     UtilityDistribution,
     UtilityInformationScheme,
     _Frozen,
-    constant_utility_scheme,
 )
 from .errors import AllZeroProbabilities, DomainError, ValidationError, check_open, check_t
 from .generating_functions import _exponent, _term_sums, weighted_igf
@@ -60,6 +60,30 @@ class EscortPair(_Frozen):
         self._set(normalized, mass, beta)
 
 
+def _escort_mass(probs: Sequence[float], beta: float) -> float:
+    """The mass sum_j p_j**beta of ``probs``; 0 raises AllZeroProbabilities."""
+    mass = next(_term_sums(probs, beta))
+    if mass == 0.0:
+        raise AllZeroProbabilities(
+            "all probabilities are zero (or underflow to zero) after powering"
+        )
+    return mass
+
+
+class _EscortEntries:
+    """The escort entries ``p_i ** beta / mass`` of ``probs``, a stream that
+    recomputes them in C on each pass and holds no tuple: the powers are
+    taken twice, for the mass and the entries, rather than held as a list."""
+
+    __slots__ = ("probs", "beta", "mass")
+
+    def __init__(self, probs: Sequence[float], beta: float) -> None:
+        self.probs, self.beta, self.mass = probs, beta, _escort_mass(probs, beta)
+
+    def __iter__(self) -> Iterator[float]:
+        return map(truediv, map(pow, self.probs, repeat(self.beta)), repeat(self.mass))
+
+
 def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     """Normalize the powered vector p_i**beta into a complete distribution.
 
@@ -67,18 +91,9 @@ def escort_transform(dist: ProbabilityDistribution, beta: float) -> EscortPair:
     whose entries are all zero after powering.
     """
     beta = check_open(beta, "escort power beta", 0)
-    # the powers are taken twice, for the mass and for the normalized
-    # tuple, rather than held as a list next to that tuple
-    mass = next(_term_sums(dist.probs, beta))
-    if mass == 0.0:
-        raise AllZeroProbabilities(
-            "all probabilities are zero (or underflow to zero) after powering"
-        )
-    powered = map(pow, dist.probs, repeat(beta))
-    normalized = ProbabilityDistribution(
-        tuple(map(truediv, powered, repeat(mass))), Kind.COMPLETE
-    )
-    return EscortPair(normalized=normalized, mass=mass, beta=beta)
+    entries = _EscortEntries(dist.probs, beta)
+    normalized = ProbabilityDistribution(tuple(entries), Kind.COMPLETE)
+    return EscortPair(normalized=normalized, mass=entries.mass, beta=beta)
 
 
 def generalized_igf(
@@ -142,19 +157,24 @@ def verify_scaling_identity(
     The two sides are computed along independent code paths (direct powered
     sum versus escort normalization followed by the weighted IGF).  They are
     declared in agreement when |lhs - rhs| <= SCALING_IDENTITY_RTOL *
-    max(|lhs|, |rhs|).  A caller that already holds the escort pair of
-    ``dist`` under ``beta`` and its weighted IGF at (u, t) passes both as
-    ``escort=(pair, escort_igf)``, and neither is built again.  A powered
-    sum or a ``mass ** s`` that is not finite raises DomainError.
+    max(|lhs|, |rhs|).  Without ``escort=``, the escort is summed as the
+    stream :class:`_EscortEntries` at the one exponent s, in three passes
+    over p, and no copy of it is made.  Its constructors' checks are not
+    repeated, as none can fail: each entry p_i**beta / mass lies in [0, 1],
+    for the mass is the fsum of the powers, and they total 1 within a few
+    ulps.  A caller that already holds the escort pair of ``dist`` under
+    ``beta`` and its weighted IGF at (u, t) passes both as ``escort=(pair,
+    escort_igf)``, which saves two of those passes.  A powered sum or a
+    ``mass ** s`` that is not finite raises DomainError.
     """
     u = check_open(u, "constant utility u", 0)
-    lhs = unnormalized_power_igf(dist, u, beta, t, extended=extended)
+    beta = check_open(beta, "escort power beta", 0)
+    s = _exponent(u, check_t(t, extended))
+    lhs = next(_term_sums(dist.probs, beta * s))
     if escort is None:
-        pair = escort_transform(dist, beta)
-        escort_scheme = constant_utility_scheme(pair.normalized, u)
-        escort = pair, weighted_igf(escort_scheme, t, extended=extended)
+        entries = _EscortEntries(dist.probs, beta)
+        escort = entries, next(_term_sums(entries, s))  # of the pair, only .mass is read
     pair, escort_igf = escort
-    s = _exponent(u, t)
     try:
         scale = pair.mass**s
     except OverflowError:

@@ -117,7 +117,9 @@ def _term_sums(
     below need that test, which no t >= 1 gives.  An order r > 0 drops the
     zero entries, which have no log; fsum ignores the exact zeros they
     would add.  The powers are shared by every spec.  A sum that is not
-    finite raises too: the DomainError of :func:`_audit`, or of the sum.
+    finite is summed again by :func:`_rescaled_sum` where its order r >= 1
+    and a log weight overflows; otherwise it raises too: the DomainError of
+    :func:`_audit`, or of the sum.
     """
     if isinstance(exps, float):
         scan, exps = exps <= 0.0, None if exps == 1.0 else repeat(exps)
@@ -150,8 +152,36 @@ def _term_sums(
         except OverflowError:
             s = math.inf
         if not math.isfinite(s):
-            raise _audit(probs, exps, w, r) or DomainError("the sum of the terms overflows")
+            s = _rescaled_sum(probs, exps, w, r) if r else None
+            if s is None:
+                raise _audit(probs, exps, w, r) or DomainError("the sum of the terms overflows")
         yield s
+
+
+def _rescaled_sum(
+    probs: Sequence[float],
+    exps: Iterable[float] | None,
+    scheme: UtilityInformationScheme,
+    r: int,
+) -> float | None:
+    """The :func:`_term_sums` sum of spec ``(scheme, r)`` whose log weight
+    ``u_i * ln p_i`` overflows for some finite u_i, although the terms may
+    not: summed with every u_i scaled by 2 ** -k, which is exact outside the
+    subnormal range, and scaled back by 2 ** (k * r).  k takes the largest
+    u_i below 2 ** 1000, so no scaled log weight overflows.  None where
+    none overflowed, or where a scaled term or the value is not finite."""
+    if all(map(math.isfinite, _log_weights(scheme, keep=False))):
+        return None
+    nonzero = partial(compress, selectors=probs)
+    k = math.frexp(max(nonzero(scheme.util.utils)))[1] - 1000
+    scaled = map(mul, nonzero(scheme.util.utils), repeat(math.ldexp(1.0, -k)))
+    a = map(mul, scaled, map(math.log, nonzero(probs)))
+    pows = nonzero(probs) if exps is None else map(pow, nonzero(probs), nonzero(exps))
+    try:
+        s = math.ldexp(math.fsum(map(mul, a if r == 1 else map(pow, a, repeat(r)), pows)), k * r)
+    except OverflowError:
+        return None
+    return s if math.isfinite(s) else None
 
 
 def _audit(

@@ -199,6 +199,17 @@ def beta_power_entropy_mp(beta: float, u: float):
         return u * (mpmath.log(z) - beta * mpmath.zeta(beta, 1, 1) / z)
 
 
+def weighted_entropy_mp(probs: Sequence[float], utils: Sequence[float]):
+    """The weighted entropy -sum_i u_i * p_i * ln p_i of a scheme, in
+    mpmath: no factor u_i * ln p_i leaves the float range there."""
+    import mpmath
+
+    with mpmath.workdps(MPMATH_DPS):
+        return -mpmath.fsum(
+            mpmath.mpf(u) * mpmath.mpf(p) * mpmath.log(p) for p, u in zip(probs, utils) if p
+        )
+
+
 def relative_error(value: float, reference) -> float:
     """|value - reference| / |reference| for an mpmath reference: the
     difference is taken against all its digits, not its float rounding."""

@@ -272,13 +272,13 @@ class TestEntropy:
         code, out, _ = run(capsys, "entropy", "--input", half_half, "--base", "2")
         assert (code, out) == (0, "1.5\n")
 
-    def test_a_product_past_the_float_range_is_exit_3(self, capsys, tmp_path):
-        # 1e308 * ln 0.1 is -inf before 0.1 scales it; inf was printed
+    def test_a_factor_past_the_float_range_of_a_finite_entropy(self, capsys, tmp_path):
+        # 1e308 * ln 0.1 is -inf before 0.1 scales it: inf was printed, and
+        # then exit 3, but the entropy is 2.3e307
         path = tmp_path / "huge_u.json"
         path.write_text(json.dumps({"probabilities": [0.1, 0.9], "utilities": [1e308, 1]}))
-        code, out, err = run(capsys, "entropy", "--input", str(path))
-        assert (code, out) == (3, "")
-        assert err == "error: term 0 overflows: (1e+308 * ln 0.1) ** 1\n"
+        code, out, err = run(capsys, "entropy", "--input", str(path), "--digits", "17")
+        assert (code, out, err) == (0, "2.3025850929940454e+307\n", "")
 
     def test_base_choices_are_the_log_bases(self, capsys, half_half):
         for base in LogBase:
@@ -332,12 +332,13 @@ class TestMoments:
 
     def test_a_product_past_the_float_range_is_exit_3(self, capsys, tmp_path):
         # (1e308 * ln 0.1) ** r is inf without an OverflowError; "1\tinf"
-        # and "2\tinf" were printed with exit 0
+        # and "2\tinf" were printed with exit 0.  Order 1, 2.3e307, is
+        # summed scaled; order 2, about 5.3e615, is past the float range
         path = tmp_path / "huge_u.json"
         path.write_text(json.dumps({"probabilities": [0.1, 0.9], "utilities": [1e308, 1]}))
         code, out, err = run(capsys, "moments", "--input", str(path), "--r-max", "2")
-        assert (code, out) == (3, "0\t1\n")
-        assert err == "error: term 0 overflows: (1e+308 * ln 0.1) ** 1\n"
+        assert (code, out) == (3, "0\t1\n1\t2.30258509299e+307\n")
+        assert err == "error: term 0 overflows: (1e+308 * ln 0.1) ** 2\n"
 
     @pytest.mark.parametrize("bad", ["0", "9", "-1"])
     def test_r_max_outside_declared_range_is_exit_2(self, capsys, half_half, bad):
@@ -914,6 +915,21 @@ class TestClosedFormExtremes:
             f"error: {name} entropy overflows: at u = {float(family[4])!r} it exceeds the "
             "float range\n",
         )
+
+    def test_check_of_an_entropy_whose_factors_overflow(self, capsys):
+        # 1e308 * ln 0.125 is -inf in the direct sum, which exited 3; the
+        # scaled sum is the closed form, 1e-16 from the family's mpmath value
+        code, out, err = run(
+            capsys, "closed-form", "geometric", "--p", "0.5", "--u", "1e308", "--entropy",
+            "--check", "--digits", "17",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "closed_form: 1.3862943611198905e+308\ndirect: 1.3862943611198905e+308\n"
+            "abs_diff: 0.000000e+00\n"
+        )
+        reference = oracles.geometric_entropy_mp(0.5, 1e308)
+        assert oracles.relative_error(1.3862943611198905e308, reference) < 2e-16
 
     def test_uniform_n_past_the_float_range(self, capsys):
         # float(n) overflows; n ** -1 = 1e-400 underflows like any power

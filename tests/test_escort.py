@@ -16,6 +16,7 @@ from igf import (
     AllZeroProbabilities,
     DomainError,
     EscortPair,
+    IGFError,
     InvalidParameter,
     Kind,
     ProbabilityDistribution,
@@ -32,7 +33,8 @@ from igf import (
     verify_scaling_identity,
     weighted_igf,
 )
-from igf.distributions import UtilityDistribution
+from igf import escort as escort_module
+from igf.distributions import UtilityDistribution, UtilityInformationScheme
 
 
 def floored_simplex(rng: np.random.Generator, n: int) -> list[float]:
@@ -293,3 +295,69 @@ def test_a_held_escort_gives_the_same_report(name, u, beta, t):
     held = verify_scaling_identity(dist, u, beta, t, extended=True, escort=(pair, escort_igf))
     assert held == verify_scaling_identity(dist, u, beta, t, extended=True)
     assert held.passed
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except IGFError as exc:
+        return type(exc), str(exc)
+
+
+def _held_report(dist, u, beta, t):
+    """The report of the escort built and summed, with the lhs first, as
+    every error of the identity is raised in that order."""
+    unnormalized_power_igf(dist, u, beta, t, extended=True)
+    pair = escort_transform(dist, beta)
+    escort_igf = weighted_igf(constant_utility_scheme(pair.normalized, u), t, extended=True)
+    return verify_scaling_identity(dist, u, beta, t, extended=True, escort=(pair, escort_igf))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(st.just(0.0), _log_uniform(-320.0, 0.0)), max_size=63),
+    _log_uniform(-320.0, 0.0),
+    _log_uniform(-300.0, 300.0),
+    _log_uniform(-3.0, 4.0),
+    st.one_of(st.sampled_from([math.inf, -math.inf, 1.0, 1500.0]), st.floats(allow_nan=False)),
+)
+def test_the_streamed_escort_gives_the_report_of_the_built_one(probs, last, u, beta, t):
+    # zeros, p down to 1e-320 and extended t: the escort summed as a stream
+    # gives the report, or the error type and message, of the escort built
+    # as a distribution and summed under a scheme of constant utility
+    probs = [p / 64 for p in [*probs, last]]
+    dist = make_generalized(probs)
+    streamed = _outcome(lambda: verify_scaling_identity(dist, u, beta, t, extended=True))
+    assert streamed == _outcome(lambda: _held_report(dist, u, beta, t))
+
+
+def test_a_verify_without_escort_builds_nothing(monkeypatch):
+    # no value type, no escort tuple and no weighted IGF of a scheme: the
+    # escort is summed from the stream its transform builds its tuple from
+    dist = make_generalized([0.5, 0.0, 0.25, 1e-300])
+    held = _held_report(dist, 1.5, 2.0, 3.0)
+    calls = dict.fromkeys(
+        ["ProbabilityDistribution", "UtilityDistribution", "UtilityInformationScheme",
+         "EscortPair", "escort_transform", "weighted_igf"], 0
+    )
+    for cls in (ProbabilityDistribution, UtilityDistribution, UtilityInformationScheme, EscortPair):
+        def counted_init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    for name in ("escort_transform", "weighted_igf"):
+        def counted(*args, _real=getattr(escort_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(escort_module, name, counted)
+    assert verify_scaling_identity(dist, 1.5, 2.0, 3.0, extended=True) == held
+    assert calls == dict.fromkeys(calls, 0)
+    for beta in (0.5, 2.0, 3.7):
+        entries = escort_module._EscortEntries(dist.probs, beta)
+        assert tuple(entries) == escort_module.escort_transform(dist, beta).normalized.probs

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import tracemalloc
 from array import array
 
@@ -441,12 +442,37 @@ _BIG_UTILITY = st.one_of(
 )
 
 
+def _scaled_sum(probs, exps, weights, r):
+    """For r >= 1 where some w_i * ln p_i overflows: the fsum of
+    (w_i * 2 ** -k * ln p_i) ** r * p_i ** e_i over the nonzero entries,
+    with k putting the largest of their weights below 2 ** 1000, times
+    2 ** (k * r).  None where no such factor overflows, or where a scaled
+    term or that value is not finite."""
+    if not r or weights is None:
+        return None
+    kept = [(p, e, w) for p, e, w in zip(probs, exps, weights) if p]
+    if all(math.isfinite(w * math.log(p)) for p, _, w in kept):
+        return None
+    k = math.frexp(max(w for _, _, w in kept))[1] - 1000
+    try:
+        terms = [(w * 2.0**-k * math.log(p)) ** r * p**e for p, e, w in kept]
+        s = math.ldexp(math.fsum(terms), k * r)
+    except OverflowError:
+        return None
+    return s if math.isfinite(s) else None
+
+
 def _first_fault(probs, exps, weights, r):
     """The repr of the fsum of c_i * p_i ** e_i, with c_i = w_i (1 for no
     weights) for r = 0 and (w_i * ln p_i) ** r over the nonzero entries
-    otherwise; or the message of its first term, in index order, that is
-    undefined (a zero probability under an exponent <= 0) or not finite,
-    naming what is not; or else of the sum."""
+    otherwise; where every zero entry has a term, that of :func:`_scaled_sum`
+    if it is not None; or the message of the first term, in index order,
+    that is undefined (a zero probability under an exponent <= 0) or not
+    finite, naming what is not; or else of the sum."""
+    if all(p or e > 0.0 for p, e in zip(probs, exps)):
+        scaled = _scaled_sum(probs, exps, weights, r)
+        if scaled is not None:
+            return repr(scaled)
     terms = []
     for i, (p, e) in enumerate(zip(probs, exps)):
         w = 1.0 if weights is None else weights[i]
@@ -568,12 +594,14 @@ class TestPowerSumKernel:
     # a point mass sums every order r >= 1 to zero, which must be +0.0
     @example(case=([0.0, 1.0], [2.0, 3.0]), scale=None, orders=[0, 1, 2, 3])
     @example(case=([1.0], [3.0]), scale=1.0, orders=[5, 1])
-    # 3e305 * ln 5e-324 is -inf without an OverflowError; inf was the sum
+    # 3e305 * ln 5e-324 is -inf without an OverflowError; inf was the sum,
+    # and the scaled sum is -1.7e304
     @example(case=([5e-324, 0.0625], [3.0, 1.0]), scale=1e305, orders=[1])
     def test_moments_share_one_log_pass(self, case, scale, orders):
         # every order of one kernel call at e = 1 equals (repr: sign of
-        # zero included) the fsum of its defining per-term expression; an
-        # order whose (w ln p) ** r overflows or is not finite raises the
+        # zero included) the fsum of its defining per-term expression, or
+        # the scaled sum where a factor w ln p overflows; an order whose
+        # (w ln p) ** r overflows or is not finite otherwise raises the
         # error naming the first such term and ends the iteration there,
         # and a sum that is not finite raises too.  The orders r >= 1 read
         # the log list of a scheme whose utilities are the weights (1 for
@@ -593,6 +621,9 @@ class TestPowerSumKernel:
                     except OverflowError:
                         a = math.inf
                     if not math.isfinite(a):
+                        scaled = _scaled_sum(probs, [1.0] * len(probs), weights, r)
+                        if scaled is not None:
+                            return scaled
                         raise DomainError(f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}")
                     terms.append(a * p)
             try:
@@ -801,19 +832,61 @@ class TestLogWeightCache:
     @pytest.mark.parametrize(
         "call, r",
         [
-            (weighted_entropy, 1),
             (lambda s: weighted_self_information_moment(s, 2), 2),
             (lambda s: weighted_igf_derivative(s, 1.0, 3), 3),
-            (lambda s: list(weighted_self_information_moments(s, range(4))), 1),
+            # order 1 is summed scaled; order 2 overflows
+            (lambda s: list(weighted_self_information_moments(s, range(4))), 2),
         ],
+        ids=["moment", "derivative", "moments"],
     )
     def test_an_overflowing_order_raises_again(self, call, r):
-        # 1e308 * ln 0.1 is -inf, and the cached list keeps it
+        # 1e308 * ln 0.1 is -inf, and the cached list keeps it; the orders
+        # r >= 2 are past the float range, scaled or not
         scheme = make_scheme([0.1, 0.9], [1e308, 1.0])
         for _ in range(2):
             with pytest.raises(DomainError) as info:
                 call(scheme)
             assert str(info.value) == f"term 0 overflows: (1e+308 * ln 0.1) ** {r}"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            weighted_entropy,
+            lambda s: -weighted_igf_derivative(s, 1.0, 1),
+            lambda s: list(weighted_self_information_moments(s, [0, 1]))[1],
+            generating_functions._streamed_entropy,
+        ],
+        ids=["entropy", "derivative", "moments", "streamed"],
+    )
+    def test_an_overflowing_log_weight_of_a_finite_entropy_is_summed_scaled(self, call):
+        # 1e308 * ln 0.1 is -inf, and the cached list keeps it, but the
+        # entropy, 2.3e307, is inside the float range: it was refused
+        scheme = make_scheme([0.1, 0.9], [1e308, 1.0])
+        for _ in range(2):
+            assert call(scheme) == 2.3025850929940454e307
+        assert scheme._logs in (None, [-math.inf, math.log(0.9)])
+        reference = oracles.weighted_entropy_mp([0.1, 0.9], [1e308, 1.0])
+        assert oracles.relative_error(2.3025850929940454e307, reference) < 2e-16
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-300.0, 0.0), _BIG_UTILITY), min_size=1, max_size=8))
+    # 1e308 * ln 8, about 2.1e308, is past the float range, and so is the
+    # scaled sum scaled back
+    @example(entries=[(0.0, 1e308)] * 8)
+    def test_an_entropy_is_refused_only_past_the_float_range(self, entries):
+        # p log-uniform down to 1e-300 and u up to 1e308: where some u ln p
+        # overflows the entropy is still summed, to a few roundings of its
+        # mpmath value, and it is refused only where that value is past the
+        # float range, give or take those roundings
+        probs = [10.0**x / len(entries) for x, _ in entries]
+        utils = [u for _, u in entries]
+        reference = oracles.weighted_entropy_mp(probs, utils)
+        try:
+            value = weighted_entropy(make_scheme(probs, utils, generalized=True))
+        except DomainError:
+            assert reference > sys.float_info.max * (1 - 8 * 2.0**-53)
+        else:
+            assert abs(value - reference) <= 8 * 2.0**-53 * reference
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_schemes(), st.sampled_from(["varied", "unit", "constant"]))
