@@ -23,16 +23,16 @@ from typing import Callable, Collection, Iterator, Sequence
 
 from .closed_forms import closed_form_value, direct_sum_value
 from .distributions import (
-    MAX_REALIZED_TERMS,
     FamilyKind,
     ParametricFamily,
     UtilityInformationScheme,
     constant_utility_scheme,
+    nonzero_terms,
     realize_family,
     scheme_from_dict,
 )
 from .errors import DomainError, ValidationError, check_open, check_t
-from .escort import escort_transform, verify_scaling_identity
+from .escort import escort_transform, unnormalized_power_igf, verify_scaling_identity
 from .generating_functions import (
     LogBase,
     Measure,
@@ -525,18 +525,16 @@ def _scheme_for_curve(args: argparse.Namespace) -> UtilityInformationScheme:
         for flag in [flag for flag, *_ in _FAMILIES.values()] + ["--u", "--truncation"]:
             if getattr(args, flag[2:]) is not None:
                 raise ValidationError(f"{flag} needs --family, not --input")
-        return _load_scheme(args.input, args.format)
+        scheme = _load_scheme(args.input, args.format)
+        _check_curve_work(len(scheme) - scheme.dist.probs.count(0.0), args.steps)
+        return scheme
     if args.family is not None:
         family = _family_from_args(args)
         # the check of constant_utility_scheme, made before the family is built
         u = 1.0 if args.u is None else check_open(args.u, "constant utility u", 0)
-        if family.kind is FamilyKind.UNIFORM:
-            if args.truncation is not None:
-                raise ValidationError("family 'uniform' does not take --truncation")
-            # each of its n terms is 1 / n > 0; past the cap, realize_family
-            # refuses it
-            if family.n <= MAX_REALIZED_TERMS:
-                _check_curve_work(family.n, args.steps)
+        if family.kind is FamilyKind.UNIFORM and args.truncation is not None:
+            raise ValidationError("family 'uniform' does not take --truncation")
+        _check_curve_work(nonzero_terms(family, args.truncation), args.steps)
         return constant_utility_scheme(realize_family(family, args.truncation), u)
     raise ValidationError("curve needs a scheme: pass --input or --family")
 
@@ -553,8 +551,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     measures = tuple(m for m in Measure if m in chosen)
     # the grid is checked first and built last, once the work fits
     check_curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
-    scheme = _scheme_for_curve(args)
-    _check_curve_work(len(scheme) - scheme.dist.probs.count(0.0), args.steps)
+    scheme = _scheme_for_curve(args)  # with its work checked
     ts = curve_grid(args.t_min, args.t_max, args.steps, args.extended_t)
     text = render_curve_csv(scheme, ts, measures, args.extended_t)
     try:
@@ -593,7 +590,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
         raise ValidationError("--extended-t needs --t")
     if args.t is not None:
         check_t(args.t, args.extended_t)
-    # the checks of escort_transform and constant_utility_scheme, made
+    # the checks of escort_transform and unnormalized_power_igf, made
     # before the file is read
     check_open(args.beta, "escort power beta", 0)
     u = 1.0 if args.u is None else check_open(args.u, "constant utility u", 0)
@@ -602,11 +599,9 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     # failing command leaves stdout empty
     pair = escort_transform(scheme.dist, args.beta)
     if args.t is not None:
-        escort_scheme = constant_utility_scheme(pair.normalized, u)
+        escort = pair.normalized  # at beta = 1 the powered sum is its weighted IGF under u
         try:
-            [(value,)] = curve_values(
-                escort_scheme, (args.t,), (Measure.WEIGHTED,), extended=args.extended_t
-            )
+            value = unnormalized_power_igf(escort, u, 1.0, args.t, extended=args.extended_t)
         except DomainError as exc:  # its terms are not the file's
             raise DomainError(f"escort distribution: {exc}") from None
     if args.verify_identity:

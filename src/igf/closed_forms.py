@@ -27,7 +27,7 @@ from .distributions import (
     realize_family,
 )
 from .errors import DomainError, check_int, check_open, check_real, check_t
-from .generating_functions import _exponent, _streamed_entropy, weighted_igf
+from .generating_functions import _exponent, _streamed_entropy, golomb_igf
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -82,12 +82,25 @@ def zeta(beta: float) -> float:
     rounding of a value that grows like 1/(beta-1)).
     """
     beta = check_open(beta, "zeta argument beta", 1)
+    return math.fsum([1.0, *_zeta_tail_parts(beta)])
+
+
+def _zeta_tail_parts(beta: float) -> list[float]:
+    """The parts of :func:`zeta` after its leading term 1 ** -beta = 1."""
     big = float(ZETA_SERIES_TERMS)
-    parts = [float(n) ** -beta for n in range(1, ZETA_SERIES_TERMS + 1)]
+    parts = [float(n) ** -beta for n in range(2, ZETA_SERIES_TERMS + 1)]
     parts.append(big ** (1.0 - beta) / (beta - 1.0))
     parts.append(-0.5 * big**-beta)
     parts.extend(term for term, _ in _em_corrections(beta))
-    return math.fsum(parts)
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _zeta_minus_one(beta: float) -> float:
+    """zeta(beta) - 1 for beta > 1, the fsum of the same parts as
+    :func:`zeta` without its leading 1: so it keeps the digits that
+    zeta(beta), near 1 for a large beta, rounds off."""
+    return math.fsum(_zeta_tail_parts(beta))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +239,14 @@ def beta_power_igf(beta: float, u: float, t: float) -> float:
         )
     if s == math.inf:
         return 0.0
+    if s == 1.0:  # at t = 1 the total mass, which is 1 exactly
+        return 1.0
     numerator = 1.0 if beta * s == math.inf else zeta(beta * s)
+    # zeta(beta) ** s carries s times the rounding of zeta(beta); the exp
+    # form carries s * ln zeta(beta) times one rounding, the less where
+    # zeta(beta) - 1 < 0.5, and the more above it: see the README
+    if (zm1 := _zeta_minus_one(beta)) < 0.5:
+        return numerator * math.exp(-s * math.log1p(zm1))
     try:
         return numerator / zeta(beta) ** s
     except OverflowError:
@@ -242,7 +262,9 @@ def beta_power_entropy(beta: float, u: float) -> float:
     beta = check_open(beta, "power-law exponent beta", 1)
     u = check_open(u, "constant utility u", 0)
     z = zeta(beta)
-    return _finite_entropy("power-law", u, u * (math.log(z) - beta * zeta_derivative(beta) / z))
+    # ln z from zeta(beta) - 1, whose digits z rounds off as beta grows
+    log_z = math.log1p(_zeta_minus_one(beta))
+    return _finite_entropy("power-law", u, u * (log_z - beta * zeta_derivative(beta) / z))
 
 
 def closed_form_value(
@@ -262,17 +284,24 @@ def closed_form_value(
 def direct_sum_value(
     family: ParametricFamily, u: float, t: float | None = None, *, extended: bool = False
 ) -> float:
-    """:func:`closed_form_value` summed directly: :func:`weighted_igf` at
-    ``t``, or :func:`weighted_entropy` when ``t`` is None, of ``family``
-    realized under the constant utility ``u``: the uniform family whole, the
-    power law to MAX_REALIZED_TERMS terms, the geometric family as far as
-    :func:`_geometric_truncation` says.  A family that needs more than
-    MAX_REALIZED_TERMS terms raises ValidationError before any is built."""
+    """:func:`closed_form_value` summed over ``family`` realized (the power
+    law to MAX_REALIZED_TERMS terms, the geometric one to
+    :func:`_geometric_truncation`; ValidationError first where that is more):
+    :func:`golomb_igf` at s = 1 - u * (1 - t), or the entropy under ``u``."""
     u = check_open(u, "constant utility u", 0)
     if t is not None:
         t = check_t(t, extended)
     truncation = MAX_REALIZED_TERMS  # the uniform family ignores it
     if family.kind is FamilyKind.GEOMETRIC:
         truncation = _geometric_truncation(family.p, u, t)
-    scheme = constant_utility_scheme(realize_family(family, truncation), u)
-    return _streamed_entropy(scheme) if t is None else weighted_igf(scheme, t, extended=extended)
+    dist = realize_family(family, truncation)
+    if t is not None:
+        return golomb_igf(dist, _exponent(u, t), extended=extended)
+    entropy = _streamed_entropy(constant_utility_scheme(dist, u))
+    if family.kind is FamilyKind.BETA_POWER:
+        # -ln p_1 is ln zeta(beta), which ln(1 / zeta(beta)) loses as
+        # zeta(beta) nears 1 (p_1 rounds to 1.0 past beta of about 53): the
+        # first term takes it from zeta(beta) - 1, as the closed form does
+        p1 = dist.probs[0]
+        entropy += u * p1 * (math.log1p(_zeta_minus_one(family.beta)) + math.log(p1))
+    return entropy

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AllZeroProbabilities,
@@ -358,6 +358,18 @@ def _check_truncation(truncation: int | None) -> int:
 MAX_REALIZED_TERMS = 1_000_000
 
 
+def _realized_length(family: ParametricFamily, truncation: int | None) -> int:
+    """The number of terms :func:`realize_family` builds, after its checks."""
+    n = family.n if family.kind is FamilyKind.UNIFORM else _check_truncation(truncation)
+    assert n is not None
+    if n > MAX_REALIZED_TERMS:
+        raise ValidationError(
+            f"the realized family needs at least {n} terms, "
+            f"above the cap of {MAX_REALIZED_TERMS}"
+        )
+    return n
+
+
 def realize_family(
     family: ParametricFamily, truncation: int | None = None
 ) -> ProbabilityDistribution:
@@ -370,34 +382,48 @@ def realize_family(
     family of more than MAX_REALIZED_TERMS terms raises ValidationError
     before any is built.
     """
-    n = family.n if family.kind is FamilyKind.UNIFORM else _check_truncation(truncation)
-    assert n is not None
-    if n > MAX_REALIZED_TERMS:
-        raise ValidationError(
-            f"the realized family needs at least {n} terms, "
-            f"above the cap of {MAX_REALIZED_TERMS}"
-        )
+    n = _realized_length(family, truncation)
     if family.kind is FamilyKind.UNIFORM:
         return ProbabilityDistribution((1.0 / n,) * n, Kind.COMPLETE)
+    return ProbabilityDistribution(tuple(_family_terms(family, 0, n)), Kind.GENERALIZED)
 
+
+def _family_terms(family: ParametricFamily, start: int, stop: int) -> Iterator[float]:
+    """Entries ``start`` to ``stop`` (from 0) of the realized geometric or
+    power-law ``family``: the one float expression of each entry.  The power
+    law is normalized by the full infinite-support constant, so its
+    truncated vector is generalized with mass a bit under 1."""
     if family.kind is FamilyKind.GEOMETRIC:
         p = family.p
         assert p is not None
         q = 1.0 - p
-        return ProbabilityDistribution(
-            tuple(q * p**i for i in range(n)), Kind.GENERALIZED
-        )
-
-    # power law: normalize by the full infinite-support constant, so the
-    # truncated vector is generalized with mass a bit under 1
+        return (q * p**i for i in range(start, stop))
     from .closed_forms import zeta
 
     beta = family.beta
     assert beta is not None
     z = zeta(beta)
-    return ProbabilityDistribution(
-        tuple(i ** (-beta) / z for i in range(1, n + 1)), Kind.GENERALIZED
-    )
+    return (i ** (-beta) / z for i in range(start + 1, stop + 1))
+
+
+def nonzero_terms(family: ParametricFamily, truncation: int | None = None) -> int:
+    """How many entries of ``realize_family(family, truncation)`` are
+    nonzero, without building it, and after the same checks.
+
+    Every term is positive until its float underflows to 0, and no term is
+    larger than the one before, for ``p ** i`` and ``i ** -beta`` fall
+    with i and rounding is monotonic; so the zeros are a tail, and its
+    start is found by bisection over :func:`_family_terms`, in about 20
+    entries for a million terms.
+    """
+    n = _realized_length(family, truncation)
+    if family.kind is FamilyKind.UNIFORM:
+        return n  # each is 1 / n > 0
+    lo, hi = 0, n  # entry lo is nonzero, and every entry from hi on is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if next(_family_terms(family, mid, mid + 1)) else (lo, mid)
+    return hi
 
 
 _SCHEME_KEYS = {"probabilities", "utilities", "kind", "labels"}

@@ -121,7 +121,9 @@ def unnormalized_power_igf(
     """Weighted IGF of the raw powered vector: sum_i p_i ** (beta * s).
 
     Constant utility only; s = 1 - u * (1 - t) as usual.  Zero entries
-    contribute nothing as long as their exponent stays positive.
+    contribute nothing as long as their exponent stays positive.  At
+    beta = 1 it is the weighted IGF of ``dist`` under the constant ``u``,
+    bit for bit, value and errors, without the utility vector.
     """
     u = check_open(u, "constant utility u", 0)
     beta = check_open(beta, "escort power beta", 0)

@@ -179,12 +179,18 @@ def geometric_entropy_mp(p: float, u: float):
         return -u * (big_p * mpmath.log(big_p) + q * mpmath.log(q)) / q
 
 
+def _power_law_dps(beta: float) -> int:
+    """Digits that keep MPMATH_DPS of zeta(beta) - 1, about 2 ** -beta, in
+    the zeta(beta) that the power-law references below take."""
+    return MPMATH_DPS + math.ceil(beta * math.log10(2.0))
+
+
 def beta_power_igf_mp(beta: float, u: float, t: float):
     """The power-law family's weighted IGF zeta(beta * s) / zeta(beta) ** s,
     in mpmath, with s = 1 - u * (1 - t)."""
     import mpmath
 
-    with mpmath.workdps(MPMATH_DPS):
+    with mpmath.workdps(_power_law_dps(beta)):
         s = 1 - mpmath.mpf(u) * (1 - mpmath.mpf(t))
         return mpmath.zeta(beta * s) / mpmath.zeta(beta) ** s
 
@@ -194,7 +200,7 @@ def beta_power_entropy_mp(beta: float, u: float):
     u * (ln zeta(beta) - beta * zeta'(beta) / zeta(beta)), in mpmath."""
     import mpmath
 
-    with mpmath.workdps(MPMATH_DPS):
+    with mpmath.workdps(_power_law_dps(beta)):
         z = mpmath.zeta(beta)
         return u * (mpmath.log(z) - beta * mpmath.zeta(beta, 1, 1) / z)
 
@@ -202,11 +208,19 @@ def beta_power_entropy_mp(beta: float, u: float):
 def weighted_entropy_mp(probs: Sequence[float], utils: Sequence[float]):
     """The weighted entropy -sum_i u_i * p_i * ln p_i of a scheme, in
     mpmath: no factor u_i * ln p_i leaves the float range there."""
+    return weighted_moment_mp(probs, utils, 1)
+
+
+def weighted_moment_mp(probs: Sequence[float], utils: Sequence[float], r: int):
+    """The r-th weighted self-information moment
+    sum_i p_i * (-u_i * ln p_i) ** r of a scheme, in mpmath, for r >= 1."""
     import mpmath
 
     with mpmath.workdps(MPMATH_DPS):
-        return -mpmath.fsum(
-            mpmath.mpf(u) * mpmath.mpf(p) * mpmath.log(p) for p, u in zip(probs, utils) if p
+        return mpmath.fsum(
+            mpmath.mpf(p) * (-mpmath.mpf(u) * mpmath.log(p)) ** r
+            for p, u in zip(probs, utils)
+            if p
         )
 
 

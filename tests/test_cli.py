@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import gc
+import itertools
 import json
 import math
 import os
@@ -340,6 +341,18 @@ class TestMoments:
         assert (code, out) == (3, "0\t1\n1\t2.30258509299e+307\n")
         assert err == "error: term 0 overflows: (1e+308 * ln 0.1) ** 2\n"
 
+    def test_an_order_whose_factor_overflows_is_summed_scaled(self, capsys, tmp_path):
+        # (1e200 * ln 1e-300) ** 2 is past the float range, but times 1e-300
+        # it is 4.7717082994305580e105 (mpmath): order 2 was refused with
+        # exit 3.  Order 3, about 3.3e308, is past the float range
+        path = tmp_path / "big_factor.json"
+        path.write_text(json.dumps({"probabilities": [1e-300, 1.0], "utilities": [1e200, 1]}))
+        code, out, err = run(capsys, "moments", "--input", str(path), "--r-max", "2")
+        assert (code, out.splitlines()[-1], err) == (0, "2\t4.77170829943e+105", "")
+        code, out, err = run(capsys, "moments", "--input", str(path), "--r-max", "3")
+        assert (code, out.splitlines()[-1]) == (3, "2\t4.77170829943e+105")
+        assert err == "error: term 0 overflows: (1e+200 * ln 1e-300) ** 3\n"
+
     @pytest.mark.parametrize("bad", ["0", "9", "-1"])
     def test_r_max_outside_declared_range_is_exit_2(self, capsys, half_half, bad):
         code, _, err = run(capsys, "moments", "--input", half_half, "--r-max", bad)
@@ -530,18 +543,23 @@ class TestCurve:
         (["--input", "SCHEME"], 200),
         (["--family", "geometric", "--p", "0.5", "--truncation", "1000"], 1000),
         (["--family", "beta-power", "--beta", "2", "--truncation", "1000"], 1000),
+        # q * p ** i underflows from i = 1074 on; no i ** -2 / zeta(2) does
+        (["--family", "geometric", "--p", "0.5", "--truncation", "1000000"], 1074),
+        (["--family", "beta-power", "--beta", "2", "--truncation", "1000000"], 1000000),
     ])
     def test_work_is_refused_before_the_grid_for_every_source(
         self, capsys, monkeypatch, tmp_path, source, terms
     ):
-        # the nonzero count needs the scheme, but not the grid (32 MB at a
-        # million points), which is built only once the work fits
+        # the nonzero count of --input needs the scheme, but not the grid
+        # (32 MB at a million points), which is built only once the work
+        # fits; that of a family is taken before the family is built
         def unbuilt(*args, **kwargs):
-            raise AssertionError("the grid was built")
+            raise AssertionError("the grid or the family was built")
 
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"probabilities": [0.005] * 200 + [0.0]}))
         monkeypatch.setattr(cli, "curve_grid", unbuilt)
+        monkeypatch.setattr(cli, "realize_family", unbuilt)
         out_path = tmp_path / "curve.csv"
         argv = [str(path) if arg == "SCHEME" else arg for arg in source]
         got = run(capsys, "curve", *argv, "--steps", "1000000", "--out", str(out_path))
@@ -838,15 +856,18 @@ class TestClosedForm:
 
     def test_beta_power_check_entropy_skips_zero_terms(self, capsys):
         # p_i = i**-400 / zeta(400) is 0 from i = 8 on, where 0 * log 0
-        # would make the direct sum nan
+        # would make the direct sum nan.  p_1 = 1 / zeta(400) rounds to
+        # 1.0, so both sides take ln zeta(400), about 2 ** -400 and
+        # 1 / (1 + 400 ln 2) of the entropy, as log1p(zeta(400) - 1): the
+        # value is within 2.5e-17 of mpmath
         code, out, err = run(
             capsys, "closed-form", "beta-power", "--beta", "400", "--entropy",
             "--check", "--digits", "16",
         )
         assert (code, out, err) == (
             0,
-            "closed_form: 1.073710466894818e-118\n"
-            "direct: 1.073710466894818e-118\n"
+            "closed_form: 1.077583058809667e-118\n"
+            "direct: 1.077583058809667e-118\n"
             "abs_diff: 0.000000e+00\n",
             "",
         )
@@ -1092,10 +1113,14 @@ class TestEscort:
         assert lines[-1] == "PASS"
 
     def test_verify_identity_builds_the_escort_once(self, capsys, eight_two, monkeypatch):
-        # the escort and its IGF printed above feed the identity check
+        # the escort printed above feeds the identity check, and its IGF is
+        # its powered sum at beta = 1, summed at the one exponent s: beside
+        # the file's own scheme, no utility vector, no scheme and no
+        # one-point curve is built for it
         import igf.cli as cli_module
         import igf.escort as escort_module
         import igf.generating_functions as gf_module
+        from igf.distributions import UtilityDistribution, UtilityInformationScheme
 
         calls = {"escort_transform": 0, "curve_values": 0, "weighted_igf": 0}
         for name in calls:
@@ -1108,13 +1133,61 @@ class TestEscort:
             for module in (cli_module, escort_module):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
+        for cls in (UtilityDistribution, UtilityInformationScheme):
+            calls[cls.__name__] = 0
+
+            def counted_init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+                calls[_name] += 1
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
         code, out, _ = run(
             capsys, "escort", "--input", eight_two, "--beta", "2", "--u", "1",
             "--t", "2", "--verify-identity",
         )
         assert (code, out.splitlines()[-1]) == (0, "PASS")
-        # the escort's IGF is the one-point curve of eval and curve
-        assert calls == {"escort_transform": 1, "curve_values": 1, "weighted_igf": 0}
+        assert calls == {
+            "escort_transform": 1, "curve_values": 0, "weighted_igf": 0,
+            "UtilityDistribution": 1, "UtilityInformationScheme": 1,  # the file's
+        }
+
+    def test_the_escort_igf_prints_the_bytes_of_its_one_point_curve(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the escort's IGF was the one-point weighted curve of the escort
+        # under the constant u; it is now the powered sum at beta = 1, the
+        # same kernel sum: same stdout, stderr and exit code, errors included
+        import igf.cli as cli_module
+        from igf import Measure, constant_utility_scheme, curve_values
+
+        def one_point_curve(dist, u, beta, t, *, extended=False):
+            assert beta == 1.0
+            scheme = constant_utility_scheme(dist, u)
+            [(value,)] = curve_values(scheme, (t,), (Measure.WEIGHTED,), extended=extended)
+            return value
+
+        docs = [
+            {"probabilities": [0.5, 0.0, 0.25, 0.0, 0.25]},
+            {"probabilities": [1e-300, 0.0, 1.0]},
+            {"probabilities": [5e-324, 1e-310, 0.5, 0.5]},
+            {"probabilities": [1e-160, 2.3e-160, 7.7e-161], "kind": "generalized"},
+        ]
+        outcomes = set()
+        for k, doc in enumerate(docs):
+            path = tmp_path / f"s{k}.json"
+            path.write_text(json.dumps(doc))
+            for beta, t, u, flags in itertools.product(
+                ["0.5", "2"], ["1", "0.5", "-1", "inf", "-inf", "1500"],
+                ["1", "1e300"], [[], ["--extended-t"], ["--verify-identity"]],
+            ):
+                argv = ["escort", "--input", str(path), "--beta", beta, f"--t={t}", "--u", u,
+                        "--digits", "17", *flags]
+                got = run(capsys, *argv)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli_module, "unnormalized_power_igf", one_point_curve)
+                    assert got == run(capsys, *argv), argv
+                outcomes.add((got[0], got[2][:27]))
+        assert {(0, ""), (3, "error: escort distribution:")} <= outcomes
 
     def test_verify_identity_needs_t(self, capsys, eight_two):
         code, _, err = run(

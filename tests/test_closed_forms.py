@@ -351,6 +351,55 @@ class TestBetaPower:
         assert abs(beta_power_entropy(2.0, 1.0) - weighted_entropy(scheme)) <= 1e-4
 
 
+#: The README's relative budgets for the power-law closed forms, for beta
+#: from 1.001 to 1000 and s = 1 - u * (1 - t) from 1 to 1e12: the entropy's,
+#: and the IGF's where its value is a normal float.
+BETA_POWER_ENTROPY_RTOL = 1e-15
+BETA_POWER_IGF_RTOL = 2.5e-13
+
+
+class TestBetaPowerRelativeBudget:
+    """Where beta is large the value is small and zeta(beta) is near 1:
+    ln zeta(beta) and zeta(beta) ** s are taken from zeta(beta) - 1."""
+
+    @pytest.mark.parametrize("beta", [20.0, 40.0, 60.0, 100.0, 400.0, 1000.0])
+    def test_entropy_at_large_beta(self, beta):
+        # relative errors were 4.3e-12, 3.1e-9, 2.3% and 1.4% at 20 to 100
+        pytest.importorskip("mpmath")
+        ref = oracles.beta_power_entropy_mp(beta, 1.0)
+        assert oracles.relative_error(beta_power_entropy(beta, 1.0), ref) <= BETA_POWER_ENTROPY_RTOL
+
+    @pytest.mark.parametrize("beta, t", [(30.0, 1e6), (20.0, 1e8), (60.0, 1e12)])
+    def test_igf_at_large_s(self, beta, t):
+        # relative errors were 2.7e-11, 6.1e-9 and 8.7e-7
+        pytest.importorskip("mpmath")
+        ref = oracles.beta_power_igf_mp(beta, 1.0, t)
+        assert oracles.relative_error(beta_power_igf(beta, 1.0, t), ref) <= BETA_POWER_IGF_RTOL
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.floats(-3.0, 3.0), st.floats(0.0, 12.0), st.sampled_from([0.5, 1.0, 3.0]))
+    def test_both_forms_within_budget(self, log_beta_minus_one, log_s, u):
+        pytest.importorskip("mpmath")
+        beta, s = 1.0 + 10.0**log_beta_minus_one, 10.0**log_s
+        t = 1.0 + (s - 1.0) / u
+        ref = oracles.beta_power_entropy_mp(beta, u)
+        assert oracles.relative_error(beta_power_entropy(beta, u), ref) <= BETA_POWER_ENTROPY_RTOL
+        value = beta_power_igf(beta, u, t)
+        if value >= 2.2250738585072014e-308:
+            ref = oracles.beta_power_igf_mp(beta, u, t)
+            assert oracles.relative_error(value, ref) <= BETA_POWER_IGF_RTOL
+
+    @pytest.mark.parametrize("beta, value", [
+        (1.001, 1000.5772884760116), (1.5, 2.6123753486854886), (2.0, 1.6449340668482264),
+        (3.0, 1.2020569031595942), (20.0, 1.0000009539620338), (60.0, 1.0),
+    ])
+    def test_zeta_keeps_its_bits(self, beta, value):
+        # zeta(beta) - 1 is the fsum of the parts of zeta after its leading
+        # 1, and zeta the fsum of all of them, as before
+        assert zeta(beta) == value
+        assert math.fsum([1.0, closed_forms._zeta_minus_one(beta)]) == value
+
+
 class TestClosedFormsAgainstRealizedFamilies:
     """Each closed form matches the truncated family it describes, to a
     tolerance driven by the analytic truncation tail."""
@@ -460,6 +509,41 @@ class TestClosedFormAndDirectSum:
         [scheme] = schemes
         assert scheme._logs is None
         assert repr(value) == repr(weighted_entropy(scheme))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("u, t, extended", [
+        (1.5, 2.0, False), (0.5, math.inf, False), (2.0, 0.75, True), (1e-300, 3.0, False),
+    ])
+    def test_direct_igf_builds_no_scheme(self, monkeypatch, family, u, t, extended):
+        # the weighted IGF under the constant u is Golomb's at the one
+        # exponent s = 1 - u * (1 - t): the same floats and the same sum as
+        # weighted_igf of the realized scheme, which is not built
+        from igf.distributions import UtilityDistribution, UtilityInformationScheme
+
+        truncation = closed_forms.MAX_REALIZED_TERMS
+        if family.kind is closed_forms.FamilyKind.GEOMETRIC:
+            truncation = closed_forms._geometric_truncation(family.p, u, t)
+        scheme = constant_utility_scheme(realize_family(family, truncation), u)
+        expected = repr(weighted_igf(scheme, t, extended=extended))
+        built = []
+        for cls in (UtilityDistribution, UtilityInformationScheme):
+            def counted_init(self, *args, _real=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        assert repr(direct_sum_value(family, u, t, extended=extended)) == expected
+        assert built == []
+
+    @pytest.mark.parametrize("beta", [20.0, 40.0, 60.0, 100.0, 400.0])
+    def test_direct_power_law_entropy_keeps_its_first_term(self, beta):
+        # p_1 = 1 / zeta(beta) rounds to 1.0 from beta of about 53 on, and
+        # ln p_1 lost digits before that: the direct sum was 2.3% low at
+        # beta = 60; its first term takes ln zeta(beta) from zeta(beta) - 1
+        pytest.importorskip("mpmath")
+        family = ParametricFamily.beta_power(beta)
+        ref = oracles.beta_power_entropy_mp(beta, 1.0)
+        assert oracles.relative_error(direct_sum_value(family, 1.0), ref) <= BETA_POWER_ENTROPY_RTOL
 
     def test_geometric_direct_sum_refuses_a_divergent_exponent(self):
         with pytest.raises(DomainError, match="geometric series diverges"):

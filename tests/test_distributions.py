@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -39,7 +39,7 @@ from igf import (
     scheme_to_dict,
     zeta,
 )
-from igf.distributions import MAX_REALIZED_TERMS
+from igf.distributions import MAX_REALIZED_TERMS, nonzero_terms
 
 
 class TestProbabilityDistribution:
@@ -352,6 +352,45 @@ class TestRealizeFamily:
     def test_the_cap_itself_is_realized(self):
         dist = realize_family(ParametricFamily.uniform(MAX_REALIZED_TERMS))
         assert len(dist) == MAX_REALIZED_TERMS
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.floats(-300.0, -1e-3).map(lambda x: ParametricFamily.geometric(10.0**x)),
+            st.floats(0.999, 1.0, exclude_max=True).map(ParametricFamily.geometric),
+            st.floats(1.0, 1.001, exclude_min=True).map(ParametricFamily.beta_power),
+            st.floats(1.001, 1075.0).map(ParametricFamily.beta_power),
+            # 2 ** -beta underflows: every term after the first is 0
+            st.floats(1076.0, 1e300).map(ParametricFamily.beta_power),
+            st.integers(1, 1000).map(ParametricFamily.uniform),
+        ),
+        st.integers(1, 20_000),
+    )
+    @example(family=ParametricFamily.geometric(0.5), truncation=MAX_REALIZED_TERMS)
+    @example(family=ParametricFamily.geometric(0.99), truncation=100_000)
+    @example(family=ParametricFamily.beta_power(1.0 + 2**-52), truncation=MAX_REALIZED_TERMS)
+    @example(family=ParametricFamily.beta_power(60.0), truncation=MAX_REALIZED_TERMS)
+    def test_nonzero_terms_counts_the_realized_nonzeros(self, family, truncation):
+        # the count is taken by bisection, without the family; the
+        # uniform family ignores the truncation
+        probs = realize_family(family, truncation).probs
+        assert nonzero_terms(family, truncation) == len(probs) - probs.count(0.0)
+
+    @pytest.mark.parametrize(
+        "family, truncation, error",
+        [
+            (ParametricFamily.uniform(MAX_REALIZED_TERMS + 1), None, ValidationError),
+            (ParametricFamily.geometric(0.5), MAX_REALIZED_TERMS + 1, ValidationError),
+            (ParametricFamily.geometric(0.5), None, TruncationRequired),
+            (ParametricFamily.beta_power(2.0), 0, InvalidParameter),
+        ],
+    )
+    def test_nonzero_terms_refuses_what_realize_family_refuses(self, family, truncation, error):
+        with pytest.raises(error) as counted:
+            nonzero_terms(family, truncation)
+        with pytest.raises(error) as built:
+            realize_family(family, truncation)
+        assert str(counted.value) == str(built.value)
 
     def test_beta_power_large_truncation_matches_formula(self):
         trunc = 200_000

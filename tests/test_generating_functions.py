@@ -442,18 +442,31 @@ _BIG_UTILITY = st.one_of(
 )
 
 
+def _factor(w, p, r):
+    """(w * ln p) ** r, inf where it overflows."""
+    try:
+        return (w * math.log(p)) ** r
+    except OverflowError:
+        return math.inf
+
+
 def _scaled_sum(probs, exps, weights, r):
-    """For r >= 1 where some w_i * ln p_i overflows: the fsum of
+    """For r >= 1 where some (w_i * ln p_i) ** r overflows: the fsum of
     (w_i * 2 ** -k * ln p_i) ** r * p_i ** e_i over the nonzero entries,
-    with k putting the largest of their weights below 2 ** 1000, times
-    2 ** (k * r).  None where no such factor overflows, or where a scaled
-    term or that value is not finite."""
+    with k putting the largest of their weights below 2 ** 1000 at r = 1,
+    and above it the largest 2 ** (bits of w_i + bits of ln p_i) at
+    2 ** (1023 // r), times 2 ** (k * r).  None where no such factor
+    overflows, or where a scaled term or that value is not finite."""
     if not r or weights is None:
         return None
     kept = [(p, e, w) for p, e, w in zip(probs, exps, weights) if p]
-    if all(math.isfinite(w * math.log(p)) for p, _, w in kept):
+    if all(math.isfinite(_factor(w, p, r)) for p, _, w in kept):
         return None
-    k = math.frexp(max(w for _, _, w in kept))[1] - 1000
+    if r == 1:
+        k = math.frexp(max(w for _, _, w in kept))[1] - 1000
+    else:
+        bits = [math.frexp(w)[1] + math.frexp(math.log(p))[1] for p, _, w in kept]
+        k = max(bits) - 1023 // r
     try:
         terms = [(w * 2.0**-k * math.log(p)) ** r * p**e for p, e, w in kept]
         s = math.ldexp(math.fsum(terms), k * r)
@@ -489,10 +502,7 @@ def _first_fault(probs, exps, weights, r):
                 return f"term {i} overflows: {w!r} * {p!r} ** {e!r}"
             terms.append(w * power)
         elif p:
-            try:
-                factor = (w * math.log(p)) ** r
-            except OverflowError:
-                factor = math.inf
+            factor = _factor(w, p, r)
             if not math.isfinite(factor):
                 return f"term {i} overflows: ({w!r} * ln {p!r}) ** {r}"
             if not math.isfinite(factor * power):
@@ -798,9 +808,18 @@ class TestLogWeightCache:
             assert repr(_outcome(plain)) == repr(_outcome(weighted))
 
     def test_a_plain_overflow_names_the_unit_utility(self):
+        # (ln 1e-10) ** 300 * 1e-10 is about 1e398, past the float range
         with pytest.raises(DomainError) as info:
-            self_information_moment(make_generalized([5e-324, 0.5]), 110)
-        assert str(info.value) == "term 0 overflows: (1.0 * ln 5e-324) ** 110"
+            self_information_moment(make_generalized([1e-10, 0.5]), 300)
+        assert str(info.value) == "term 0 overflows: (1.0 * ln 1e-10) ** 300"
+
+    def test_a_plain_moment_whose_factor_overflows_is_summed_scaled(self):
+        # (ln 5e-324) ** 110 is about 8e315, but times 5e-324 it is 3.9e-8:
+        # the moment is finite, and it was refused
+        probs = [5e-324, 0.5]
+        value = self_information_moment(make_generalized(probs), 110)
+        reference = oracles.weighted_moment_mp(probs, [1.0, 1.0], 110)
+        assert oracles.relative_error(value, reference) <= 444 * 2.0**-53
 
     @pytest.mark.parametrize("call, error", [
         (shannon_entropy, ValidationError),
@@ -868,6 +887,24 @@ class TestLogWeightCache:
         reference = oracles.weighted_entropy_mp([0.1, 0.9], [1e308, 1.0])
         assert oracles.relative_error(2.3025850929940454e307, reference) < 2e-16
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: weighted_self_information_moment(s, 2),
+            lambda s: weighted_igf_derivative(s, 1.0, 2),
+            lambda s: list(weighted_self_information_moments(s, range(3)))[2],
+        ],
+        ids=["moment", "derivative", "moments"],
+    )
+    def test_an_overflowing_factor_of_a_finite_order_is_summed_scaled(self, call):
+        # 1e200 * ln 1e-300 is finite, but its square is not, while the
+        # term, times 1e-300, is: order 2 was refused
+        scheme = make_scheme([1e-300, 1.0], [1e200, 1.0])
+        for _ in range(2):
+            assert call(scheme) == 4.771708299430558e105
+        reference = oracles.weighted_moment_mp([1e-300, 1.0], [1e200, 1.0], 2)
+        assert oracles.relative_error(4.771708299430558e105, reference) < 2e-16
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-300.0, 0.0), _BIG_UTILITY), min_size=1, max_size=8))
     # 1e308 * ln 8, about 2.1e308, is past the float range, and so is the
@@ -887,6 +924,27 @@ class TestLogWeightCache:
             assert reference > sys.float_info.max * (1 - 8 * 2.0**-53)
         else:
             assert abs(value - reference) <= 8 * 2.0**-53 * reference
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(-300.0, 0.0), _BIG_UTILITY), min_size=1, max_size=8),
+        st.integers(2, 8),
+    )
+    @example(entries=[(0.0, 1e308)] * 8, r=8)
+    def test_a_moment_is_refused_only_past_the_float_range(self, entries, r):
+        # the entropy's property at orders 2 to 8: the r-th root of u up to
+        # 1e308, so that each (u ln p) ** r spans the range u ln p spans at
+        # r = 1, and a few roundings per order
+        probs = [10.0**x / len(entries) for x, _ in entries]
+        utils = [u ** (1.0 / r) for _, u in entries]
+        reference = oracles.weighted_moment_mp(probs, utils, r)
+        budget = (4 * r + 4) * 2.0**-53
+        try:
+            value = weighted_self_information_moment(make_scheme(probs, utils, generalized=True), r)
+        except DomainError:
+            assert reference > sys.float_info.max * (1 - budget)
+        else:
+            assert abs(value - reference) <= budget * reference
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_schemes(), st.sampled_from(["varied", "unit", "constant"]))
