@@ -8,9 +8,10 @@ through the shared exponent s = 1 - u * (1 - t):
 * power law, p_i = i**-beta / zeta(beta):  IGF = zeta(beta * s) / zeta(beta) ** s,
   entropy = u * (ln zeta(beta) - beta * zeta'(beta) / zeta(beta))
 
-The zeta values come from a short series with an Euler-Maclaurin tail,
-in plain Python rather than an external special-function library, so the
-error budget is explicit and pinned by tests.
+zeta, zeta - 1 and zeta' are sums over one short series with an
+Euler-Maclaurin tail, each part yielded with its beta-derivative, in plain
+Python rather than an external special-function library, so the error
+budget is explicit and pinned by tests.
 """
 
 from __future__ import annotations
@@ -48,23 +49,36 @@ _EM_COEFFS = tuple(
 )
 
 
-def _em_corrections(beta: float) -> Iterator[tuple[float, float]]:
-    """The Bernoulli corrections of :func:`zeta`, each with its log-derivative.
-
-    Yields B_2k/(2k)! * beta(beta+1)...(beta+2k-2) * N**(1-beta-2k) and
-    sum_{j<2k-1} 1/(beta+j), the beta-derivative of the log of the rising
-    product, for k = 1, 2, ... until the power of N underflows: every later
-    correction is 0, and for huge beta the rising product would overflow
-    into inf * 0 = nan.
+def _zeta_parts(beta: float) -> Iterator[tuple[float, float]]:
+    """The Euler-Maclaurin parts of :func:`zeta` after its leading 1, each
+    with that part of -zeta'(beta).  With N = ``ZETA_SERIES_TERMS``: n**-beta
+    and ln n * n**-beta for 2 <= n <= N; the tail N**(1-beta)/(beta-1) and
+    N**(1-beta) * (ln N/(beta-1) + 1/(beta-1)**2); the half term -N**-beta/2
+    and ln N times it; each correction B_2k/(2k)! * beta(beta+1)...(beta+2k-2)
+    * N**(1-beta-2k) and ln N - sum_{j<2k-1} 1/(beta+j) times it, until the
+    power of N underflows: every later one is 0, and for huge beta the
+    rising product would overflow into inf * 0 = nan.
     """
     big = float(ZETA_SERIES_TERMS)
+    log_big = math.log(big)
+    for n in range(2, ZETA_SERIES_TERMS + 1):
+        term = float(n) ** -beta
+        yield term, math.log(n) * term
+    tail = big ** (1.0 - beta)
+    # once the power underflows, (beta - 1) ** 2 may overflow
+    yield tail / (beta - 1.0), (
+        tail * (log_big / (beta - 1.0) + 1.0 / (beta - 1.0) ** 2) if tail else 0.0
+    )
+    half = big**-beta
+    yield -0.5 * half, -0.5 * log_big * half
     rising = beta
     harmonic = 1.0 / beta
     power = big ** (-beta - 1.0)
     for k, coeff in enumerate(_EM_COEFFS, start=1):
         if not power:
             return
-        yield coeff * rising * power, harmonic
+        term = coeff * rising * power
+        yield term, term * (log_big - harmonic)
         rising *= (beta + 2 * k - 1) * (beta + 2 * k)
         harmonic += 1.0 / (beta + 2 * k - 1) + 1.0 / (beta + 2 * k)
         power /= big * big
@@ -72,27 +86,13 @@ def _em_corrections(beta: float) -> Iterator[tuple[float, float]]:
 
 @lru_cache(maxsize=None)
 def zeta(beta: float) -> float:
-    """Riemann zeta on the real axis, for beta > 1.
-
-    Euler-Maclaurin summation with N = ``ZETA_SERIES_TERMS``:
-    sum(n**-beta, n <= N) + N**(1-beta)/(beta-1) - N**-beta/2
-    + sum_k B_2k/(2k)! * beta(beta+1)...(beta+2k-2) * N**(1-beta-2k),
-    all added with ``math.fsum``.  Absolute error is below 1e-12 for
-    beta >= 1.001 (the remainder is negligible; what is left is float
+    """Riemann zeta on the real axis, for beta > 1: the ``math.fsum`` of 1
+    and the parts of :func:`_zeta_parts`.  Absolute error is below 1e-12
+    for beta >= 1.001 (the remainder is negligible; what is left is float
     rounding of a value that grows like 1/(beta-1)).
     """
     beta = check_open(beta, "zeta argument beta", 1)
-    return math.fsum([1.0, *_zeta_tail_parts(beta)])
-
-
-def _zeta_tail_parts(beta: float) -> list[float]:
-    """The parts of :func:`zeta` after its leading term 1 ** -beta = 1."""
-    big = float(ZETA_SERIES_TERMS)
-    parts = [float(n) ** -beta for n in range(2, ZETA_SERIES_TERMS + 1)]
-    parts.append(big ** (1.0 - beta) / (beta - 1.0))
-    parts.append(-0.5 * big**-beta)
-    parts.extend(term for term, _ in _em_corrections(beta))
-    return parts
+    return math.fsum([1.0, *(part for part, _ in _zeta_parts(beta))])
 
 
 @lru_cache(maxsize=None)
@@ -100,28 +100,16 @@ def _zeta_minus_one(beta: float) -> float:
     """zeta(beta) - 1 for beta > 1, the fsum of the same parts as
     :func:`zeta` without its leading 1: so it keeps the digits that
     zeta(beta), near 1 for a large beta, rounds off."""
-    return math.fsum(_zeta_tail_parts(beta))
+    return math.fsum(part for part, _ in _zeta_parts(beta))
 
 
 @lru_cache(maxsize=None)
 def zeta_derivative(beta: float) -> float:
-    """d(zeta)/d(beta) = -sum_i ln(i) * i**-beta, for beta > 1.
-
-    The beta-derivative of every term in :func:`zeta`: the integral tail
-    becomes N**(1-beta) * (ln N/(beta-1) + 1/(beta-1)**2) and the k-th
-    correction picks up a factor ln N - sum_{j<2k-1} 1/(beta+j).  Absolute
-    error is below 1e-10 for beta >= 1.01.
-    """
+    """d(zeta)/d(beta) = -sum_i ln(i) * i**-beta, for beta > 1, from the
+    derivative parts of :func:`_zeta_parts`.  Absolute error is below 1e-10
+    for beta >= 1.01."""
     beta = check_open(beta, "zeta_derivative argument beta", 1)
-    big = float(ZETA_SERIES_TERMS)
-    log_big = math.log(big)
-    parts = [math.log(n) * float(n) ** -beta for n in range(2, ZETA_SERIES_TERMS + 1)]
-    tail = big ** (1.0 - beta)
-    if tail:  # once the power underflows, (beta - 1) ** 2 may overflow
-        parts.append(tail * (log_big / (beta - 1.0) + 1.0 / (beta - 1.0) ** 2))
-    parts.append(-0.5 * log_big * big**-beta)
-    parts.extend(term * (log_big - harmonic) for term, harmonic in _em_corrections(beta))
-    return -math.fsum(parts)
+    return -math.fsum(slope for _, slope in _zeta_parts(beta))
 
 
 def uniform_igf(n: int, u: float, t: float) -> float:

@@ -16,6 +16,7 @@ relative tolerance ``SCALING_IDENTITY_RTOL``.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import repeat
 from operator import truediv
 from typing import Iterator, Sequence
@@ -167,7 +168,9 @@ def verify_scaling_identity(
     ulps.  A caller that already holds the escort pair of ``dist`` under
     ``beta`` and its weighted IGF at (u, t) passes both as ``escort=(pair,
     escort_igf)``, which saves two of those passes.  A powered sum or a
-    ``mass ** s`` that is not finite raises DomainError.
+    ``mass ** s`` that is not finite raises DomainError, and so do two
+    sides that are both below the normal range (0 or subnormal), whose
+    agreement would pass vacuously.
     """
     u = check_open(u, "constant utility u", 0)
     beta = check_open(beta, "escort power beta", 0)
@@ -184,6 +187,11 @@ def verify_scaling_identity(
     if not math.isfinite(scale):
         raise DomainError(f"escort mass {pair.mass!r} ** {s!r} overflows")
     rhs = escort_igf * scale
+    if max(abs(lhs), abs(rhs)) < sys.float_info.min:
+        raise DomainError(
+            f"both sides of the scaling identity are below the normal range, "
+            f"lhs {lhs!r} and rhs {rhs!r}: their agreement shows nothing"
+        )
     abs_diff = abs(lhs - rhs)
     passed = abs_diff <= SCALING_IDENTITY_RTOL * max(abs(lhs), abs(rhs))
     return ScalingIdentityReport(lhs=lhs, rhs=rhs, abs_diff=abs_diff, passed=passed)

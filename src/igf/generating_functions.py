@@ -167,9 +167,8 @@ def _rescaled_sum(
     """The :func:`_term_sums` sum of spec ``(scheme, r)`` whose factor
     ``(u_i * ln p_i) ** r`` overflows for some finite u_i, although the
     terms may not: summed with every u_i scaled by 2 ** -k, which is exact
-    outside the subnormal range, and scaled back by 2 ** (k * r).  At
-    r = 1, k takes the largest u_i below 2 ** 1000; above, it takes the
-    largest |u_i * ln p_i| below 2 ** (1023 // r), from the binary
+    outside the subnormal range, and scaled back by 2 ** (k * r).  k takes
+    the largest |u_i * ln p_i| below 2 ** (1023 // r), from the binary
     exponents of both factors.  So no scaled factor overflows, and the
     largest is near the float range, far above the terms that underflow.
     None where no factor overflowed, or where a scaled term or the value is
@@ -182,13 +181,10 @@ def _rescaled_sum(
         pass
     nonzero = partial(compress, selectors=probs)
     utils = scheme.util.utils
-    if r == 1:
-        k = math.frexp(max(nonzero(utils)))[1] - 1000
-    else:
-        k = max(
-            math.frexp(u)[1] + math.frexp(math.log(p))[1]
-            for p, u in zip(nonzero(probs), nonzero(utils))
-        ) - 1023 // r
+    k = max(
+        math.frexp(u)[1] + math.frexp(math.log(p))[1]
+        for p, u in zip(nonzero(probs), nonzero(utils))
+    ) - 1023 // r
     scaled = map(mul, nonzero(utils), repeat(math.ldexp(1.0, -k)))
     a = map(mul, scaled, map(math.log, nonzero(probs)))
     pows = nonzero(probs) if exps is None else map(pow, nonzero(probs), nonzero(exps))

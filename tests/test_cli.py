@@ -1229,6 +1229,19 @@ class TestEscort:
             "lhs: 6.66085547667e-117", "rhs: 0", "abs_diff: 6.660855e-117", "FAIL",
         ]
 
+    @pytest.mark.parametrize("t", ["1500", "2000", "inf"])
+    def test_an_identity_of_two_zero_sides_is_exit_3(self, capsys, tmp_path, t):
+        # both sides underflow to 0: they printed lhs: 0, rhs: 0 and PASS
+        path = tmp_path / "three_seven.json"
+        path.write_text(json.dumps({"probabilities": [0.3, 0.7]}))
+        assert run(
+            capsys, "escort", "--input", str(path), "--beta", "2", "--t", t, "--verify-identity"
+        ) == (
+            3, "",
+            "error: both sides of the scaling identity are below the normal range, "
+            "lhs 0.0 and rhs 0.0: their agreement shows nothing\n",
+        )
+
     def test_bad_beta_is_exit_2(self, capsys, eight_two):
         code, _, _ = run(capsys, "escort", "--input", eight_two, "--beta", "0")
         assert code == 2
@@ -2570,6 +2583,28 @@ class TestFlagsBeforeInput:
     ])
     def test_t_and_grid_errors_first(self, capsys, argv, code, message):
         assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    CAP = "the realized family needs at least {} terms, above the cap of 1000000"
+
+    # the order is checked before the file is read, and the cap on a
+    # realized family before its term generator or its distribution runs
+    @pytest.mark.parametrize("argv, message", [
+        (["moments", "--input", "big.json", "--r-max", "0"], "--r-max must be in 1..8, got 0"),
+        (["moments", "--input", "big.json", "--r-max", "9"], "--r-max must be in 1..8, got 9"),
+        (["closed-form", "uniform", "--n", "2000000", "--t", "2", "--check"],
+         CAP.format(2000000)),
+        (["closed-form", "geometric", "--p", "0.99999999", "--t", "2", "--check"],
+         CAP.format(540988911)),
+        (["closed-form", "geometric", "--p", "0.99999999", "--entropy", "--check"],
+         CAP.format(1048576)),
+    ])
+    def test_order_and_cap_errors_first(self, capsys, monkeypatch, argv, message):
+        def unbuilt(*args):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(distributions, "_family_terms", unbuilt)
+        monkeypatch.setattr(distributions, "ProbabilityDistribution", unbuilt)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

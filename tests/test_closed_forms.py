@@ -125,6 +125,36 @@ class TestZetaDerivative:
         assert beta_power_entropy(beta, 1.0) == 0.0
 
 
+class TestZetaSeriesBits:
+    """zeta, zeta - 1 and zeta' are fsums over the parts of one series, each
+    yielded with its beta-derivative; their bits are pinned as ``float.hex``
+    from the evaluators that wrote the series out once for zeta and again,
+    by hand, for zeta'."""
+
+    @pytest.mark.parametrize("beta, z, zm1, dz", [
+        (1.001, "0x1.f449e496ba69fp+9", "0x1.f3c9e496ba69fp+9", "-0x1.e847fdab92e3ep+19"),
+        (1.01, "0x1.924fd060e7239p+6", "0x1.8e4fd060e7239p+6", "-0x1.387f6b1262922p+13"),
+        (1.5, "0x1.4e6250bfbd89ep+1", "0x1.9cc4a17f7b13bp+0", "-0x1.f753a1b8262bbp+1"),
+        (2.0, "0x1.a51a6625307d3p+0", "0x1.4a34cc4a60fa6p-1", "-0x1.e00653256ab8ap-1"),
+        (2.185, "0x1.800c3015bbaa2p+0", "0x1.0018602b77544p-1", "-0x1.4da78dfb47997p-1"),
+        (3.0, "0x1.33ba004f00621p+0", "0x1.9dd002780310ap-3", "-0x1.95c3362d62a34p-3"),
+        (20.0, "0x1.000010013c594p+0", "0x1.0013c594466eap-20", "-0x1.630faac3801a9p-21"),
+        (60.0, "0x1.0000000000000p+0", "0x1.000000001de75p-60", "-0x1.62e42fefe5537p-61"),
+        (400.0, "0x1.0000000000000p+0", "0x1.0000000000000p-400", "-0x1.62e42fefa39efp-401"),
+        (1075.0, "0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0"),
+        (1e20, "0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0"),
+        (1e300, "0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0"),
+    ])
+    def test_float_hex_is_pinned(self, beta, z, zm1, dz):
+        assert zeta(beta).hex() == z
+        assert closed_forms._zeta_minus_one(beta).hex() == zm1
+        assert zeta_derivative(beta).hex() == dz
+
+    def test_the_three_stay_cached(self):
+        for evaluator in (zeta, closed_forms._zeta_minus_one, zeta_derivative):
+            assert callable(evaluator.cache_clear) and callable(evaluator.cache_info)
+
+
 class TestZetaAgainstMpmath:
     """The README budgets: zeta within 1e-12 absolute for beta >= 1.001,
     zeta' within 1e-10 absolute for beta >= 1.01."""

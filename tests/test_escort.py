@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -257,9 +258,25 @@ class TestScalingIdentity:
         assert report.lhs == pytest.approx(6.66085547667e-117, rel=1e-11)
         assert (report.rhs, report.passed) == (0.0, False)
 
-    def test_two_sides_that_are_both_zero_agree(self):
-        report = verify_scaling_identity(make_complete([0.3, 0.7]), 1.0, 2.0, 2000.0)
-        assert (report.lhs, report.rhs, report.passed) == (0.0, 0.0, True)
+    @pytest.mark.parametrize("t, lhs, rhs", [
+        (1000.0, "1.57065220561795e-310", "1.5706522056179e-310"),
+        (1500.0, "0.0", "0.0"),
+        (2000.0, "0.0", "0.0"),
+        (math.inf, "0.0", "0.0"),
+    ])
+    def test_two_sides_below_the_normal_range_are_a_domain_error(self, t, lhs, rhs):
+        # 0 and 0 passed, as did two subnormals: an agreement that shows
+        # nothing about the identity
+        with pytest.raises(DomainError) as info:
+            verify_scaling_identity(make_complete([0.3, 0.7]), 1.0, 2.0, t)
+        assert str(info.value) == (
+            f"both sides of the scaling identity are below the normal range, "
+            f"lhs {lhs} and rhs {rhs}: their agreement shows nothing"
+        )
+
+    def test_the_last_normal_sides_still_pass(self):
+        report = verify_scaling_identity(make_complete([0.3, 0.7]), 1.0, 2.0, 990.0)
+        assert report.lhs > sys.float_info.min and report.passed
 
     @pytest.mark.parametrize(
         "beta, t, message",

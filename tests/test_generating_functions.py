@@ -453,8 +453,7 @@ def _factor(w, p, r):
 def _scaled_sum(probs, exps, weights, r):
     """For r >= 1 where some (w_i * ln p_i) ** r overflows: the fsum of
     (w_i * 2 ** -k * ln p_i) ** r * p_i ** e_i over the nonzero entries,
-    with k putting the largest of their weights below 2 ** 1000 at r = 1,
-    and above it the largest 2 ** (bits of w_i + bits of ln p_i) at
+    with k putting the largest 2 ** (bits of w_i + bits of ln p_i) at
     2 ** (1023 // r), times 2 ** (k * r).  None where no such factor
     overflows, or where a scaled term or that value is not finite."""
     if not r or weights is None:
@@ -462,11 +461,8 @@ def _scaled_sum(probs, exps, weights, r):
     kept = [(p, e, w) for p, e, w in zip(probs, exps, weights) if p]
     if all(math.isfinite(_factor(w, p, r)) for p, _, w in kept):
         return None
-    if r == 1:
-        k = math.frexp(max(w for _, _, w in kept))[1] - 1000
-    else:
-        bits = [math.frexp(w)[1] + math.frexp(math.log(p))[1] for p, _, w in kept]
-        k = max(bits) - 1023 // r
+    bits = [math.frexp(w)[1] + math.frexp(math.log(p))[1] for p, _, w in kept]
+    k = max(bits) - 1023 // r
     try:
         terms = [(w * 2.0**-k * math.log(p)) ** r * p**e for p, e, w in kept]
         s = math.ldexp(math.fsum(terms), k * r)
@@ -904,6 +900,42 @@ class TestLogWeightCache:
             assert call(scheme) == 4.771708299430558e105
         reference = oracles.weighted_moment_mp([1e-300, 1.0], [1e200, 1.0], 2)
         assert oracles.relative_error(4.771708299430558e105, reference) < 2e-16
+
+    @pytest.mark.parametrize(
+        "probs, utils, value, reference, rtol",
+        [
+            # the reference is mpmath's, rounded; k from the largest weight
+            # alone scaled the first term into the subnormal range, and the
+            # value was 8.1e-14 relative off
+            (
+                [9.181345810393197e-305, 2.4409342891402644e-269],
+                [1.1980098744600347e308, 1.3784736480985318e-38],
+                -2.081116408145078e-304,
+                -2.0811164081450780098e-304,
+                2.0**-53,
+            ),
+            # a subnormal value, whose scaled term keeps few bits; k from
+            # the largest weight alone rounded that term to 0, and the value
+            # was 0.0
+            (
+                [1.2457272552010357e-93, 1.0696905089129336e-92],
+                [3.1427912841456267e-227, 1.3667244871817535e308],
+                -8.37556e-318,
+                -8.3751251542681240e-318,
+                6e-5,
+            ),
+        ],
+        ids=["normal", "subnormal"],
+    )
+    def test_a_rescued_first_order_takes_k_from_both_factors(
+        self, probs, utils, value, reference, rtol
+    ):
+        # at r = 1 too, k keeps the largest |u_i ln p_i| below 2 ** 1023,
+        # not the largest u_i below 2 ** 1000: 13 or more binary places
+        # fewer, so fewer scaled terms fall into the subnormal range
+        result = weighted_igf_derivative(make_scheme(probs, utils, generalized=True), 3.0, 1)
+        assert result == value
+        assert abs(result - reference) <= rtol * abs(reference)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-300.0, 0.0), _BIG_UTILITY), min_size=1, max_size=8))
