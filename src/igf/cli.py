@@ -18,7 +18,8 @@ import os
 import re
 import sys
 from functools import partial
-from itertools import repeat
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
 from typing import Callable, Collection, Iterator, Sequence
 
 from .closed_forms import closed_form_value, direct_sum_value
@@ -192,22 +193,69 @@ def render_curve_csv(
 def _load_scheme(path: str | None, fmt: str) -> UtilityInformationScheme:
     if path is None:
         raise ValidationError("an --input file is required for this command")
+    return scheme_from_dict(_parse_scheme(path, fmt))
+
+
+def _parse_scheme(path: str, fmt: str, text: str | None = None) -> object:
+    """The document of the ``fmt`` ("json" or "csv") scheme file at
+    ``path``, or of its ``text`` where that is given.
+
+    A CSV text, and a JSON text above _SPLIT_PARSE characters that
+    :func:`_json_walk` cuts, is parsed in pieces by :func:`_csv_join` or
+    :func:`_json_join`, above _SPLIT_PARSE characters on two CPUs.  A text
+    read here with a descriptor (see :func:`_read_text`) is dropped once it
+    is cut: the process that parses a piece reads it back with
+    ``os.pread``, so the text is never held beside the vectors.  Any other
+    JSON text goes to ``json.loads`` whole, as does one whose pieces fail,
+    and a file whose pieces cannot be read back is read again whole: every
+    value and message is that of the whole text.
+    """
+    fd = -1
+    if text is None:
+        text, fd = _read_text(path, pieces=True)
+    try:
+        plan = _csv_spans(text) if fmt == "csv" else None
+        if fmt == "json" and len(text) > _SPLIT_PARSE:
+            plan = _json_walk(text)
+        if plan is not None:
+            cpus = _split_cpus(len(text), _SPLIT_PARSE)
+            source, text = (text, text) if fd < 0 else (fd, None)
+            try:
+                if fmt == "csv":
+                    return _csv_join(source, plan, path, cpus)
+                return _json_join(source, *plan, cpus)
+            except _PieceFailed:
+                if text is None:
+                    text = _read_text(path)[0]
+                if fmt == "csv":
+                    return _csv_join(text, _csv_spans(text), path, cpus)
+    finally:
+        if fd >= 0:
+            os.close(fd)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _read_text(path: str, pieces: bool = False) -> tuple[str, int]:
+    """The UTF-8 text of the file at ``path``, read with universal
+    newlines, and -1.
+
+    With ``pieces``, a seekable file whose text is above _SPLIT_PARSE
+    characters and ASCII, and that holds no ``\\r`` (its ``newlines`` are
+    None or ``"\\n"``), so that its character offsets are byte offsets,
+    comes with a duplicate of its descriptor instead, where there is
+    ``os.pread`` to read it with.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+            split = pieces and len(text) > _SPLIT_PARSE and text.isascii()
+            split = split and fh.newlines in (None, "\n") and fh.seekable()
+            return text, os.dup(fh.fileno()) if split and hasattr(os, "pread") else -1
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    if fmt == "json":
-        try:
-            doc = _parse_json(text)
-        except (ValueError, RecursionError) as exc:  # malformed, too deep, or a huge int
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-    else:
-        doc = _parse_csv(text, path)
-    # at a million entries the text is as large as the parsed vectors, and
-    # nothing needs it once they are parsed
-    del text
-    return scheme_from_dict(doc)
 
 
 #: Characters of a scheme file above which it is parsed by two processes
@@ -231,114 +279,154 @@ def _cuts(text: str, sep: str, start: int, end: int, size: int = 0) -> Iterator[
         start = cut
 
 
-def _parse_json(text: str) -> object:
-    """``json.loads(text)``; above _SPLIT_PARSE characters, on two CPUs.
+#: The keys of :func:`_json_walk` whose flat arrays are parsed in pieces.
+_VECTORS = ("probabilities", "utilities")
 
-    A large text that is a JSON object is walked key by key with
-    ``JSONDecoder.raw_decode``.  A value that starts with ``[`` and holds
-    no ``"``, ``[`` or ``{`` before its first ``]`` is a flat array: its
-    elements are numbers or constants, which hold no comma, so its commas
-    are exactly its separators.  Such an array is cut by :func:`_cuts`
-    after commas, which each piece but the last drops, and each piece is
-    parsed by :func:`_parse_json_piece`, which also reads CSV chunks, in
-    this process or a forked child.  The array is valid if and only if
-    every piece is a valid non-empty array, and its elements are then the
-    pieces' elements in order.  Any other value is parsed in place.  On
-    anything else (a top level that is not an object, a duplicate key, a
-    bad separator, trailing text, a piece that fails or is empty) the whole
-    text goes to ``json.loads``, which gives its value or its error.
+
+def _json_walk(text: str) -> tuple[dict, list] | None:
+    """The object of JSON ``text`` with each flat vector empty, and ``(key,
+    span)`` for each piece of those vectors, in order; None where
+    :func:`_parse_scheme` hands the text to ``json.loads``.
+
+    The text is walked key by key.  A value of a :data:`_VECTORS` key that
+    starts with ``[`` and holds no ``"``, ``[`` or ``{`` before its first
+    ``]`` is a flat array: its elements are numbers or constants, which
+    hold no comma, so its commas are exactly its separators.  Such an array
+    is cut by :func:`_cuts` after commas, which each piece but the last
+    drops.  The array is valid if and only if every piece is a valid
+    non-empty array, and its elements are then the pieces' elements in
+    order.  Any other value is decoded in place with
+    ``JSONDecoder.raw_decode``.  A top level that is not an object, a
+    duplicate key, a bad separator or trailing text gives None.
     """
-    cpus = _split_cpus(len(text), _SPLIT_PARSE)
-    if not cpus:
-        return json.loads(text)
-    try:
-        doc, pieces = _json_walk(text)
-    except (ValueError, RecursionError):
-        return json.loads(text)
-    parts = _split_map(partial(_parse_json_piece, text), [span for _, span in pieces], cpus)
-    try:
-        for (key, _), part in zip(pieces, parts):
-            if not part:
-                break
-            doc[key] += part
-        else:
-            return doc
-    finally:
-        parts.close()
-    return json.loads(text)
-
-
-def _json_walk(text: str) -> tuple[dict, list]:
-    """The object of JSON ``text`` with each flat array value empty, and
-    ``(key, span)`` for each piece of those arrays, in order; ValueError
-    where :func:`_parse_json` hands the text to ``json.loads``."""
     space, decode = _JSON_SPACE.match, json.JSONDecoder().raw_decode
     doc: dict = {}
     pieces = []
-    i = space(text).end() + 1
-    if text[i - 1:i] != "{":
-        raise ValueError
-    sep = ","
-    while sep == ",":
-        i = space(text, i).end()
-        if text[i:i + 1] != '"':
+    try:
+        i = space(text).end() + 1
+        if text[i - 1:i] != "{":
             raise ValueError
-        key, i = decode(text, i)
-        i = space(text, i).end()
-        if key in doc or text[i:i + 1] != ":":
+        sep = ","
+        while sep == ",":
+            i = space(text, i).end()
+            if text[i:i + 1] != '"':
+                raise ValueError
+            key, i = decode(text, i)
+            i = space(text, i).end()
+            if key in doc or text[i:i + 1] != ":":
+                raise ValueError
+            i = space(text, i + 1).end()
+            close = text.find("]", i) if key in _VECTORS and text[i:i + 1] == "[" else -1
+            if close > 0 and all(text.find(c, i + 1, close) < 0 for c in '"[{'):
+                doc[key] = []
+                pieces += [(key, (a, b - (b < close))) for a, b in _cuts(text, ",", i + 1, close)]
+                i = close + 1
+            else:
+                doc[key], i = decode(text, i)
+            i = space(text, i).end()
+            sep = text[i:i + 1]
+            i += 1
+        if sep != "}" or space(text, i).end() != len(text):
             raise ValueError
-        i = space(text, i + 1).end()
-        close = text.find("]", i) if text[i:i + 1] == "[" else -1
-        if close > 0 and all(text.find(c, i + 1, close) < 0 for c in '"[{'):
-            doc[key] = []
-            pieces += [(key, (a, b - (b < close))) for a, b in _cuts(text, ",", i + 1, close)]
-            i = close + 1
-        else:
-            doc[key], i = decode(text, i)
-        i = space(text, i).end()
-        sep = text[i:i + 1]
-        i += 1
-    if sep != "}" or space(text, i).end() != len(text):
-        raise ValueError
+    except (ValueError, RecursionError):
+        return None
     return doc, pieces
 
 
-def _parse_json_piece(text: str, span: tuple[int, int] | None = None) -> list | None:
-    """The elements of ``text[start:end]``, or of all of ``text`` without a
-    ``span``, read as the inside of a JSON array, or None if that array is
-    not valid JSON (nested past the stack included)."""
+class _PieceFailed(Exception):
+    """A piece of a scheme text that cannot be read, or a JSON piece that
+    is not a valid non-empty array: the whole text gives the document."""
+
+
+def _json_join(source: str | int, doc: dict, pieces: list, cpus: Collection[int]) -> dict:
+    """``doc`` of :func:`_json_walk` with each flat vector, a tuple, which
+    the scheme takes without a copy, filled with the elements of its pieces
+    of ``source`` (see :func:`_piece`) in order, each parsed by
+    :func:`_parse_json_piece` in this process or a forked child (see
+    :func:`_split_map`); _PieceFailed if a piece fails or is empty."""
+    parts = _split_map(partial(_parse_json_piece, source), [span for _, span in pieces], cpus)
     try:
-        return json.loads("[" + (text if span is None else text[span[0]:span[1]]) + "]")
+        for key, group in groupby(pieces, itemgetter(0)):
+            doc[key] = tuple(chain.from_iterable(map(_taken, islice(parts, len(list(group))))))
+    finally:
+        parts.close()
+    return doc
+
+
+def _taken(part: list | None) -> list:
+    """``part``, the parse of a piece, unless it is None or empty: then
+    _PieceFailed."""
+    if not part:
+        raise _PieceFailed
+    return part
+
+
+def _piece(source: str | int, span: tuple[int, int]) -> str | None:
+    """``source[start:end]`` of a text ``source``; of a file descriptor,
+    those bytes, read with ``os.pread``, as ASCII text, or None if the read
+    fails, is short or is not ASCII."""
+    start, end = span
+    if isinstance(source, str):
+        return source[start:end]
+    try:
+        data = os.pread(source, end - start, start)
+        return data.decode("ascii") if len(data) == end - start else None
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+def _parse_json_piece(source: str | int, span: tuple[int, int] | None = None) -> list | None:
+    """The elements of the :func:`_piece` ``span`` of ``source``, or of all
+    of the text ``source`` without a ``span``, read as the inside of a JSON
+    array, or None if that array is not valid JSON (nested past the stack
+    included) or the piece cannot be read."""
+    text = source if span is None else _piece(source, span)
+    if text is None:
+        return None
+    try:
+        return json.loads("[" + text + "]")
     except (ValueError, RecursionError):
         return None
 
 
-def _parse_csv(text: str, path: str) -> dict[str, list]:
-    """The scheme document of CSV ``text``: a ``p,u`` row per outcome,
-    after an optional header row, the first row that is not blank.
+def _csv_spans(text: str) -> list[tuple[int, int]]:
+    """The chunks of :func:`_cuts` of the rows after the header of CSV
+    ``text``, each cut just after a newline."""
+    return list(_cuts(text, "\n", _csv_header_end(text), len(text)))
 
-    The header is found first; the rows after it are parsed in the chunks
-    of :func:`_cuts`, each cut just after a newline, so no list of every
-    row is held.  Each chunk is read whole by
-    :func:`_parse_csv_chunk`, above _SPLIT_PARSE characters every other
-    one in a forked child (see :func:`_split_map`).  This process takes the
-    values in order; the first chunk that names a bad row ends the parse
-    with a message that numbers it among the rows, header and blanks not counted.
+
+def _csv_join(source: str | int, spans: list, path: str, cpus: Collection[int]) -> dict:
+    """The scheme document of the CSV chunks ``spans`` of ``source`` (see
+    :func:`_piece`): a ``p,u`` row per outcome, after an optional header
+    row, the first row that is not blank, each vector a tuple;
+    _PieceFailed if a chunk cannot be read.
+
+    Each chunk is read whole by :func:`_parse_csv_chunk`, every other one
+    in a forked child where there are ``cpus`` (see :func:`_split_map`), so
+    no list of every row is held.  This process takes the values in order;
+    the first chunk that names a bad row ends the parse with a message that
+    numbers it among the rows, header and blanks not counted.
     """
-    probs: list = []
-    utils: list = []
-    spans = list(_cuts(text, "\n", _csv_header_end(text), len(text)))
-    cpus = _split_cpus(len(text), _SPLIT_PARSE)
-    parsed = _split_map(partial(_parse_csv_chunk, text), spans, cpus)
+    utils: list = []  # the list of each chunk
+    rows = 0
+
+    def take(chunk: tuple[list, list, str | None] | None) -> list:
+        nonlocal rows
+        if chunk is None:
+            raise _PieceFailed
+        chunk_probs, chunk_utils, error = chunk
+        utils.append(chunk_utils)
+        rows += len(chunk_probs)
+        if error is not None:
+            raise ValidationError(f"{path}: row {rows + 1} {error}")
+        return chunk_probs
+
+    parsed = _split_map(partial(_parse_csv_chunk, source), spans, cpus)
     try:
-        for chunk_probs, chunk_utils, error in parsed:
-            probs += chunk_probs
-            utils += chunk_utils
-            if error is not None:
-                raise ValidationError(f"{path}: row {len(probs) + 1} {error}")
+        probs = tuple(chain.from_iterable(map(take, parsed)))
     finally:
         parsed.close()
-    return {"probabilities": probs, "utilities": utils}
+    return {"probabilities": probs, "utilities": tuple(chain.from_iterable(utils))}
 
 
 def _csv_header_end(text: str) -> int:
@@ -352,9 +440,12 @@ def _csv_header_end(text: str) -> int:
     return 0
 
 
-def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list, str | None]:
-    """The probabilities and utilities of the CSV rows in ``text[start:end]``
-    up to the first bad one, and the message of that row after its number.
+def _parse_csv_chunk(
+    source: str | int, span: tuple[int, int]
+) -> tuple[list, list, str | None] | None:
+    """The probabilities and utilities of the CSV rows in the :func:`_piece`
+    ``span`` of ``source`` up to the first bad one, and the message of that
+    row after its number; None if the piece cannot be read.
 
     Blank rows are dropped; when every other row holds one comma, the rows
     joined by commas are read by :func:`_parse_json_piece`, as a piece of a
@@ -363,7 +454,10 @@ def _parse_csv_chunk(text: str, span: tuple[int, int]) -> tuple[list, list, str 
     gives another element or invalid JSON; the cells then read as they do
     in a JSON document.  Otherwise :func:`_parse_csv_rows` finds the bad row.
     """
-    rows = text[span[0]:span[1]].splitlines()
+    text = _piece(source, span)
+    if text is None:
+        return None
+    rows = text.splitlines()
     commas = set(map(str.count, rows, repeat(",")))
     if 0 in commas:
         rows = list(filter(str.strip, rows))
@@ -594,10 +688,12 @@ def _cmd_escort(args: argparse.Namespace) -> int:
     # before the file is read
     check_open(args.beta, "escort power beta", 0)
     u = 1.0 if args.u is None else check_open(args.u, "constant utility u", 0)
-    scheme = _load_scheme(args.input, args.format)
+    # only the distribution is kept: the utilities are freed before the
+    # escort is built
+    dist = _load_scheme(args.input, args.format).dist
     # every value is computed before the first line is printed, so a
     # failing command leaves stdout empty
-    pair = escort_transform(scheme.dist, args.beta)
+    pair = escort_transform(dist, args.beta)
     if args.t is not None:
         escort = pair.normalized  # at beta = 1 the powered sum is its weighted IGF under u
         try:
@@ -606,7 +702,7 @@ def _cmd_escort(args: argparse.Namespace) -> int:
             raise DomainError(f"escort distribution: {exc}") from None
     if args.verify_identity:
         report = verify_scaling_identity(
-            scheme.dist, u, args.beta, args.t, extended=args.extended_t, escort=(pair, value)
+            dist, u, args.beta, args.t, extended=args.extended_t, escort=(pair, value)
         )
     sys.stdout.writelines(_render_slices([("escort: ", pair.normalized.probs)], args.digits, " "))
     sys.stdout.write("\n")

@@ -225,9 +225,10 @@ class UtilityInformationScheme(_Frozen):
     dist: ProbabilityDistribution
     util: UtilityDistribution
     labels: tuple[str, ...] | None
-    #: ``u_i * ln p_i`` over the nonzero entries, or ``None`` until the
-    #: first log-weighted sum fills it; not a field.
-    _logs: list[float] | None
+    #: ``u_i * ln p_i`` over the nonzero entries, packed in an
+    #: ``array('d')``, or ``None`` until the first log-weighted sum fills
+    #: it; not a field.
+    _logs: Sequence[float] | None
 
     def __init__(
         self,

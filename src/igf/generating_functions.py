@@ -81,15 +81,18 @@ class _WeightedExponents:
 
 def _log_weights(scheme: UtilityInformationScheme, keep: bool = True) -> Iterable[float]:
     """``a_i = u_i * ln p_i`` over the nonzero entries of ``scheme``.  The
-    first call builds the list into the scheme's ``_logs`` slot and every
-    later one returns it; with ``keep`` false and no list built, they are
-    one lazy pass instead, and the slot stays empty."""
+    first call packs them into the scheme's ``_logs`` slot, an
+    ``array('d')`` of 8 bytes an entry, and every later one returns it; with
+    ``keep`` false and no array built, they are one lazy pass instead, and
+    the slot stays empty."""
     logs = scheme._logs
     if logs is None:
         probs = scheme.dist.probs
         logs = map(mul, compress(scheme.util.utils, probs), map(math.log, compress(probs, probs)))
         if keep:
-            logs = list(logs)
+            from array import array  # a process that packs no logs never imports it
+
+            logs = array("d", logs)
             _setattr(scheme, "_logs", logs)
     return logs
 
@@ -116,7 +119,8 @@ def _term_sums(
     no term, and the first sum raises.  Only exponents that reach 0 or
     below need that test, which no t >= 1 gives.  An order r > 0 drops the
     zero entries, which have no log; fsum ignores the exact zeros they
-    would add.  The powers are shared by every spec.  A sum that is not
+    would add.  The powers are shared by every spec, and each order
+    compresses them anew.  A sum that is not
     finite is summed again by :func:`_rescaled_sum` where its order r >= 1
     and a log weight overflows; otherwise it raises too: the DomainError of
     :func:`_audit`, or of the sum.
@@ -133,7 +137,6 @@ def _term_sums(
         raise _audit(probs, exps, *specs[0])
     many = len(specs) > 1  # one spec streams every pass
     pows = probs if exps is None else None
-    kept = None  # the powers of the nonzero entries
     for w, r in specs:
         try:
             if pows is None:
@@ -142,10 +145,7 @@ def _term_sums(
                     pows = list(pows)
             if r:
                 a = _log_weights(w, keep_logs or many)
-                if kept is None:
-                    kept = compress(pows, probs)
-                    kept = list(kept) if many else kept
-                terms = map(mul, a if r == 1 else map(pow, a, repeat(r)), kept)
+                terms = map(mul, a if r == 1 else map(pow, a, repeat(r)), compress(pows, probs))
             else:
                 terms = pows if w is None else map(mul, w, pows)
             s = math.fsum(terms)

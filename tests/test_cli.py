@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import errno
 import gc
 import itertools
 import json
@@ -18,6 +19,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1430,6 +1432,24 @@ class TestRenderingPasses:
         )
 
 
+def _listed(doc: object) -> object:
+    """``doc`` with each tuple vector a list, as ``json.loads`` and the CSV
+    row oracle give them."""
+    if type(doc) is not dict:
+        return doc
+    return {key: list(value) if type(value) is tuple else value for key, value in doc.items()}
+
+
+def _parse_csv(text: str, path: str) -> object:
+    """``cli._parse_scheme`` of CSV ``text``, its vectors lists."""
+    return _listed(cli._parse_scheme(path, "csv", text))
+
+
+def _parse_json(text: str) -> object:
+    """``cli._parse_scheme`` of JSON ``text``, its vectors lists."""
+    return _listed(cli._parse_scheme("s.json", "json", text))
+
+
 def _random_scheme(n: int, seed: int = 0) -> tuple[list[float], list[float]]:
     rng = np.random.default_rng(seed)
     raw = rng.random(n) + 0.5
@@ -1545,7 +1565,7 @@ class TestCsvChunks:
                 return f"error: {exc}"
 
         return (
-            outcome(cli._parse_csv, ValidationError),
+            outcome(_parse_csv, ValidationError),
             outcome(oracles.csv_scheme_rows, ValueError),
         )
 
@@ -1571,7 +1591,7 @@ class TestCsvChunks:
             raise AssertionError(f"the per-row code read {rows!r}")
 
         monkeypatch.setattr(cli, "_parse_csv_rows", refused)
-        assert cli._parse_csv(text, "f.csv") == expected
+        assert _parse_csv(text, "f.csv") == expected
 
     @pytest.mark.parametrize("chunk", range(1, 40))
     def test_every_cut_matches_the_row_loop(self, monkeypatch, row_loop, chunk):
@@ -1627,7 +1647,7 @@ class TestCsvChunks:
         text = "p,u\n" + "0.5,1\n" * 100 + "0.5,oops\n"
         last = len(list(cli._cuts(text, "\n", len("p,u\n"), len(text)))) - 1
         with pytest.raises(ValidationError) as info:
-            cli._parse_csv(text, "f.csv")
+            _parse_csv(text, "f.csv")
         assert str(info.value) == "f.csv: row 101 has non-numeric entries: '0.5,oops'"
         [(rows, by_child)] = row_loop()
         assert rows[-1] == "0.5,oops" and by_child == (self.SPLIT and last % 2 == 1)
@@ -1658,7 +1678,7 @@ class TestCsvChunks:
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError) as info:
-                cli._parse_csv(text, "f.csv")
+                _parse_csv(text, "f.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1734,7 +1754,7 @@ class TestCsvChunksSplit(TestCsvChunks):
         monkeypatch.setattr(
             cli, "_parse_csv_chunk", lambda t, span: here.append(span) or chunk(t, span)
         )
-        assert cli._parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
+        assert _parse_csv(text, "f.csv") == oracles.csv_scheme_rows(text, "f.csv")
         assert forks == [1] and len(spans) == 5 and here == spans[0::2]
 
 
@@ -1824,7 +1844,7 @@ def test_a_csv_file_reads_as_its_json_twin(capsys, tmp_path, column, cell):
     except ValueError:
         expected = None
     try:
-        assert repr(cli._parse_csv(csv_text, "s.csv")) == expected
+        assert repr(_parse_csv(csv_text, "s.csv")) == expected
     except ValidationError:
         assert expected is None
     csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
@@ -1918,16 +1938,20 @@ class TestJsonPieces:
         whole text."""
         loads, whole = json.loads, []
 
-        def outcome(parse):
+        def outcome(parse, error, prefix=""):
             try:
                 return repr(parse(text))
-            except (ValueError, RecursionError) as exc:
-                return f"{type(exc).__name__}: {exc}"
+            except error as exc:
+                return f"{prefix}{exc}"
 
         with monkeypatch.context() as patch:
             patch.setattr(json, "loads", lambda s: whole.append(s is text) or loads(s))
-            split = outcome(cli._parse_json)
-        return split, outcome(json.loads), any(whole)
+            split = outcome(_parse_json, ValidationError)
+        return (
+            split,
+            outcome(json.loads, (ValueError, RecursionError), "s.json is not valid JSON: "),
+            any(whole),
+        )
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_json_loads(self, monkeypatch, name):
@@ -1961,7 +1985,7 @@ class TestJsonPieces:
         monkeypatch.setattr(
             cli, "_parse_json_piece", lambda t, span: here.append(span) or piece(t, span)
         )
-        assert cli._parse_json(text) == json.loads(text)
+        assert _parse_json(text) == json.loads(text)
         spans = [span for _, span in cli._json_walk(text)[1]]
         assert forks == [1] and len(spans) > 20 and here == spans[0::2]
 
@@ -2026,7 +2050,9 @@ def test_json_nested_past_the_stack_is_exit_2(capsys, monkeypatch, tmp_path, for
 
 @pytest.mark.parametrize("condition", ["small", "one_cpu", "no_fork", "thread"])
 def test_a_parse_that_cannot_pay_is_serial(capsys, monkeypatch, tmp_path, forks, condition):
-    # json.loads of the whole text, and the CSV chunks in this process
+    # json.loads of a whole text, and the CSV chunks in this process; a file
+    # above _SPLIT_PARSE is walked for its pieces whatever the CPUs, and
+    # they are parsed in this process too
     probs, utils = _random_scheme(1000, seed=5)
     scheme_json, scheme_csv = tmp_path / "s.json", tmp_path / "s.csv"
     scheme_json.write_text(json.dumps({"probabilities": probs, "utilities": utils}))
@@ -2034,11 +2060,8 @@ def test_a_parse_that_cannot_pay_is_serial(capsys, monkeypatch, tmp_path, forks,
     longest = max(len(scheme_json.read_text()), len(scheme_csv.read_text()))
     monkeypatch.setattr(cli, "_SPLIT_PARSE", longest if condition == "small" else 0)
     monkeypatch.setattr(cli, "_CSV_CHUNK", 1 << 12)
-
-    def unwalked(text):
-        raise AssertionError("the JSON text was walked")
-
-    monkeypatch.setattr(cli, "_json_walk", unwalked)
+    walks, walk = [], cli._json_walk
+    monkeypatch.setattr(cli, "_json_walk", lambda text: walks.append(1) or walk(text))
     monkeypatch.setattr(os, "fork", _no_fork)
     if condition == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -2054,11 +2077,217 @@ def test_a_parse_that_cannot_pay_is_serial(capsys, monkeypatch, tmp_path, forks,
         assert run(capsys, "normalize", "--input", str(scheme_csv), "--format", "csv") == (
             0, expected, ""
         )
+        assert len(walks) == (condition != "small")
+        walks.clear()
+        # a text given is cut as a file is
+        text = scheme_json.read_text()
+        assert _parse_json(text) == json.loads(text)
+        assert len(walks) == (condition != "small")
     finally:
         stop.set()
         if condition == "thread":
             thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def _whole_text(path: str, pieces: bool = False) -> tuple[str, int]:
+    """The file read as the whole-text reader read it, with universal
+    newlines and no descriptor, for ``cli._read_text``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(), -1
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+class TestFilePieces:
+    """Above _SPLIT_PARSE characters, a file that is ASCII and holds no
+    ``\\r`` is walked and its text dropped, and each piece is read back with
+    os.pread, whatever the CPUs.  Every file, split or serial, prints the
+    bytes, message and exit code of its whole text read with universal
+    newlines; a file whose pieces fail is read again whole."""
+
+    DOC = {"probabilities": [0.5, 0.25, 0.125, 0.125], "utilities": [1, 2.5, 3, 4e0]}
+    FLAT = json.dumps(DOC)
+    PRETTY = json.dumps(DOC, indent=1)
+    ROWS = "p,u\n0.5,1\n0.25,2.5\n\n0.125,3\n0.125,4e0\n"
+    #: name: (text, format, whether its pieces are read back)
+    CASES = {
+        "json": (FLAT, "json", True),
+        "pretty": (PRETTY, "json", True),
+        "crlf": (PRETTY.replace("\n", "\r\n"), "json", False),
+        "lone_cr": (PRETTY.replace("\n", "\r"), "json", False),
+        # the message counts lines and characters of the text read
+        "crlf_bad": (PRETTY.replace("\n", "\r\n") + "\r\nx", "json", False),
+        "lone_cr_bad": (PRETTY.replace("\n", "\r") + "\rx", "json", False),
+        "bom": ("\ufeff" + FLAT, "json", False),
+        "non_ascii_label": (
+            json.dumps({**DOC, "labels": ["\u00e9", "b", "c", "d"]}, ensure_ascii=False),
+            "json", False,
+        ),
+        "empty": ("", "json", False),
+        "labels_after_the_arrays": (
+            json.dumps({**DOC, "kind": "complete", "labels": list("abcd")}), "json", True
+        ),
+        "duplicate_key": ('{"probabilities": [0.5], "probabilities": [0.5, 0.5]}', "json", False),
+        "trailing_text": (FLAT + " x", "json", False),
+        "nested_array": ('{"probabilities": [[0.5, 0.25], 0.25]}', "json", False),
+        # its second piece fails, after the first was read
+        "bad_piece": ('{"probabilities": [0.5, 0.25, 0.125, , 0.125]}', "json", True),
+        "csv": (ROWS, "csv", True),
+        "csv_crlf": (ROWS.replace("\n", "\r\n"), "csv", False),
+        "csv_lone_cr": (ROWS.replace("\n", "\r"), "csv", False),
+        "csv_mixed_cr": ("p,u\r\r\n0.5,1\r0.5,2\r\n\r", "csv", False),
+        "csv_bom": ("\ufeff" + ROWS, "csv", False),
+        "csv_non_ascii_row": ("p,u\n0.5,1\n0.5,\u0661\n", "csv", False),
+        "csv_empty": ("", "csv", False),
+        **{f"csv_bad_row_{k}": (
+            "p,u\n" + "".join("0.5,oops\n" if i == k else "0.125,1\n" for i in range(8)),
+            "csv", True,
+        ) for k in range(0, 8, 3)},
+    }
+
+    @pytest.fixture(autouse=True)
+    def pieces(self, monkeypatch):
+        # every file is cut into pieces of a few elements or rows
+        monkeypatch.setattr(cli, "_SPLIT_PARSE", -1)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 8)
+
+    @staticmethod
+    def _normalize(capsys, path, fmt):
+        return run(capsys, "normalize", "--input", str(path), "--format", fmt)
+
+    @classmethod
+    def _expected(cls, capsys, monkeypatch, path, fmt):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_text", _whole_text)
+            return cls._normalize(capsys, path, fmt)
+
+    @staticmethod
+    def _write(tmp_path, text: str):
+        path = tmp_path / "scheme"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("mode", ["split", "serial"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_prints_what_the_whole_text_prints(self, capsys, monkeypatch, tmp_path, forks,
+                                               mode, name):
+        text, fmt, read_back = self.CASES[name]
+        path = self._write(tmp_path, text)
+        expected = self._expected(capsys, monkeypatch, path, fmt)
+        forks.clear()
+        reads, pread = [], os.pread
+        monkeypatch.setattr(os, "pread", lambda *a: reads.append(a[1:]) or pread(*a))
+        if mode == "serial":
+            monkeypatch.setattr(cli, "_split_cpus", lambda work, min_work: set())
+        assert self._normalize(capsys, path, fmt) == expected
+        # the child's reads are its own; this process reads at least the first piece
+        assert bool(reads) == read_back
+        assert mode == "split" or forks == []
+        _assert_no_child()
+
+    @pytest.mark.parametrize("mode", ["split", "serial"])
+    @pytest.mark.parametrize("fault", ["short", "espipe"])
+    @pytest.mark.parametrize("name", ["json", "labels_after_the_arrays", "csv", "csv_bad_row_6"])
+    def test_a_failing_read_reads_the_file_again(self, capsys, monkeypatch, tmp_path, forks,
+                                                 mode, fault, name):
+        text, fmt, _ = self.CASES[name]
+        path = self._write(tmp_path, text)
+        expected = self._expected(capsys, monkeypatch, path, fmt)
+        reads, pread = [], os.pread
+
+        def faulty(fd, n, offset):
+            reads.append(offset)
+            if fault == "espipe":
+                raise OSError(errno.ESPIPE, os.strerror(errno.ESPIPE))
+            return pread(fd, n, offset)[:-1]
+
+        opened, whole = [], cli._read_text
+        monkeypatch.setattr(os, "pread", faulty)
+        monkeypatch.setattr(cli, "_read_text", lambda *a, **k: opened.append(k) or whole(*a, **k))
+        if mode == "serial":
+            monkeypatch.setattr(cli, "_split_cpus", lambda work, min_work: set())
+        assert self._normalize(capsys, path, fmt) == expected
+        assert reads and opened == [{"pieces": True}, {}]
+        _assert_no_child()
+
+    @pytest.mark.parametrize("mode", ["split", "serial"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_every_piece_is_read_with_pread(self, capsys, monkeypatch, tmp_path, forks, mode, fmt):
+        # each process logs its reads; this one reads the even pieces, a
+        # child the odd ones
+        probs, utils = _random_scheme(60, seed=8)
+        doc = {"probabilities": probs, "utilities": utils, "labels": [f"o{i}" for i in probs]}
+        rows = "".join(f"{p!r},{u!r}\n" for p, u in zip(probs, utils))
+        text = json.dumps(doc) if fmt == "json" else "p,u\n" + rows
+        path = self._write(tmp_path, text)
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 100)
+        spans = cli._csv_spans(text) if fmt == "csv" else [s for _, s in cli._json_walk(text)[1]]
+        log, pread, parent = tmp_path / "reads.log", os.pread, os.getpid()
+
+        def logged(fd, n, offset):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([offset, offset + n, os.getpid() != parent]) + "\n")
+            return pread(fd, n, offset)
+
+        monkeypatch.setattr(os, "pread", logged)
+        if mode == "serial":
+            monkeypatch.setattr(cli, "_split_cpus", lambda work, min_work: set())
+        expected = render_scheme_json(make_scheme(probs, utils, labels=doc["labels"]))
+        if fmt == "csv":
+            expected = render_scheme_json(make_scheme(probs, utils))
+        assert self._normalize(capsys, path, fmt) == (0, expected, "")
+        reads = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(spans) > 10
+        assert sorted((a, b) for a, b, _ in reads) == spans
+        assert [(a, b) for a, b, child in reads if not child] == (
+            spans[0::2] if mode == "split" else spans
+        )
+        _assert_no_child()
+
+    @pytest.mark.parametrize("where", ["pipe", "no_pread"])
+    def test_a_file_that_cannot_be_read_at_an_offset_is_read_once_whole(
+        self, capsys, monkeypatch, tmp_path, where
+    ):
+        # a pipe cannot be read at an offset, nor read again
+        path = self._write(tmp_path, self.PRETTY)
+        expected = self._expected(capsys, monkeypatch, path, "json")
+        opened, whole = [], cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda *a, **k: opened.append(k) or whole(*a, **k))
+        if where == "pipe":
+            monkeypatch.setattr(os, "pread", _no_fork)
+            read, write = os.pipe()
+            with open(write, "w") as fh:
+                fh.write(self.PRETTY)
+            path = f"/dev/fd/{read}"
+        else:
+            monkeypatch.delattr(os, "pread")
+        assert self._normalize(capsys, path, "json") == expected
+        assert opened == [{"pieces": True}]
+        if where == "pipe":
+            os.close(read)
+
+
+def test_escort_frees_the_utilities_before_the_escort_is_built(capsys, monkeypatch, half_half):
+    # the escort takes the place of the utility vector, not a place beside it
+    refs = []
+
+    class Traced(distributions.UtilityDistribution):
+        __slots__ = (*distributions.UtilityDistribution.__slots__, "__weakref__")
+
+        def __init__(self, utils):
+            super().__init__(utils)
+            refs.append(weakref.ref(self))
+
+    transform, dead = cli.escort_transform, []
+    monkeypatch.setattr(distributions, "UtilityDistribution", Traced)
+    monkeypatch.setattr(
+        cli, "escort_transform", lambda dist, beta: dead.append(refs[0]() is None) or transform(dist, beta)
+    )
+    argv = ["escort", "--input", half_half, "--beta", "2", "--t", "2", "--verify-identity"]
+    assert run(capsys, *argv)[0] == 0
+    assert len(refs) == 1 and dead == [True]
 
 
 class TestBoundedOutputMemory:

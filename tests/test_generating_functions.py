@@ -783,7 +783,7 @@ _CACHED_CALLS = {
 
 
 class TestLogWeightCache:
-    """Every log-weighted sum reads the list ``u_i * ln p_i`` that its
+    """Every log-weighted sum reads the packed ``u_i * ln p_i`` that its
     scheme holds once built, and gives what a fresh scheme gives; the plain
     entropy and moments are those of unit utilities, and the powers at
     t = 1 are the probabilities themselves."""
@@ -874,12 +874,12 @@ class TestLogWeightCache:
         ids=["entropy", "derivative", "moments", "streamed"],
     )
     def test_an_overflowing_log_weight_of_a_finite_entropy_is_summed_scaled(self, call):
-        # 1e308 * ln 0.1 is -inf, and the cached list keeps it, but the
+        # 1e308 * ln 0.1 is -inf, and the packed cache keeps it, but the
         # entropy, 2.3e307, is inside the float range: it was refused
         scheme = make_scheme([0.1, 0.9], [1e308, 1.0])
         for _ in range(2):
             assert call(scheme) == 2.3025850929940454e307
-        assert scheme._logs in (None, [-math.inf, math.log(0.9)])
+        assert scheme._logs is None or list(scheme._logs) == [-math.inf, math.log(0.9)]
         reference = oracles.weighted_entropy_mp([0.1, 0.9], [1e308, 1.0])
         assert oracles.relative_error(2.3025850929940454e307, reference) < 2e-16
 
@@ -1035,6 +1035,23 @@ def _outcome(compute):
         return compute()
     except IGFError as exc:
         return type(exc), str(exc)
+
+
+class TestPackedLogs:
+    """A scheme packs its log weights in an ``array('d')`` of 8 bytes an
+    entry."""
+
+    PROBS = [0.5, 0.0, 0.25, 1e-300, 0.25 - 1e-300]
+    UTILS = [1.0, 7.0, 2.5, 1e-3, 3.0]
+
+    def test_the_cache_is_packed_and_holds_the_listed_floats(self):
+        scheme = make_scheme(self.PROBS, self.UTILS)
+        weighted_entropy(scheme)
+        # the list the cache held before it was packed: u * ln p per
+        # nonzero entry, in entry order
+        listed = [u * math.log(p) for p, u in zip(self.PROBS, self.UTILS) if p]
+        assert type(scheme._logs) is array and scheme._logs.typecode == "d"
+        assert list(map(repr, scheme._logs)) == list(map(repr, listed))
 
 
 #: Entries of curve schemes: the sparse ones, or terms that stay large
