@@ -24,11 +24,10 @@ from .distributions import (
     MAX_REALIZED_TERMS,
     FamilyKind,
     ParametricFamily,
-    constant_utility_scheme,
     realize_family,
 )
 from .errors import DomainError, check_int, check_open, check_real, check_t
-from .generating_functions import _exponent, _streamed_entropy, golomb_igf
+from .generating_functions import _exponent, _moment, golomb_igf
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -285,7 +284,7 @@ def direct_sum_value(
     dist = realize_family(family, truncation)
     if t is not None:
         return golomb_igf(dist, _exponent(u, t), extended=extended)
-    entropy = _streamed_entropy(constant_utility_scheme(dist, u))
+    entropy = _moment(dist, u, 1)
     if family.kind is FamilyKind.BETA_POWER:
         # -ln p_1 is ln zeta(beta), which ln(1 / zeta(beta)) loses as
         # zeta(beta) nears 1 (p_1 rounds to 1.0 past beta of about 53): the

@@ -34,9 +34,8 @@ from .distributions import (
     ProbabilityDistribution,
     UtilityInformationScheme,
     _setattr,
-    constant_utility_scheme,
 )
-from .errors import DomainError, InvalidParameter, check_int, check_real, check_t
+from .errors import DomainError, InvalidParameter, ValidationError, check_int, check_real, check_t
 
 
 class LogBase(Enum):
@@ -79,38 +78,39 @@ class _WeightedExponents:
         return self.t < 1.0 and _exponent(max(self.utils), self.t) <= 0.0
 
 
-def _log_weights(scheme: UtilityInformationScheme, keep: bool = True) -> Iterable[float]:
-    """``a_i = u_i * ln p_i`` over the nonzero entries of ``scheme``.  The
-    first call packs them into the scheme's ``_logs`` slot, an
-    ``array('d')`` of 8 bytes an entry, and every later one returns it; with
-    ``keep`` false and no array built, they are one lazy pass instead, and
-    the slot stays empty."""
-    logs = scheme._logs
+def _log_weights(w: float | UtilityInformationScheme, probs: Sequence[float]) -> Iterable[float]:
+    """``a_i = u_i * ln p_i`` over the nonzero entries of ``probs``.  Under
+    a float constant utility ``w`` they are one lazy pass of ``u * ln p``.
+    For the scheme ``w`` whose probabilities ``probs`` are, the first call
+    packs them into its ``_logs`` slot, an ``array('d')`` of 8 bytes an
+    entry, and every later one returns it."""
+    if isinstance(w, float):
+        return map(mul, repeat(w), map(math.log, compress(probs, probs)))
+    logs = w._logs
     if logs is None:
-        probs = scheme.dist.probs
-        logs = map(mul, compress(scheme.util.utils, probs), map(math.log, compress(probs, probs)))
-        if keep:
-            from array import array  # a process that packs no logs never imports it
+        from array import array  # a process that packs no logs never imports it
 
-            logs = array("d", logs)
-            _setattr(scheme, "_logs", logs)
+        lns = map(math.log, compress(probs, probs))
+        logs = array("d", map(mul, compress(w.util.utils, probs), lns))
+        _setattr(w, "_logs", logs)
     return logs
 
 
 def _term_sums(
     probs: Sequence[float],
     exps: float | _WeightedExponents | None,
-    specs: Sequence[tuple[Sequence[float] | UtilityInformationScheme | None, int]] = ((None, 0),),
-    keep_logs: bool = True,
+    specs: Sequence[tuple[Sequence[float] | float | UtilityInformationScheme | None, int]] = (
+        (None, 0),
+    ),
 ) -> Iterator[float]:
     """math.fsum of c_i * p_i ** e_i for each spec ``(w, r)`` of ``specs``,
     lazily, over one pass of powers: the one kernel of every measure.
 
     For r = 0, ``c_i`` is ``w_i``, and a ``None`` weight vector stands for
     w_i = 1.  For r >= 1, ``w`` is the scheme whose probabilities
-    ``probs`` are, and ``c_i`` is ``a_i ** r`` over its cached
-    :func:`_log_weights`, which one spec streams when ``keep_logs`` is
-    false; ``a ** 1`` is taken as ``a``.  ``exps`` is one
+    ``probs`` are, or a float constant utility, and ``c_i`` is ``a_i ** r``
+    over its :func:`_log_weights`: the scheme's cache, or the float's one
+    lazy pass; ``a ** 1`` is taken as ``a``.  ``exps`` is one
     float exponent for every entry, the per-entry weighted exponents, or
     ``None`` for e_i = 1, which takes no power.  An exponent of exactly 1.0,
     and the weighted ones at t = 1 (``1 - u * 0.0`` is 1.0 for every finite
@@ -144,7 +144,7 @@ def _term_sums(
                 if many:
                     pows = list(pows)
             if r:
-                a = _log_weights(w, keep_logs or many)
+                a = _log_weights(w, probs)
                 terms = map(mul, a if r == 1 else map(pow, a, repeat(r)), compress(pows, probs))
             else:
                 terms = pows if w is None else map(mul, w, pows)
@@ -161,10 +161,10 @@ def _term_sums(
 def _rescaled_sum(
     probs: Sequence[float],
     exps: Iterable[float] | None,
-    scheme: UtilityInformationScheme,
+    w: float | UtilityInformationScheme,
     r: int,
 ) -> float | None:
-    """The :func:`_term_sums` sum of spec ``(scheme, r)`` whose factor
+    """The :func:`_term_sums` sum of spec ``(w, r)`` whose factor
     ``(u_i * ln p_i) ** r`` overflows for some finite u_i, although the
     terms may not: summed with every u_i scaled by 2 ** -k, which is exact
     outside the subnormal range, and scaled back by 2 ** (k * r).  k takes
@@ -173,14 +173,14 @@ def _rescaled_sum(
     largest is near the float range, far above the terms that underflow.
     None where no factor overflowed, or where a scaled term or the value is
     not finite."""
-    logs = _log_weights(scheme, keep=False)
+    logs = _log_weights(w, probs)
     try:
         if all(map(math.isfinite, logs if r == 1 else map(pow, logs, repeat(r)))):
             return None
     except OverflowError:
         pass
     nonzero = partial(compress, selectors=probs)
-    utils = scheme.util.utils
+    utils = repeat(w) if isinstance(w, float) else w.util.utils
     k = max(
         math.frexp(u)[1] + math.frexp(math.log(p))[1]
         for p, u in zip(nonzero(probs), nonzero(utils))
@@ -198,7 +198,7 @@ def _rescaled_sum(
 def _audit(
     probs: Sequence[float],
     exps: Iterable[float] | None,
-    w: Sequence[float] | UtilityInformationScheme | None,
+    w: Sequence[float] | float | UtilityInformationScheme | None,
     r: int,
 ) -> DomainError | None:
     """The DomainError of the first term of a :func:`_term_sums` sum of
@@ -209,7 +209,7 @@ def _audit(
     # which only extended-domain evaluations and extreme utilities reach;
     # p ** -inf and a product past the float range are +-inf instead
     ones = repeat(1.0)
-    ws = w.util.utils if r else ones if w is None else w
+    ws = (repeat(w) if isinstance(w, float) else w.util.utils) if r else ones if w is None else w
     for i, (p, e, wi) in enumerate(zip(probs, ones if exps is None else exps, ws)):
         if p == 0.0 and e <= 0.0:
             return DomainError(f"zero probability at entry {i} with exponent {e} <= 0")
@@ -448,7 +448,8 @@ def shannon_entropy(
     dist: ProbabilityDistribution, base: LogBase = LogBase.NATURAL
 ) -> float:
     """Entropy -sum_i p_i * log(p_i), in nats or bits: the weighted one at u = 1."""
-    return weighted_entropy(constant_utility_scheme(dist, 1.0), base)
+    # the base is checked after the sum, which at u = 1 cannot fail
+    return self_information_moment(dist, 1) / _log_unit(base)
 
 
 def weighted_entropy(
@@ -456,14 +457,7 @@ def weighted_entropy(
 ) -> float:
     """Utility-weighted entropy -sum_i u_i * p_i * log(p_i), the first moment."""
     unit = _log_unit(base)
-    return weighted_self_information_moment(scheme, 1) / unit
-
-
-def _streamed_entropy(scheme: UtilityInformationScheme) -> float:
-    """:func:`weighted_entropy` in nats, bit-equal, of a scheme summed only
-    once: its log weights stream through the sum, and no list of them is
-    kept in ``_logs``."""
-    return _signed(next(_term_sums(scheme.dist.probs, None, ((scheme, 1),), keep_logs=False)), 1)
+    return _moment(scheme.dist, scheme, 1) / unit
 
 
 def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
@@ -472,7 +466,9 @@ def self_information_moment(dist: ProbabilityDistribution, r: int) -> float:
     The weighted moment at u = 1, non-negative for every r; r = 0 returns
     the total mass and r = 1 the Shannon entropy.
     """
-    return weighted_self_information_moment(constant_utility_scheme(dist, 1.0), r)
+    if not isinstance(dist, ProbabilityDistribution):  # as a scheme built from it would
+        raise ValidationError("dist must be a ProbabilityDistribution")
+    return _moment(dist, 1.0, check_int(r, "moment order r", 0))
 
 
 def weighted_self_information_moment(
@@ -484,9 +480,13 @@ def weighted_self_information_moment(
     this); r = 0 returns the total mass and r = 1 the weighted entropy.
     """
     r = check_int(r, "moment order r", 0)
-    if not r:
-        return scheme.dist.total
-    return _signed(next(_term_sums(scheme.dist.probs, None, ((scheme, r),))), r)
+    return _moment(scheme.dist, scheme, r)
+
+
+def _moment(dist: ProbabilityDistribution, w: float | UtilityInformationScheme, r: int) -> float:
+    """sum_i p_i * (-w_i * ln p_i) ** r over ``dist`` under the log weights
+    of the :func:`_term_sums` spec ``(w, r)``; ``dist.total`` at r = 0."""
+    return _signed(next(_term_sums(dist.probs, None, ((w, r),))), r) if r else dist.total
 
 
 def weighted_self_information_moments(

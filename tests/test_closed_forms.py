@@ -58,6 +58,29 @@ MPMATH_BETAS = [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 6.0, 20.0, 60.0] + [
 ]
 
 
+def _count_builds(monkeypatch):
+    """The names of the utility vectors and schemes built from now on, in
+    order, as a list that grows."""
+    from igf.distributions import UtilityDistribution, UtilityInformationScheme
+
+    built = []
+    for cls in (UtilityDistribution, UtilityInformationScheme):
+        def counted_init(self, *args, _real=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    return built
+
+
+def _entropy_outcome(call):
+    """The repr of the value of ``call``, or the message of its DomainError."""
+    try:
+        return repr(call())
+    except DomainError as exc:
+        return str(exc)
+
+
 class TestZeta:
     def test_analytically_forced_values(self):
         assert zeta(2.0) * 6.0 / PI**2 == pytest.approx(1.0, abs=1e-12)
@@ -521,24 +544,30 @@ class TestClosedFormAndDirectSum:
             "the realized family needs at least 1048576 terms, above the cap of 1000000"
         )
 
-    @pytest.mark.parametrize("family, u", [
-        (ParametricFamily.uniform(7), 0.5),
-        (ParametricFamily.geometric(0.5), 2.5),
-        (ParametricFamily.beta_power(2.0), 1.0),
-    ])
-    def test_direct_entropy_streams_its_logs(self, monkeypatch, family, u):
-        # the realized scheme is summed once: no list of its 1e6 log
-        # weights (38 MB of peak for beta-power) is kept for later calls
-        schemes = []
-        build = closed_forms.constant_utility_scheme
-        monkeypatch.setattr(
-            closed_forms, "constant_utility_scheme",
-            lambda dist, u: schemes.append(build(dist, u)) or schemes[-1],
-        )
-        value = direct_sum_value(family, u)
-        [scheme] = schemes
-        assert scheme._logs is None
-        assert repr(value) == repr(weighted_entropy(scheme))
+    @pytest.mark.parametrize("family, u, pinned", [
+        (ParametricFamily.uniform(7), 0.5, None),
+        (ParametricFamily.geometric(0.5), 2.5, None),
+        (ParametricFamily.beta_power(2.0), 1.0, None),
+        # u ln p overflows for the small terms, but the entropy does not:
+        # it is summed scaled
+        (ParametricFamily.geometric(0.5), 1e308, "1.3862943611198905e+308"),
+        # u ln n, about 1.4e309, is past the float range: refused
+        (ParametricFamily.uniform(1_000_000), 1e308,
+         "term 0 overflows: (1e+308 * ln 1e-06) ** 1"),
+    ], ids=["uniform", "geometric", "beta-power", "geometric rescued", "uniform refused"])
+    def test_direct_entropy_builds_no_scheme(self, monkeypatch, family, u, pinned):
+        # the realized distribution is summed once under the float u: the
+        # floats and the sum of weighted_entropy of its constant-utility
+        # scheme, which is not built, and no list of its 1e6 log weights
+        truncation = closed_forms.MAX_REALIZED_TERMS
+        if family.kind is closed_forms.FamilyKind.GEOMETRIC:
+            truncation = closed_forms._geometric_truncation(family.p, u, None)
+        scheme = constant_utility_scheme(realize_family(family, truncation), u)
+        expected = _entropy_outcome(lambda: weighted_entropy(scheme))
+        assert pinned in (None, expected)
+        built = _count_builds(monkeypatch)
+        assert _entropy_outcome(lambda: direct_sum_value(family, u)) == expected
+        assert built == []
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("u, t, extended", [
@@ -548,20 +577,12 @@ class TestClosedFormAndDirectSum:
         # the weighted IGF under the constant u is Golomb's at the one
         # exponent s = 1 - u * (1 - t): the same floats and the same sum as
         # weighted_igf of the realized scheme, which is not built
-        from igf.distributions import UtilityDistribution, UtilityInformationScheme
-
         truncation = closed_forms.MAX_REALIZED_TERMS
         if family.kind is closed_forms.FamilyKind.GEOMETRIC:
             truncation = closed_forms._geometric_truncation(family.p, u, t)
         scheme = constant_utility_scheme(realize_family(family, truncation), u)
         expected = repr(weighted_igf(scheme, t, extended=extended))
-        built = []
-        for cls in (UtilityDistribution, UtilityInformationScheme):
-            def counted_init(self, *args, _real=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _real(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counted_init)
+        built = _count_builds(monkeypatch)
         assert repr(direct_sum_value(family, u, t, extended=extended)) == expected
         assert built == []
 

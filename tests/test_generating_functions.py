@@ -803,6 +803,41 @@ class TestLogWeightCache:
         for plain, weighted in calls:
             assert repr(_outcome(plain)) == repr(_outcome(weighted))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_sparse_schemes(), st.one_of(
+        st.sampled_from([1.0, 0.5, 1e305, 1e308, 1e-300]),
+        st.floats(-300.0, 308.0).map(lambda x: 10.0**x),
+    ))
+    def test_a_float_utility_sums_as_its_constant_scheme(self, case, u):
+        # the kernel's float spec (u, r) streams mul(u, ln p), the floats of
+        # the cache of constant_utility_scheme(dist, u); values by repr,
+        # errors by type and message, rescued and refused sums included
+        dist = make_generalized(case[0])
+        scheme = constant_utility_scheme(dist, u)
+        for r in range(1, 9):
+            streamed = _outcome(lambda: generating_functions._moment(dist, u, r))
+            cached = _outcome(lambda: weighted_self_information_moment(scheme, r))
+            assert repr(streamed) == repr(cached)
+
+    def test_the_plain_calls_build_no_scheme(self, monkeypatch):
+        # the unit utility is the float 1.0: no utility vector and no
+        # scheme is built
+        from igf.distributions import UtilityDistribution, UtilityInformationScheme
+
+        dist = make_generalized([0.5, 0.0, 0.25, 1e-300])
+        built = []
+        for cls in (UtilityDistribution, UtilityInformationScheme):
+            def counted_init(self, *args, _real=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        for base in LogBase:
+            shannon_entropy(dist, base)
+        for r in range(5):
+            self_information_moment(dist, r)
+        assert built == []
+
     def test_a_plain_overflow_names_the_unit_utility(self):
         # (ln 1e-10) ** 300 * 1e-10 is about 1e398, past the float range
         with pytest.raises(DomainError) as info:
@@ -822,13 +857,21 @@ class TestLogWeightCache:
         (lambda s: self_information_moment(s, 2), ValidationError),
         (lambda s: weighted_entropy(s.dist), AttributeError),
         (lambda s: weighted_self_information_moment(s.dist, 2), AttributeError),
-    ], ids=["shannon", "moment", "weighted", "weighted moment"])
+        # the distribution is checked before the base and the order
+        (lambda s: shannon_entropy(None, "bits"), ValidationError),
+        (lambda s: shannon_entropy(list(s.dist.probs), "bits"), ValidationError),
+        (lambda s: self_information_moment(None, -1), ValidationError),
+        (lambda s: self_information_moment(list(s.dist.probs), -1), ValidationError),
+    ], ids=["shannon", "moment", "weighted", "weighted moment",
+            "shannon None", "shannon list", "moment None", "moment list"])
     def test_a_wrong_owner_gives_no_number(self, call, error):
         # a scheme is no distribution, and a distribution has no utilities:
         # neither call returns the other's value
         scheme = make_scheme([0.5, 0.5], [1.0, 3.0])
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             call(scheme)
+        if error is ValidationError:
+            assert str(info.value) == "dist must be a ProbabilityDistribution"
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_schemes(), st.sampled_from([1.0, 1e305]),
@@ -869,9 +912,9 @@ class TestLogWeightCache:
             weighted_entropy,
             lambda s: -weighted_igf_derivative(s, 1.0, 1),
             lambda s: list(weighted_self_information_moments(s, [0, 1]))[1],
-            generating_functions._streamed_entropy,
+            lambda s: weighted_self_information_moment(s, 1),
         ],
-        ids=["entropy", "derivative", "moments", "streamed"],
+        ids=["entropy", "derivative", "moments", "moment"],
     )
     def test_an_overflowing_log_weight_of_a_finite_entropy_is_summed_scaled(self, call):
         # 1e308 * ln 0.1 is -inf, and the packed cache keeps it, but the
@@ -879,7 +922,7 @@ class TestLogWeightCache:
         scheme = make_scheme([0.1, 0.9], [1e308, 1.0])
         for _ in range(2):
             assert call(scheme) == 2.3025850929940454e307
-        assert scheme._logs is None or list(scheme._logs) == [-math.inf, math.log(0.9)]
+        assert list(scheme._logs) == [-math.inf, math.log(0.9)]
         reference = oracles.weighted_entropy_mp([0.1, 0.9], [1e308, 1.0])
         assert oracles.relative_error(2.3025850929940454e307, reference) < 2e-16
 
