@@ -24,10 +24,11 @@ from .distributions import (
     MAX_REALIZED_TERMS,
     FamilyKind,
     ParametricFamily,
-    realize_family,
+    _family_terms,
+    _realized_length,
 )
 from .errors import DomainError, check_int, check_open, check_real, check_t
-from .generating_functions import _exponent, _moment, golomb_igf
+from .generating_functions import _exponent, _signed, _term_sums
 
 #: Leading terms the zeta evaluators sum explicitly.  The Euler-Maclaurin
 #: tail after them carries ten Bernoulli corrections; the first omitted one,
@@ -46,6 +47,32 @@ _EM_COEFFS = tuple(
         start=1,
     )
 )
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """Knuth's TwoSum: ``a + b`` rounded, and its rounding error, exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """Dekker's product: ``a * b`` rounded, and its rounding error, exactly
+    while no partial product underflows (``math.fma`` needs Python 3.13)."""
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    p = a * b
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp's split of ``a`` into halves of 26 bits, whose products are
+    exact; past 2**996, where (2**27 + 1) * a could overflow, of a * 2**-28."""
+    if abs(a) > 2.0**996:
+        hi, lo = _split(a * 2.0**-28)
+        return hi * 2.0**28, lo * 2.0**28
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _zeta_parts(beta: float) -> Iterator[tuple[float, float]]:
@@ -149,23 +176,41 @@ def _finite_entropy(family: str, u: float, value: float) -> float:
     return value
 
 
+def _exponent_error(u: float, t: float) -> float:
+    """The exact s = 1 - u * (1 - t) less the float ``_exponent(u, t)``
+    gives, to about 2**-106: each step of that float sum and product is
+    taken with its rounding error."""
+    d, d_err = _two_sum(1.0, -t)
+    m, m_err = _two_product(u, d)
+    s_err = _two_sum(1.0, -m)[1]
+    return s_err - (m_err + u * d_err)
+
+
 def geometric_igf(p: float, u: float, t: float) -> float:
     """Weighted IGF of the geometric family p_i = (1-p) * p**i over i >= 0.
 
     Summing the geometric series gives q**s / (1 - p**s) with q = 1 - p and
     s = 1 - u * (1 - t); convergence needs s > 0, which holds automatically
-    for t >= 1.
+    for t >= 1.  Below t = 1, s is taken to about 2**-106, since the value
+    has a pole at s = 0.
     """
     p = check_open(p, "geometric ratio p", 0, 1)
     u = check_open(u, "constant utility u", 0)
-    s = _geometric_exponent(u, check_real(t, "t"))
-    if s == 1.0:
+    t = check_real(t, "t")
+    s = _geometric_exponent(u, t)
+    if s == 1.0 and t >= 1.0:
         return 1.0  # the total mass, exactly as q / (1 - p) = q / q gives it
     q = 1.0 - p
     # q**s multiplies the rounding of 1 - p by s: an inexact q (Sterbenz makes
     # 1 - q exact) gives way to log1p; expm1 keeps the digits 1 - p**s cancels
     power = q**s if 1.0 - q == p else math.exp(s * math.log1p(-p))
-    return power / -math.expm1(s * math.log(p))
+    # below t = 1 the exact s is below 1, and near the pole s = 0 the
+    # rounding of s is the value's relative error (ln q times it, that of
+    # q**s): both take s - fl(s), measured to help at every s < 1.  At
+    # t >= 1 it is 0.0, and each product with it is an exact 0
+    s_lo = _exponent_error(u, t) if t < 1.0 else 0.0
+    log_p = math.log(p)
+    return power * math.exp(s_lo * math.log1p(-p)) / -math.expm1(s * log_p + s_lo * log_p)
 
 
 def _geometric_exponent(u: float, t: float) -> float:
@@ -271,24 +316,29 @@ def closed_form_value(
 def direct_sum_value(
     family: ParametricFamily, u: float, t: float | None = None, *, extended: bool = False
 ) -> float:
-    """:func:`closed_form_value` summed over ``family`` realized (the power
-    law to MAX_REALIZED_TERMS terms, the geometric one to
+    """:func:`closed_form_value` summed over the terms of ``family`` realized
+    (the power law to MAX_REALIZED_TERMS terms, the geometric one to
     :func:`_geometric_truncation`; ValidationError first where that is more):
-    :func:`golomb_igf` at s = 1 - u * (1 - t), or the entropy under ``u``."""
+    the sum of p ** s at s = 1 - u * (1 - t), or the entropy under ``u``.  No
+    distribution is built: the realized family always passes its checks."""
     u = check_open(u, "constant utility u", 0)
     if t is not None:
         t = check_t(t, extended)
     truncation = MAX_REALIZED_TERMS  # the uniform family ignores it
     if family.kind is FamilyKind.GEOMETRIC:
         truncation = _geometric_truncation(family.p, u, t)
-    dist = realize_family(family, truncation)
+    terms = _family_terms(family, 0, _realized_length(family, truncation))
+    if t is None or (s := _exponent(u, t)) <= 0.0:
+        from array import array  # the kernel reads these terms more than once
+
+        terms = array("d", terms)
     if t is not None:
-        return golomb_igf(dist, _exponent(u, t), extended=extended)
-    entropy = _moment(dist, u, 1)
+        return next(_term_sums(terms, s))  # at s > 0 one pass: p ** s <= 1, no audit
+    entropy = _signed(next(_term_sums(terms, None, ((u, 1),))), 1)
     if family.kind is FamilyKind.BETA_POWER:
         # -ln p_1 is ln zeta(beta), which ln(1 / zeta(beta)) loses as
         # zeta(beta) nears 1 (p_1 rounds to 1.0 past beta of about 53): the
         # first term takes it from zeta(beta) - 1, as the closed form does
-        p1 = dist.probs[0]
+        p1 = terms[0]
         entropy += u * p1 * (math.log1p(_zeta_minus_one(family.beta)) + math.log(p1))
     return entropy

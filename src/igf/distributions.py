@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import repeat
+from operator import truediv
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -384,16 +386,19 @@ def realize_family(
     before any is built.
     """
     n = _realized_length(family, truncation)
-    if family.kind is FamilyKind.UNIFORM:
-        return ProbabilityDistribution((1.0 / n,) * n, Kind.COMPLETE)
-    return ProbabilityDistribution(tuple(_family_terms(family, 0, n)), Kind.GENERALIZED)
+    kind = Kind.COMPLETE if family.kind is FamilyKind.UNIFORM else Kind.GENERALIZED
+    return ProbabilityDistribution(tuple(_family_terms(family, 0, n)), kind)
 
 
 def _family_terms(family: ParametricFamily, start: int, stop: int) -> Iterator[float]:
-    """Entries ``start`` to ``stop`` (from 0) of the realized geometric or
-    power-law ``family``: the one float expression of each entry.  The power
-    law is normalized by the full infinite-support constant, so its
-    truncated vector is generalized with mass a bit under 1."""
+    """Entries ``start`` to ``stop`` (from 0) of the realized ``family``,
+    lazily: the one float expression of each entry, a shared ``1 / n`` for
+    the uniform family.  The power law is normalized by the full
+    infinite-support constant, so its truncated vector is generalized with
+    mass a bit under 1; its C-level map gives the floats of i**-beta / z."""
+    if family.kind is FamilyKind.UNIFORM:
+        assert family.n is not None
+        return repeat(1.0 / family.n, stop - start)
     if family.kind is FamilyKind.GEOMETRIC:
         p = family.p
         assert p is not None
@@ -404,7 +409,7 @@ def _family_terms(family: ParametricFamily, start: int, stop: int) -> Iterator[f
     beta = family.beta
     assert beta is not None
     z = zeta(beta)
-    return (i ** (-beta) / z for i in range(start + 1, stop + 1))
+    return map(truediv, map(pow, range(start + 1, stop + 1), repeat(-beta)), repeat(z))
 
 
 def nonzero_terms(family: ParametricFamily, truncation: int | None = None) -> int:
@@ -413,13 +418,11 @@ def nonzero_terms(family: ParametricFamily, truncation: int | None = None) -> in
 
     Every term is positive until its float underflows to 0, and no term is
     larger than the one before, for ``p ** i`` and ``i ** -beta`` fall
-    with i and rounding is monotonic; so the zeros are a tail, and its
-    start is found by bisection over :func:`_family_terms`, in about 20
-    entries for a million terms.
+    with i (1 / n is constant) and rounding is monotonic; so the zeros are
+    a tail, and its start is found by bisection over :func:`_family_terms`,
+    in about 20 entries for a million terms.
     """
     n = _realized_length(family, truncation)
-    if family.kind is FamilyKind.UNIFORM:
-        return n  # each is 1 / n > 0
     lo, hi = 0, n  # entry lo is nonzero, and every entry from hi on is 0
     while hi - lo > 1:
         mid = (lo + hi) // 2

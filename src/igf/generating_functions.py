@@ -120,10 +120,12 @@ def _term_sums(
     below need that test, which no t >= 1 gives.  An order r > 0 drops the
     zero entries, which have no log; fsum ignores the exact zeros they
     would add.  The powers are shared by every spec, and each order
-    compresses them anew.  A sum that is not
-    finite is summed again by :func:`_rescaled_sum` where its order r >= 1
-    and a log weight overflows; otherwise it raises too: the DomainError of
-    :func:`_audit`, or of the sum.
+    compresses them anew.  At a positive float exponent the one spec
+    ``(None, 0)`` reads ``probs`` once: an iterator of entries in [0, 1]
+    may stand for it.  A sum that is not finite is summed again by
+    :func:`_rescaled_sum` where its order r >= 1 and a log weight
+    overflows; otherwise it raises too: the DomainError of :func:`_audit`,
+    or of the sum.
     """
     if isinstance(exps, float):
         scan, exps = exps <= 0.0, None if exps == 1.0 else repeat(exps)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -59,12 +60,16 @@ MPMATH_BETAS = [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 6.0, 20.0, 60.0] + [
 
 
 def _count_builds(monkeypatch):
-    """The names of the utility vectors and schemes built from now on, in
-    order, as a list that grows."""
-    from igf.distributions import UtilityDistribution, UtilityInformationScheme
+    """The names of the distributions, utility vectors and schemes built
+    from now on, in order, as a list that grows."""
+    from igf.distributions import (
+        ProbabilityDistribution,
+        UtilityDistribution,
+        UtilityInformationScheme,
+    )
 
     built = []
-    for cls in (UtilityDistribution, UtilityInformationScheme):
+    for cls in (ProbabilityDistribution, UtilityDistribution, UtilityInformationScheme):
         def counted_init(self, *args, _real=cls.__init__, **kwargs):
             built.append(type(self).__name__)
             _real(self, *args, **kwargs)
@@ -241,6 +246,35 @@ class TestUniform:
             uniform_igf(4, bad_u, 2.0)
 
 
+#: The README's relative budget for the geometric IGF in the extended
+#: domain, 0 < s = 1 - u * (1 - t) < 1.
+GEOMETRIC_EXTENDED_RTOL = 1e-15
+
+
+class TestExactArithmetic:
+    """TwoSum and Dekker's product give a float and its rounding error,
+    whose sum is exactly that of the operands."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    def test_two_sum_is_exact(self, a, b):
+        s, err = closed_forms._two_sum(a, b)
+        assert s == a + b
+        assert Fraction(s) + Fraction(err) == Fraction(a) + Fraction(b)
+
+    _NEAR_ONE = st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(-300.0, 300.0), _NEAR_ONE, _NEAR_ONE)
+    def test_two_product_is_exact(self, log_scale, a, b):
+        # scales to 1e300 each way: past 2**996 the split halves first; the
+        # product stays near 1, so no partial product underflows
+        a, b = a * 10.0**log_scale, b * 10.0**-log_scale
+        p, err = closed_forms._two_product(a, b)
+        assert p == a * b
+        assert Fraction(p) + Fraction(err) == Fraction(a) * Fraction(b)
+
+
 class TestGeometric:
     def test_point_values(self):
         assert geometric_igf(0.5, 1.0, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -267,6 +301,49 @@ class TestGeometric:
         pytest.importorskip("mpmath")
         ref = oracles.geometric_igf_mp(p, u, t)
         assert oracles.relative_error(geometric_igf(p, u, t), ref) <= 4e-16
+
+    @pytest.mark.parametrize("p, u, t", [
+        (0.5, 1.0, 1e-10), (0.9, 0.3, -7 / 3 + 1e-9), (1.0 - 2.0**-52, 0.49, 1.0 - 2.0**-53),
+    ])
+    def test_near_the_pole_against_mpmath(self, p, u, t):
+        # 1 - u * (1 - t) rounds s, and near the pole s = 0 that rounding is
+        # the value's relative error: 8.3e-8 and 2.5e-8, where the float s
+        # was 1.0000000827e-10 against the exact 1e-10; in the last row s
+        # rounds to 1.0, and the value 1 was off by 2e-15
+        pytest.importorskip("mpmath")
+        ref = oracles.geometric_igf_mp(p, u, t)
+        assert oracles.relative_error(geometric_igf(p, u, t), ref) <= GEOMETRIC_EXTENDED_RTOL
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.floats(-14.0, -1.0),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(-300.0, -1.0).map(lambda x: 10.0**x),
+            st.floats(-15.9, -1.0).map(lambda x: 1.0 - 10.0**x),
+        ),
+        st.floats(-3.0, 3.0),
+    )
+    def test_extended_domain_budget(self, log_s, p, log_u):
+        # |s| log-uniform in [1e-14, 1e-1]: t = 1 - (1 - s) / u
+        pytest.importorskip("mpmath")
+        u = 10.0**log_u
+        t = 1.0 - (1.0 - 10.0**log_s) / u
+        assume(0.0 < 1.0 - u * (1.0 - t) < 1.0)
+        ref = oracles.geometric_igf_mp(p, u, t)
+        assert oracles.relative_error(geometric_igf(p, u, t), ref) <= GEOMETRIC_EXTENDED_RTOL
+
+    @pytest.mark.parametrize("p, u, t", [
+        (0.5, 1.0, 1.0), (0.5, 1.0, 2.0), (0.9, 2.5, 1.2), (1e-8, 1.0, 1e9),
+        (1.0 - 1e-9, 1.0, 2.0), (0.5, 1e-300, 3.0), (0.3, 1e308, math.inf),
+    ])
+    def test_at_t_from_one_on_s_is_the_float_one(self, monkeypatch, p, u, t):
+        # s >= 1 there: only the extended domain takes s to double-double
+        def unused(u, t):
+            raise AssertionError("s was refined at t >= 1")
+
+        monkeypatch.setattr(closed_forms, "_exponent_error", unused)
+        assert math.isfinite(geometric_igf(p, u, t))
 
     def test_divergent_exponent_raises(self):
         # u=2, t=0.4 gives s = 1 - 2*0.6 = -0.2; u=2, t=0.5 gives s = 0
@@ -556,9 +633,10 @@ class TestClosedFormAndDirectSum:
          "term 0 overflows: (1e+308 * ln 1e-06) ** 1"),
     ], ids=["uniform", "geometric", "beta-power", "geometric rescued", "uniform refused"])
     def test_direct_entropy_builds_no_scheme(self, monkeypatch, family, u, pinned):
-        # the realized distribution is summed once under the float u: the
-        # floats and the sum of weighted_entropy of its constant-utility
-        # scheme, which is not built, and no list of its 1e6 log weights
+        # the family's terms are packed once and summed under the float u:
+        # the floats and the sum of weighted_entropy of the realized family's
+        # constant-utility scheme, and no distribution, scheme or list of
+        # its 1e6 log weights is built
         truncation = closed_forms.MAX_REALIZED_TERMS
         if family.kind is closed_forms.FamilyKind.GEOMETRIC:
             truncation = closed_forms._geometric_truncation(family.p, u, None)
@@ -575,8 +653,10 @@ class TestClosedFormAndDirectSum:
     ])
     def test_direct_igf_builds_no_scheme(self, monkeypatch, family, u, t, extended):
         # the weighted IGF under the constant u is Golomb's at the one
-        # exponent s = 1 - u * (1 - t): the same floats and the same sum as
-        # weighted_igf of the realized scheme, which is not built
+        # exponent s = 1 - u * (1 - t), summed in one pass of the family's
+        # terms: the same floats and the same sum as weighted_igf of the
+        # realized scheme, and neither the scheme nor its distribution is
+        # built
         truncation = closed_forms.MAX_REALIZED_TERMS
         if family.kind is closed_forms.FamilyKind.GEOMETRIC:
             truncation = closed_forms._geometric_truncation(family.p, u, t)
@@ -584,6 +664,31 @@ class TestClosedFormAndDirectSum:
         expected = repr(weighted_igf(scheme, t, extended=extended))
         built = _count_builds(monkeypatch)
         assert repr(direct_sum_value(family, u, t, extended=extended)) == expected
+        assert built == []
+
+    @pytest.mark.parametrize("family, u, t, message", [
+        (ParametricFamily.beta_power(1000.0), 1.0, -1.0,
+         "zero probability at entry 2 with exponent -1.0 <= 0"),
+        (ParametricFamily.beta_power(1000.0), 1.0, 0.0,
+         "zero probability at entry 2 with exponent 0.0 <= 0"),
+        (ParametricFamily.beta_power(2.0), 3.0, -400.0,
+         "term 1 overflows: probability 0.15198177546350666, exponent -1202.0"),
+        (ParametricFamily.uniform(1000), 1.0, -1e6,
+         "term 0 overflows: probability 0.001, exponent -1000000.0"),
+    ])
+    def test_direct_igf_at_s_up_to_zero_audits_the_packed_terms(
+        self, monkeypatch, family, u, t, message
+    ):
+        # at s <= 0 the kernel reads the terms more than once: it scans the
+        # zeros and audits the first term that fails, over the packed terms,
+        # and raises the error of the realized scheme
+        scheme = constant_utility_scheme(realize_family(family, closed_forms.MAX_REALIZED_TERMS), u)
+        with pytest.raises(DomainError) as realized:
+            weighted_igf(scheme, t, extended=True)
+        built = _count_builds(monkeypatch)
+        with pytest.raises(DomainError) as direct:
+            direct_sum_value(family, u, t, extended=True)
+        assert str(direct.value) == str(realized.value) == message
         assert built == []
 
     @pytest.mark.parametrize("beta", [20.0, 40.0, 60.0, 100.0, 400.0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -352,6 +353,25 @@ class TestRealizeFamily:
     def test_the_cap_itself_is_realized(self):
         dist = realize_family(ParametricFamily.uniform(MAX_REALIZED_TERMS))
         assert len(dist) == MAX_REALIZED_TERMS
+
+    def test_uniform_entries_are_one_shared_float(self):
+        # a million slots on one float object: the tuple's 8 MB and no more
+        probs = realize_family(ParametricFamily.uniform(MAX_REALIZED_TERMS)).probs
+        assert len(set(map(id, probs))) == 1
+        assert sys.getsizeof(probs) < 8 * MAX_REALIZED_TERMS + 100
+
+    @pytest.mark.parametrize("beta", [1.2, 2.0, 60.0, 400.0])
+    @pytest.mark.parametrize("truncation", [1, 10, 10_000])
+    def test_power_law_entries_are_the_defining_expression(self, beta, truncation):
+        # the terms are a C-level map of pow and truediv over the indices
+        z = zeta(beta)
+        probs = realize_family(ParametricFamily.beta_power(beta), truncation).probs
+        assert list(map(repr, probs)) == [repr(i**-beta / z) for i in range(1, truncation + 1)]
+
+    @pytest.mark.parametrize("n", [1, 7, MAX_REALIZED_TERMS])
+    def test_every_uniform_entry_is_nonzero(self, n):
+        # the bisection reads the uniform terms as it reads the others
+        assert nonzero_terms(ParametricFamily.uniform(n)) == n
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
